@@ -11,7 +11,6 @@ from rffkrr import (
     KernelSpec,
     classify_accuracy,
     cross_validate,
-    feature_map,
     fit,
     make_sampler,
     predict,
@@ -42,10 +41,11 @@ for lam, acc in zip(report.lambda_grid, report.mean_accuracy):
     marker = "  <- chosen" if lam == report.chosen_lambda else ""
     print(f"lambda {lam:<7g} mean CV accuracy {acc:.3f}{marker}")
 
-pool = surrogate_pipeline(
+# the pipeline returns the resampled pool and its features on X[train]
+pool, Z = surrogate_pipeline(
     X[train], y[train], spec, s=16, lam=report.chosen_lambda, pool_size=64, seed=5
 )
-model = fit(feature_map(X[train], pool), y[train], report.chosen_lambda, pool)
+model = fit(Z, y[train], report.chosen_lambda, pool)
 accuracy = classify_accuracy(predict(model, X[test]), y[test])
 print()
 print(f"held-out accuracy at lambda={report.chosen_lambda:g}: {accuracy:.3f}")

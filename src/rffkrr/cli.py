@@ -15,6 +15,7 @@ error, 3 numerical failure.
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +36,8 @@ from .theory import format_bound_report, required_features
 
 _MODES = {"approx": "error", "bench": "timing", "krr": "full"}
 
-_DEFAULTS = {
-    "format": "csv",
-    "method": ",".join(METHODS),
-    "s-mult": "1",
-    "pool-mult": "1",
-    "sigma": "1.0",
-    "lambda-grid": "0.05,0.1,0.5,1",
-    "folds": "5",
-    "trials": "10",
-    "seed": "0",
-    "err-subsample": "1000",
-    "variant": "simplified",
-    "emit": "csv",
-    "threads": "1",
-    "delta": "0.1",
-}
+# Only CLI-only settings have a default here; ExperimentConfig owns the rest.
+_DEFAULTS = {"delta": "0.1"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,13 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(parser):
-    for flag in (
-        "--data", "--test-data", "--format", "--method", "--s-mult",
-        "--pool-mult", "--sigma", "--lambda-grid", "--folds", "--trials",
-        "--seed", "--err-subsample", "--variant", "--out", "--emit",
-        "--threads", "--delta", "--config",
-    ):
-        parser.add_argument(flag, default=None)
+    for flag in (*_CONFIG_FIELDS, *_DEFAULTS, "config"):
+        parser.add_argument("--" + flag, default=None)
 
 
 def _build_parser():
@@ -103,7 +85,7 @@ def _merge_settings(args):
     settings = dict(_DEFAULTS)
     if args.config:
         file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_DEFAULTS) - {"data", "test-data", "out"}
+        unknown = set(file_values) - set(_CONFIG_FIELDS) - set(_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         settings.update(file_values)
@@ -114,8 +96,7 @@ def _merge_settings(args):
     return settings
 
 
-def _parse_int(settings, key, minimum=None):
-    raw = settings[key]
+def _parse_int(raw, key, minimum=None):
     try:
         value = int(raw)
     except ValueError as exc:
@@ -125,54 +106,70 @@ def _parse_int(settings, key, minimum=None):
     return value
 
 
-def _parse_float(settings, key):
-    raw = settings[key]
+def _parse_float(raw, key):
     try:
         return float(raw)
     except ValueError as exc:
         raise UsageError(f"--{key} expects a number, got {raw!r}") from exc
 
 
-def _parse_list(raw, convert, key):
+def _parse_list(raw, key, convert):
     try:
         return tuple(convert(token) for token in str(raw).split(",") if token.strip())
     except ValueError as exc:
         raise UsageError(f"--{key} has a malformed entry: {raw!r}") from exc
 
 
-def _parse_choice(settings, key, choices):
-    value = settings[key]
+def _parse_choice(value, key, choices):
     if value not in choices:
         raise UsageError(f"--{key} must be one of {choices}, got {value!r}")
     return value
 
 
+def _parse_methods(raw, key):
+    methods = _parse_list(raw, key, str)
+    for method in methods:
+        if method not in METHODS:
+            raise UsageError(f"--{key} entries must be among {METHODS}, got {method!r}")
+    return methods
+
+
+def _as_given(raw, key):
+    return raw
+
+
+# flag -> (ExperimentConfig field, parser(raw, flag)); unset flags are left
+# out so that ExperimentConfig supplies its own defaults.
+_CONFIG_FIELDS = {
+    "data": ("data", _as_given),
+    "test-data": ("test_data", _as_given),
+    "out": ("out", _as_given),
+    "format": ("format", partial(_parse_choice, choices=("csv", "libsvm"))),
+    "method": ("methods", _parse_methods),
+    "s-mult": ("s_multipliers", partial(_parse_list, convert=int)),
+    "pool-mult": ("pool_multiplier", partial(_parse_int, minimum=1)),
+    "sigma": ("sigma", _parse_float),
+    "lambda-grid": ("lambda_grid", partial(_parse_list, convert=float)),
+    "folds": ("folds", partial(_parse_int, minimum=2)),
+    "trials": ("trials", partial(_parse_int, minimum=1)),
+    "seed": ("seed", _parse_int),
+    "err-subsample": ("err_subsample", partial(_parse_int, minimum=2)),
+    "variant": ("variant", partial(_parse_choice, choices=("full", "simplified"))),
+    "emit": ("emit", partial(_parse_choice, choices=("csv", "jsonl"))),
+    "threads": ("threads", partial(_parse_int, minimum=1)),
+}
+
+
 def _resolve_config(settings):
     if not settings.get("data"):
         raise UsageError("--data is required (flag or config file)")
-    methods = _parse_list(settings["method"], str, "method")
-    for method in methods:
-        if method not in METHODS:
-            raise UsageError(f"--method entries must be among {METHODS}, got {method!r}")
+    fields = {
+        field: parse(settings[key], key)
+        for key, (field, parse) in _CONFIG_FIELDS.items()
+        if key in settings
+    }
     try:
-        return ExperimentConfig(
-            data=settings["data"],
-            format=_parse_choice(settings, "format", ("csv", "libsvm")),
-            methods=methods,
-            s_multipliers=_parse_list(settings["s-mult"], int, "s-mult"),
-            pool_multiplier=_parse_int(settings, "pool-mult", minimum=1),
-            sigma=_parse_float(settings, "sigma"),
-            lambda_grid=_parse_list(settings["lambda-grid"], float, "lambda-grid"),
-            folds=_parse_int(settings, "folds", minimum=2),
-            trials=_parse_int(settings, "trials", minimum=1),
-            seed=_parse_int(settings, "seed"),
-            err_subsample=_parse_int(settings, "err-subsample", minimum=2),
-            variant=_parse_choice(settings, "variant", ("full", "simplified")),
-            test_data=settings.get("test-data"),
-            out=settings.get("out"),
-            emit=_parse_choice(settings, "emit", ("csv", "jsonl")),
-            threads=_parse_int(settings, "threads", minimum=1),
-        )
+        return ExperimentConfig(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -247,7 +244,7 @@ def main(argv=None):
         if args.command in _MODES:
             return _cmd_experiment(args.command, config)
         if args.command == "bounds":
-            delta = _parse_float(settings, "delta")
+            delta = _parse_float(settings["delta"], "delta")
             if not 0.0 < delta < 1.0:
                 raise UsageError(f"--delta must be in (0, 1), got {delta}")
             return _cmd_bounds(config, delta)

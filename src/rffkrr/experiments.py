@@ -128,30 +128,29 @@ def generate_features(method, X, y, spec, s, pool_size, variant, lam, seed):
         return pool, feature_map(X, pool)
     if method == "SurrogateRFF":
         return surrogate_pipeline(
-            X, y, spec, s, lam,
-            pool_size=pool_size, variant=variant, seed=seed, return_features=True,
+            X, y, spec, s, lam, pool_size=pool_size, variant=variant, seed=seed
         )
     if method == "LeverageRFF":
         return erls_baseline_pipeline(
-            X, y, spec, s, lam,
-            pool_size=pool_size, seed=seed, return_features=True,
+            X, y, spec, s, lam, pool_size=pool_size, seed=seed
         )
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def make_sampler(method, spec, s, pool_size, variant="simplified"):
-    """Wrap a method as a CV sampler callable (X, y, lam, seed) -> pool.
+    """Wrap a method as a CV sampler callable (X, y, lam, seed) -> (pool, Z).
 
-    The callable advertises ``lambda_dependent``: only the approximate
-    leverage baseline actually changes its plan with lambda (the surrogate
-    scores scale by 1/lambda uniformly, which cancels in normalization),
-    so cross-validation can reuse pools and Gram matrices across the grid
-    for every other method.
+    The callable is :func:`generate_features` with the method fixed, so Z
+    is the FeatureMatrix of the pool on X and cross-validation need not
+    map the training rows again.  It advertises ``lambda_dependent``: only
+    the approximate leverage baseline actually changes its plan with
+    lambda (the surrogate scores scale by 1/lambda uniformly, which cancels
+    in normalization), so cross-validation can reuse pools and Gram
+    matrices across the grid for every other method.
     """
 
     def sampler(X, y, lam, seed):
-        pool, _ = generate_features(method, X, y, spec, s, pool_size, variant, lam, seed)
-        return pool
+        return generate_features(method, X, y, spec, s, pool_size, variant, lam, seed)
 
     sampler.lambda_dependent = method == "LeverageRFF"
     return sampler
@@ -218,8 +217,7 @@ def _run_one(config, dataset, spec, method, s, trial, mode):
         rng = np.random.default_rng(_child_seed(config.seed, trial, _TAG_ERR))
         subset = rng.choice(train.n, size=count, replace=False)
         K_sub = kernel_matrix(train.X[subset], spec)
-        Z_sub = feature_map(train.X[subset], pool)
-        rel_error = relative_approx_error(K_sub, Z_sub)
+        rel_error = relative_approx_error(K_sub, Z.entries[subset])
 
     return TrialRecord(
         method=method,

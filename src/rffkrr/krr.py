@@ -123,12 +123,13 @@ def classify_accuracy(predictions, labels):
 def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     """K-fold grid search for lambda, scored by classification accuracy.
 
-    ``sampler(X_train, y_train, lam, seed) -> FrequencyPool`` supplies the
-    features per fold.  Samplers may advertise ``lambda_dependent =
-    False`` (plain Monte Carlo, QMC, and the surrogate pipeline qualify:
-    lambda only rescales surrogate scores, so the plan is unchanged); for
-    those the pool and the feature Gram matrix are built once per fold and
-    only the ridge solve repeats across the grid.
+    ``sampler(X_train, y_train, lam, seed) -> (pool, FeatureMatrix)``
+    supplies the frequency pool per fold together with its features on
+    X_train, so the training rows are never mapped twice.  Samplers may
+    advertise ``lambda_dependent = False`` (plain Monte Carlo, QMC, and the
+    surrogate pipeline qualify: lambda only rescales surrogate scores, so
+    the plan is unchanged); for those the sampler runs once per fold, on
+    the first grid value, and only the ridge solve repeats across the grid.
 
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.
@@ -159,23 +160,15 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
         X_tr, y_tr = X[mask], y[mask]
         X_val, y_val = X[block], y[block]
         n_tr = X_tr.shape[0]
-
-        if lam_dependent:
-            for j, lam in enumerate(grid):
-                pool = sampler(X_tr, y_tr, lam, children[f + 1])
-                Z_tr = feature_map(X_tr, pool).entries
-                beta = _ridge_coefficients(Z_tr.T @ Z_tr, Z_tr.T @ y_tr, n_tr * lam)
-                preds = feature_map(X_val, pool).entries @ beta
-                accuracy[f, j] = classify_accuracy(preds, y_val)
-        else:
-            pool = sampler(X_tr, y_tr, grid[0], children[f + 1])
-            Z_tr = feature_map(X_tr, pool).entries
-            Z_val = feature_map(X_val, pool).entries
-            gram = Z_tr.T @ Z_tr
-            rhs = Z_tr.T @ y_tr
-            for j, lam in enumerate(grid):
-                beta = _ridge_coefficients(gram, rhs, n_tr * lam)
-                accuracy[f, j] = classify_accuracy(Z_val @ beta, y_val)
+        for j, lam in enumerate(grid):
+            if j == 0 or lam_dependent:
+                pool, features = sampler(X_tr, y_tr, lam, children[f + 1])
+                Z_tr = features.entries
+                Z_val = feature_map(X_val, pool).entries
+                gram = Z_tr.T @ Z_tr
+                rhs = Z_tr.T @ y_tr
+            beta = _ridge_coefficients(gram, rhs, n_tr * lam)
+            accuracy[f, j] = classify_accuracy(Z_val @ beta, y_val)
 
     means = accuracy.mean(axis=0)
     chosen = grid[int(np.flatnonzero(means == means.max()).max())]

@@ -49,12 +49,13 @@ class ScoreKind(enum.Enum):
     """Which leverage function produced a set of scores."""
 
     EXACT_ERLS = "exact-erls"
+    APPROX_ERLS = "approx-erls"
     SURROGATE = "surrogate"
     SURROGATE_SIMPLIFIED = "surrogate-simplified"
 
 
 def _source_for_kind(kind):
-    if kind is ScoreKind.EXACT_ERLS:
+    if kind in (ScoreKind.EXACT_ERLS, ScoreKind.APPROX_ERLS):
         return PoolSource.LEVERAGE_RESAMPLED
     return PoolSource.SURROGATE_RESAMPLED
 
@@ -214,7 +215,7 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     solved = linalg.psd_solve(ridge, gram)
     per_frequency = dens * np.clip(_pair_sums(np.diag(solved)), 0.0, None)
     return LeverageScores(
-        per_frequency, float(per_frequency.sum()), ScoreKind.EXACT_ERLS
+        per_frequency, float(per_frequency.sum()), ScoreKind.APPROX_ERLS
     )
 
 
@@ -264,11 +265,16 @@ def build_resample_plan(scores, target):
     return ResamplePlan(per.shape[0], int(target), probs, scores.kind)
 
 
-def _draw_indices(plan, seed):
-    rng = make_rng(seed)
-    return rng.choice(
+def _draw(plan, pool, seed):
+    # The one place resampling weights are formed: r_i / (l q_i).
+    indices = make_rng(seed).choice(
         plan.pool_size, size=plan.target, replace=True, p=plan.probabilities
     )
+    weights = pool.weights[indices] / (plan.pool_size * plan.probabilities[indices])
+    out = FrequencyPool(
+        pool.frequencies[indices], weights, _source_for_kind(plan.kind)
+    )
+    return indices, out
 
 
 def resample(plan, pool, seed):
@@ -284,11 +290,7 @@ def resample(plan, pool, seed):
         raise ValueError(
             f"plan covers {plan.pool_size} frequencies, pool has {pool.size}"
         )
-    indices = _draw_indices(plan, seed)
-    weights = pool.weights[indices] / (plan.pool_size * plan.probabilities[indices])
-    return FrequencyPool(
-        pool.frequencies[indices], weights, _source_for_kind(plan.kind)
-    )
+    return _draw(plan, pool, seed)[1]
 
 
 def _gather_features(z_pool, indices, weights, target):
@@ -303,7 +305,7 @@ def _gather_features(z_pool, indices, weights, target):
     return FeatureMatrix(z_pool.entries[:, column_index] * factors, target)
 
 
-def _resample_pipeline(X, y, spec, s, lam, pool_size, seed, score_fn, return_features):
+def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     pool_size = int(s) if pool_size is None else int(pool_size)
     if pool_size < s:
@@ -312,79 +314,45 @@ def _resample_pipeline(X, y, spec, s, lam, pool_size, seed, score_fn, return_fea
     density = spectral_density(spec, X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
     z_pool = feature_map(X, pool)
-    scores = score_fn(z_pool)
-    plan = build_resample_plan(scores, s)
-    indices = _draw_indices(plan, seed_draw)
-    weights = 1.0 / (pool_size * plan.probabilities[indices])
-    out = FrequencyPool(
-        pool.frequencies[indices], weights, _source_for_kind(scores.kind)
-    )
-    if not return_features:
-        return out
-    return out, _gather_features(z_pool, indices, weights, s)
+    plan = build_resample_plan(score_fn(z_pool), s)
+    indices, out = _draw(plan, pool, seed_draw)
+    return out, _gather_features(z_pool, indices, out.weights, s)
 
 
 def surrogate_pipeline(
-    X,
-    y,
-    spec,
-    s,
-    lam,
-    pool_size=None,
-    variant="simplified",
-    seed=0,
-    return_features=False,
+    X, y, spec, s, lam, pool_size=None, variant="simplified", seed=0
 ):
     """Draw a pool, score it with the surrogate, and resample s frequencies.
 
     Runs without a single linear solve.  ``pool_size`` defaults to s;
-    larger pools give the resampler more to choose from.  With
-    ``return_features=True`` also returns the (n, 2s) feature matrix,
-    assembled by gathering pooled columns rather than re-evaluating the
-    map.  The returned pool carries importance weights 1 / (l q_i).
+    larger pools give the resampler more to choose from.  Returns the
+    resampled pool, which carries importance weights 1 / (l q_i), and its
+    (n, 2s) FeatureMatrix on X, assembled by gathering pooled columns
+    rather than re-evaluating the map.
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}")
     return _resample_pipeline(
         X,
-        y,
         spec,
         s,
-        lam,
         pool_size,
         seed,
         lambda z_pool: surrogate_leverage(
             y, z_pool, lam, simplified=(variant == "simplified")
         ),
-        return_features,
     )
 
 
-def erls_baseline_pipeline(
-    X,
-    y,
-    spec,
-    s,
-    lam,
-    pool_size=None,
-    seed=0,
-    return_features=False,
-):
+def erls_baseline_pipeline(X, y, spec, s, lam, pool_size=None, seed=0):
     """Pool-and-resample pipeline scored by approximate ridge leverage.
 
-    Identical flow to :func:`surrogate_pipeline` but the scoring step
-    factors the pooled feature Gram matrix, so it pays the O(n l^2 + l^3)
-    cost the surrogate exists to avoid.  Labels are ignored by the scores
-    and accepted only for signature parity with the surrogate pipeline.
+    Identical flow and return value (pool, FeatureMatrix) to
+    :func:`surrogate_pipeline`, but the scoring step factors the pooled
+    feature Gram matrix, so it pays the O(n l^2 + l^3) cost the surrogate
+    exists to avoid.  Labels are ignored by the scores and accepted only
+    for signature parity with the surrogate pipeline.
     """
     return _resample_pipeline(
-        X,
-        y,
-        spec,
-        s,
-        lam,
-        pool_size,
-        seed,
-        lambda z_pool: approx_ridge_leverage(z_pool, lam),
-        return_features,
+        X, spec, s, pool_size, seed, lambda z_pool: approx_ridge_leverage(z_pool, lam)
     )

@@ -7,7 +7,7 @@ import pytest
 import rffkrr
 import rffkrr.cli as cli
 from rffkrr import NumericalError
-from rffkrr.experiments import REPORT_HEADER
+from rffkrr.experiments import REPORT_HEADER, ExperimentConfig
 
 
 @pytest.fixture()
@@ -44,6 +44,11 @@ def test_krr_subcommand_emits_report(blob_csv, capsys):
     assert fields[0] == "RFF" and fields[1] == "4"
     assert 0.0 <= float(fields[3]) <= 1.0
     assert "done method=RFF" in captured.err
+
+
+def test_unset_flags_take_experiment_config_defaults():
+    args = cli._build_parser().parse_args(["krr", "--data", "F"])
+    assert cli._resolve_config(cli._merge_settings(args)) == ExperimentConfig(data="F")
 
 
 def test_approx_subcommand_skips_accuracy(blob_csv, capsys):

@@ -1,0 +1,31 @@
+"""Every narrative script under demos/ runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+_DEMOS = sorted((_REPO_ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_present():
+    assert _DEMOS
+
+
+@pytest.mark.parametrize("script", _DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(script, tmp_path):
+    env = dict(os.environ)
+    paths = [str(_REPO_ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

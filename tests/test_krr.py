@@ -227,6 +227,58 @@ def test_cv_fast_path_agrees_with_per_lambda_resampling():
     assert a.chosen_lambda == b.chosen_lambda
 
 
+def _remapping_reference_cv(X, y, sampler, grid, folds, seed):
+    # The straightforward loop: draw when cross_validate draws (every
+    # lambda, or the first only for lambda-independent samplers), map the
+    # training rows again, and fit and predict through the public API.
+    children = np.random.SeedSequence(seed).spawn(folds + 1)
+    permutation = np.random.default_rng(children[0]).permutation(len(y))
+    accuracy = np.zeros((folds, len(grid)))
+    for f, block in enumerate(np.array_split(permutation, folds)):
+        mask = np.ones(len(y), dtype=bool)
+        mask[block] = False
+        for j, lam in enumerate(grid):
+            if j == 0 or sampler.lambda_dependent:
+                pool, _ = sampler(X[mask], y[mask], lam, children[f + 1])
+            model = fit(feature_map(X[mask], pool), y[mask], lam, pool)
+            accuracy[f, j] = classify_accuracy(predict(model, X[block]), y[block])
+    return accuracy
+
+
+@pytest.mark.parametrize("method", ["RFF", "SurrogateRFF", "LeverageRFF"])
+def test_cv_reuses_sampler_features_without_changing_accuracy(method):
+    X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=7)
+    grid = (0.001, 0.01, 0.1)
+    sampler = make_sampler(method, KernelSpec(1.0), 6, 24)
+    report = cross_validate(X, y, sampler, grid, folds=4, seed=3)
+    expected = _remapping_reference_cv(X, y, sampler, grid, folds=4, seed=3)
+    np.testing.assert_array_equal(report.fold_accuracy, expected)
+
+
+@pytest.mark.parametrize(
+    "method, per_fold", [("RFF", 2), ("SurrogateRFF", 2), ("LeverageRFF", 2 * 3)]
+)
+def test_cv_maps_training_rows_once_per_draw(method, per_fold, monkeypatch):
+    # One map inside the sampler (its pool on the training rows) and one of
+    # the validation rows; the training rows are never mapped again.
+    import rffkrr.experiments
+    import rffkrr.krr
+    import rffkrr.leverage
+
+    calls = []
+
+    def counting_map(X, pool):
+        calls.append(pool)
+        return feature_map(X, pool)
+
+    for module in (rffkrr.experiments, rffkrr.krr, rffkrr.leverage):
+        monkeypatch.setattr(module, "feature_map", counting_map)
+    X, y = _blob(seed=2)
+    sampler = make_sampler(method, KernelSpec(1.0), 4, 8)
+    cross_validate(X, y, sampler, (0.01, 0.1, 1.0), folds=3, seed=0)
+    assert len(calls) == 3 * per_fold
+
+
 def test_cv_validation():
     X, y = _blob()
     sampler = make_sampler("RFF", KernelSpec(1.0), 4, 4)

@@ -33,6 +33,7 @@ from rffkrr import (
     surrogate_leverage,
     surrogate_pipeline,
 )
+from rffkrr.experiments import METHODS, generate_features
 from rffkrr.features import FeatureMatrix
 from rffkrr.leverage import approx_ridge_leverage
 from rffkrr import linalg
@@ -250,7 +251,7 @@ def test_resampled_estimator_unbiased_by_enumeration():
 def test_surrogate_pipeline_runs_without_solves():
     X, y, pool, Z, _ = _instance(3, n=40, l=8)
     linalg.reset_solve_count()
-    out = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2)
+    out, _ = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2)
     assert linalg.solve_count() == 0
     assert out.size == 4
     assert out.source is PoolSource.SURROGATE_RESAMPLED
@@ -259,27 +260,36 @@ def test_surrogate_pipeline_runs_without_solves():
 def test_erls_baseline_pipeline_pays_for_solves():
     X, y, pool, Z, _ = _instance(3, n=40, l=8)
     linalg.reset_solve_count()
-    out = erls_baseline_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2)
+    out, _ = erls_baseline_pipeline(
+        X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2
+    )
     assert linalg.solve_count() > 0
     assert out.source is PoolSource.LEVERAGE_RESAMPLED
 
 
 def test_pipeline_determinism():
     X, y, *_ = _instance(6, n=25)
-    a = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=7)
-    b = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=7)
+    a, _ = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=7)
+    b, _ = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=7)
     np.testing.assert_array_equal(a.frequencies, b.frequencies)
     np.testing.assert_array_equal(a.weights, b.weights)
-    c = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=8)
+    c, _ = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=8)
     assert not np.array_equal(a.frequencies, c.frequencies)
 
 
 def test_pipeline_gathered_features_match_direct_map():
+    # Every method's generation hands back the features of its own pool;
+    # the resampling pipelines gather pooled columns instead of remapping.
     X, y, *_ = _instance(21, n=8)
-    pool, feats = surrogate_pipeline(
-        X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=3, return_features=True
-    )
-    np.testing.assert_allclose(feats.entries, feature_map(X, pool).entries, atol=1e-12)
+    for method in METHODS:
+        for variant in ("simplified", "full"):
+            pool, feats = generate_features(
+                method, X, y, KernelSpec(1.0), 4, 8, variant, 0.1, 3
+            )
+            assert feats.n_frequencies == pool.size == 4
+            np.testing.assert_allclose(
+                feats.entries, feature_map(X, pool).entries, atol=1e-12
+            )
 
 
 def test_pipeline_argument_validation():
@@ -295,7 +305,9 @@ def test_approx_ridge_leverage_pushthrough():
     # kernel-side scores divided by the pool size.
     X, y, pool, Z, _ = _instance(31, n=20, l=6)
     lam = 0.2
-    approx = approx_ridge_leverage(Z, lam).per_frequency
+    approx_scores = approx_ridge_leverage(Z, lam)
+    assert approx_scores.kind is ScoreKind.APPROX_ERLS
+    approx = approx_scores.per_frequency
     K = Z.entries @ Z.entries.T
     exact = exact_leverage(regularized_factor(K, lam), Z).per_frequency
     np.testing.assert_allclose(6 * approx, exact, atol=1e-10)
