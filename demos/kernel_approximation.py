@@ -26,7 +26,7 @@ spec = KernelSpec(bandwidth=1.0)
 K = kernel_matrix(X, spec)
 density = spectral_density(spec, X.shape[1])
 
-print("exact kernel: shape", K.entries.shape, "diagonal", K.entries[0, 0])
+print("exact kernel: shape", K.shape, "diagonal", K[0, 0])
 print()
 print(f"{'s':>6} {'MC median':>12} {'MC best':>12} {'QMC':>12}")
 for s in (8, 32, 128, 512, 2048):
@@ -43,4 +43,4 @@ for s in (8, 32, 128, 512, 2048):
 Z = feature_map(X, sample_mc(density, 2048, seed=0))
 approx = float(Z.entries[3] @ Z.entries[7])
 print()
-print(f"k(x_3, x_7) exact {K.entries[3, 7]:.6f} vs feature estimate {approx:.6f}")
+print(f"k(x_3, x_7) exact {K[3, 7]:.6f} vs feature estimate {approx:.6f}")

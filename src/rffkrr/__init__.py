@@ -41,7 +41,6 @@ from .features import (
     sample_qmc,
 )
 from .kernels import (
-    KernelMatrix,
     KernelSpec,
     SpectralDensity,
     eval_kernel,
@@ -93,7 +92,6 @@ __all__ = [
     "FeatureMatrix",
     "FrequencyPool",
     "GIVEN_PARTITION",
-    "KernelMatrix",
     "KernelSpec",
     "KrrModel",
     "LeverageScores",

@@ -23,7 +23,6 @@ import numpy as np
 from .datasets import GIVEN_PARTITION, RANDOM_HALF, split
 from .errors import DataError, NumericalError, UsageError
 from .experiments import (
-    METHODS,
     ExperimentConfig,
     _load_for_config,
     make_sampler,
@@ -96,14 +95,11 @@ def _merge_settings(args):
     return settings
 
 
-def _parse_int(raw, key, minimum=None):
+def _parse_int(raw, key):
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise UsageError(f"--{key} expects an integer, got {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise UsageError(f"--{key} must be at least {minimum}, got {value}")
-    return value
 
 
 def _parse_float(raw, key):
@@ -120,43 +116,30 @@ def _parse_list(raw, key, convert):
         raise UsageError(f"--{key} has a malformed entry: {raw!r}") from exc
 
 
-def _parse_choice(value, key, choices):
-    if value not in choices:
-        raise UsageError(f"--{key} must be one of {choices}, got {value!r}")
-    return value
-
-
-def _parse_methods(raw, key):
-    methods = _parse_list(raw, key, str)
-    for method in methods:
-        if method not in METHODS:
-            raise UsageError(f"--{key} entries must be among {METHODS}, got {method!r}")
-    return methods
-
-
 def _as_given(raw, key):
     return raw
 
 
-# flag -> (ExperimentConfig field, parser(raw, flag)); unset flags are left
-# out so that ExperimentConfig supplies its own defaults.
+# flag -> (ExperimentConfig field, parser(raw, flag)).  Parsers only convert
+# types; ExperimentConfig checks ranges and choices, and supplies the
+# defaults of flags left unset.
 _CONFIG_FIELDS = {
     "data": ("data", _as_given),
     "test-data": ("test_data", _as_given),
     "out": ("out", _as_given),
-    "format": ("format", partial(_parse_choice, choices=("csv", "libsvm"))),
-    "method": ("methods", _parse_methods),
+    "format": ("format", _as_given),
+    "method": ("methods", partial(_parse_list, convert=str)),
     "s-mult": ("s_multipliers", partial(_parse_list, convert=int)),
-    "pool-mult": ("pool_multiplier", partial(_parse_int, minimum=1)),
+    "pool-mult": ("pool_multiplier", _parse_int),
     "sigma": ("sigma", _parse_float),
     "lambda-grid": ("lambda_grid", partial(_parse_list, convert=float)),
-    "folds": ("folds", partial(_parse_int, minimum=2)),
-    "trials": ("trials", partial(_parse_int, minimum=1)),
+    "folds": ("folds", _parse_int),
+    "trials": ("trials", _parse_int),
     "seed": ("seed", _parse_int),
-    "err-subsample": ("err_subsample", partial(_parse_int, minimum=2)),
-    "variant": ("variant", partial(_parse_choice, choices=("full", "simplified"))),
-    "emit": ("emit", partial(_parse_choice, choices=("csv", "jsonl"))),
-    "threads": ("threads", partial(_parse_int, minimum=1)),
+    "err-subsample": ("err_subsample", _parse_int),
+    "variant": ("variant", _as_given),
+    "emit": ("emit", _as_given),
+    "threads": ("threads", _parse_int),
 }
 
 

@@ -9,6 +9,7 @@ coefficients, score sign accuracy on the test half, and measure the
 relative kernel approximation error on a subsample of the training half.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -31,7 +32,20 @@ from .leverage import erls_baseline_pipeline, surrogate_pipeline
 
 METHODS = ("RFF", "QMC", "LeverageRFF", "SurrogateRFF")
 
-REPORT_HEADER = "method,s,trial,accuracy,rel_error,gen_time_s,solve_time_s,lambda"
+# (report column, TrialRecord attribute) in report order.  The one rename
+# is ``lambda``, a Python keyword, stored as ``lam``.
+_REPORT_COLUMNS = (
+    ("method", "method"),
+    ("s", "s"),
+    ("trial", "trial"),
+    ("accuracy", "accuracy"),
+    ("rel_error", "rel_error"),
+    ("gen_time_s", "gen_time_s"),
+    ("solve_time_s", "solve_time_s"),
+    ("lambda", "lam"),
+)
+
+REPORT_HEADER = ",".join(column for column, _ in _REPORT_COLUMNS)
 
 # Tags that keep the per-trial derived seed streams disjoint.
 _TAG_SPLIT, _TAG_CV, _TAG_GEN, _TAG_ERR = 0, 1, 2, 3
@@ -88,6 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
         if not self.methods:
             raise ValueError("no methods selected")
+        if self.format not in ("csv", "libsvm"):
+            raise ValueError(f"format must be csv or libsvm, got {self.format}")
         if self.variant not in ("full", "simplified"):
             raise ValueError(f"variant must be full or simplified, got {self.variant}")
         if self.emit not in ("csv", "jsonl"):
@@ -299,18 +315,10 @@ def _summary_lines(records):
 def _records_to_csv(records):
     lines = [REPORT_HEADER]
     for r in records:
+        cells = (getattr(r, attr) for _, attr in _REPORT_COLUMNS)
         lines.append(
             ",".join(
-                [
-                    r.method,
-                    str(r.s),
-                    str(r.trial),
-                    _format_float(r.accuracy),
-                    _format_float(r.rel_error),
-                    _format_float(r.gen_time_s),
-                    _format_float(r.solve_time_s),
-                    _format_float(r.lam),
-                ]
+                _format_float(v) if isinstance(v, float) else str(v) for v in cells
             )
         )
     lines.extend(_summary_lines(records))
@@ -320,19 +328,11 @@ def _records_to_csv(records):
 def _records_to_jsonl(records):
     lines = []
     for r in records:
-        row = {
-            "method": r.method,
-            "s": r.s,
-            "trial": r.trial,
-            "accuracy": r.accuracy,
-            "rel_error": r.rel_error,
-            "gen_time_s": r.gen_time_s,
-            "solve_time_s": r.solve_time_s,
-            "lambda": r.lam,
-        }
-        for key, value in row.items():
-            if isinstance(value, float) and math.isnan(value):
-                row[key] = None
+        row = {}
+        for column, attr in _REPORT_COLUMNS:
+            value = getattr(r, attr)
+            nan = isinstance(value, float) and math.isnan(value)
+            row[column] = None if nan else value
         lines.append(json.dumps(row))
     return "\n".join(lines) + "\n"
 
@@ -358,19 +358,15 @@ def emit_report(records, path, fmt="csv"):
 
 
 def _record_from_fields(fields):
-    def to_float(value):
-        return math.nan if value is None else float(value)
-
-    return TrialRecord(
-        method=str(fields["method"]),
-        s=int(fields["s"]),
-        trial=int(fields["trial"]),
-        accuracy=to_float(fields["accuracy"]),
-        rel_error=to_float(fields["rel_error"]),
-        gen_time_s=to_float(fields["gen_time_s"]),
-        solve_time_s=to_float(fields["solve_time_s"]),
-        lam=to_float(fields["lambda"]),
-    )
+    types = {field.name: field.type for field in dataclasses.fields(TrialRecord)}
+    values = {}
+    for column, attr in _REPORT_COLUMNS:
+        value = fields[column]
+        if types[attr] is float:
+            values[attr] = math.nan if value is None else float(value)
+        else:
+            values[attr] = types[attr](value)
+    return TrialRecord(**values)
 
 
 def read_report(path):

@@ -117,8 +117,21 @@ def make_rng(seed):
 
 
 def spawn_seeds(seed, count):
-    """Derive ``count`` independent child SeedSequences from one seed."""
-    return as_seed_sequence(seed).spawn(count)
+    """Derive ``count`` independent child SeedSequences from one seed.
+
+    The children equal those of a first ``SeedSequence.spawn``, but the
+    parent is left untouched (``spawn`` advances it), so the same
+    SeedSequence object always yields the same children.
+    """
+    parent = as_seed_sequence(seed)
+    return [
+        np.random.SeedSequence(
+            parent.entropy,
+            spawn_key=parent.spawn_key + (i,),
+            pool_size=parent.pool_size,
+        )
+        for i in range(count)
+    ]
 
 
 def sample_mc(density, count, seed):

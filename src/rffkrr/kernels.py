@@ -41,37 +41,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class KernelMatrix:
-    """Exact kernel matrix on n points.
-
-    Construction enforces squareness and symmetry to 1e-12.  Matrices built
-    by :func:`kernel_matrix` additionally carry an exactly-unit diagonal;
-    that is a property of the Gaussian kernel, not of this container, so it
-    is not enforced here (general PSD matrices are legitimate inputs to the
-    degrees-of-freedom routines).
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got shape {entries.shape}")
-        if entries.shape[0] == 0:
-            raise ValueError("kernel matrix on an empty dataset")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("kernel matrix contains NaN or Inf")
-        scale = max(1.0, float(np.abs(entries).max()))
-        if np.abs(entries - entries.T).max() > 1e-12 * scale:
-            raise ValueError("kernel matrix is not symmetric")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class SpectralDensity:
     """Zero-mean isotropic Gaussian density on frequency space.
 
@@ -127,7 +96,7 @@ def kernel_matrix(X, spec):
     Squared distances are computed from the Gram matrix and clipped at
     zero, the result is symmetrized exactly, and the diagonal is pinned to
     1.  Entries are independent of evaluation order, so the output does not
-    depend on how the computation is blocked.
+    depend on how the computation is blocked.  Returns the (n, n) array.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
@@ -140,7 +109,7 @@ def kernel_matrix(X, spec):
     K = np.exp(-sq_dist / spec.bandwidth**2)
     K = 0.5 * (K + K.T)
     np.fill_diagonal(K, 1.0)
-    return KernelMatrix(K)
+    return K
 
 
 def spectral_density(spec, dim):
@@ -149,21 +118,33 @@ def spectral_density(spec, dim):
 
 
 def matrix_entries(K):
-    """Accept a KernelMatrix or a plain square array and return the array."""
-    if isinstance(K, KernelMatrix):
-        return K.entries
+    """Validate a kernel matrix and return it as a float array.
+
+    The matrix must be square, nonempty, finite, and symmetric to 1e-12
+    relative to max(1, max |K_ij|).  Matrices from :func:`kernel_matrix`
+    also have an exactly-unit diagonal; that is a property of the Gaussian
+    kernel, not a requirement here (general PSD matrices are legitimate
+    inputs to the degrees-of-freedom routines).
+    """
     arr = np.asarray(K, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        raise ValueError(f"kernel matrix must be square, got shape {arr.shape}")
+    if arr.shape[0] == 0:
+        raise ValueError("kernel matrix on an empty dataset")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("kernel matrix contains NaN or Inf")
+    scale = max(1.0, float(np.abs(arr).max()))
+    if np.abs(arr - arr.T).max() > 1e-12 * scale:
+        raise ValueError("kernel matrix is not symmetric")
     return arr
 
 
 def relative_approx_error(K, Z):
     """Relative spectral-norm error ||K - Z Z^T||_2 / ||K||_2.
 
-    ``K`` may be a KernelMatrix or array; ``Z`` a FeatureMatrix or array
-    with one row per data point.  Both norms come from the power iteration
-    in :mod:`rffkrr.linalg`.
+    ``K`` is a kernel matrix (checked by :func:`matrix_entries`); ``Z`` a
+    FeatureMatrix or array with one row per data point.  Both norms come
+    from the seeded Lanczos call in :mod:`rffkrr.linalg`.
     """
     Km = matrix_entries(K)
     Zm = np.asarray(getattr(Z, "entries", Z), dtype=float)

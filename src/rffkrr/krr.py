@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalError
-from .features import as_seed_sequence, feature_map, make_rng
+from .features import feature_map, make_rng, spawn_seeds
 from .kernels import matrix_entries
 
 _RESIDUAL_TOL = 1e-8
@@ -148,7 +148,7 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     if grid[0] <= 0:
         raise ValueError("lambda grid values must be positive")
 
-    children = as_seed_sequence(seed).spawn(folds + 1)
+    children = spawn_seeds(seed, folds + 1)
     permutation = make_rng(children[0]).permutation(X.shape[0])
     blocks = np.array_split(permutation, folds)
     lam_dependent = bool(getattr(sampler, "lambda_dependent", True))

@@ -112,7 +112,7 @@ def test_criterion_2_oracle_equivalence(acceptance):
     K6 = kernel_matrix(X6, SPEC)
     Z6 = feature_map(X6, sample_mc(spectral_density(SPEC, 2), 5, 13))
     scores = exact_leverage(regularized_factor(K6, 0.1), Z6).per_frequency
-    M_inv = np.linalg.inv(K6.entries + 6 * 0.1 * np.eye(6))
+    M_inv = np.linalg.inv(K6 + 6 * 0.1 * np.eye(6))
     raw = Z6.entries * np.sqrt(5)  # undo the 1/sqrt(l) column scaling
     by_hand = np.array(
         [raw[:, 2 * i] @ M_inv @ raw[:, 2 * i] + raw[:, 2 * i + 1] @ M_inv @ raw[:, 2 * i + 1]

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,9 +208,16 @@ def test_unwritable_out_path_exits_1(blob_csv, capsys):
 
 
 def test_console_script_round_trip(blob_csv):
+    # The child interpreter finds the package through PYTHONPATH, which a
+    # bare `pytest` (pythonpath set in pyproject.toml) does not export.
+    env = dict(os.environ)
+    src = Path(rffkrr.__file__).resolve().parent.parent
+    paths = [str(src), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
     result = subprocess.run(
         [sys.executable, "-m", "rffkrr.cli", "cv", "--data", blob_csv,
          "--folds", "3", "--lambda-grid", "0.05,0.5"],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rffkrr import (
-    KernelMatrix,
     KernelSpec,
     SpectralDensity,
     eval_kernel,
@@ -27,7 +26,7 @@ def test_kernel_matrix_matches_pairwise_loop():
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(7, 3))
     spec = KernelSpec(0.8)
-    K = kernel_matrix(X, spec).entries
+    K = kernel_matrix(X, spec)
     for i in range(7):
         for j in range(7):
             assert K[i, j] == pytest.approx(eval_kernel(X[i], X[j], spec), abs=1e-12)
@@ -35,7 +34,7 @@ def test_kernel_matrix_matches_pairwise_loop():
 
 def test_kernel_matrix_structure():
     X = np.random.default_rng(5).uniform(size=(40, 4))
-    K = kernel_matrix(X, KernelSpec(1.0)).entries
+    K = kernel_matrix(X, KernelSpec(1.0))
     np.testing.assert_array_equal(K, K.T)
     np.testing.assert_array_equal(np.diag(K), np.ones(40))
     assert np.linalg.eigvalsh(K).min() > -1e-10
@@ -55,21 +54,20 @@ def test_kernel_spec_requires_positive_bandwidth():
             KernelSpec(bad)
 
 
-def test_kernel_matrix_container_validation():
-    with pytest.raises(ValueError):
-        KernelMatrix(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        KernelMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not symmetric
-    with pytest.raises(ValueError):
-        KernelMatrix(np.empty((0, 0)))
-
-
 def test_matrix_entries_accepts_both_forms():
     K = kernel_matrix(np.eye(3), KernelSpec(1.0))
-    np.testing.assert_array_equal(matrix_entries(K), K.entries)
+    assert isinstance(K, np.ndarray)
+    np.testing.assert_array_equal(matrix_entries(K), K)
     np.testing.assert_array_equal(matrix_entries(np.eye(2)), np.eye(2))
-    with pytest.raises(ValueError):
-        matrix_entries(np.ones(4))
+    for bad in (
+        np.ones(4),
+        np.ones((2, 3)),
+        np.array([[1.0, 0.5], [0.4, 1.0]]),  # not symmetric
+        np.empty((0, 0)),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    ):
+        with pytest.raises(ValueError):
+            matrix_entries(bad)
 
 
 def test_spectral_density_variance_convention():
@@ -110,7 +108,7 @@ def test_relative_approx_error_zero_for_exact_factor():
     X = rng.uniform(size=(30, 2))
     pool = sample_mc(spectral_density(KernelSpec(1.0), 2), 40, 4)
     Z = feature_map(X, pool)
-    K = KernelMatrix(Z.entries @ Z.entries.T)
+    K = Z.entries @ Z.entries.T
     assert relative_approx_error(K, Z) < 1e-12
 
 
@@ -119,9 +117,9 @@ def test_relative_approx_error_matches_eig_oracle():
     X = rng.uniform(size=(25, 2))
     K = kernel_matrix(X, KernelSpec(1.0))
     Z = feature_map(X, sample_mc(spectral_density(KernelSpec(1.0), 2), 8, 7))
-    residual = K.entries - Z.entries @ Z.entries.T
+    residual = K - Z.entries @ Z.entries.T
     expected = np.abs(np.linalg.eigvalsh(residual)).max()
-    expected /= np.abs(np.linalg.eigvalsh(K.entries)).max()
+    expected /= np.abs(np.linalg.eigvalsh(K)).max()
     assert relative_approx_error(K, Z) == pytest.approx(expected, rel=1e-8)
 
 

@@ -210,6 +210,11 @@ def test_cv_deterministic_and_shape():
     a = cross_validate(X, y, sampler, (0.05, 0.5), folds=4, seed=11)
     b = cross_validate(X, y, sampler, (0.05, 0.5), folds=4, seed=11)
     np.testing.assert_array_equal(a.fold_accuracy, b.fold_accuracy)
+    # One SeedSequence object passed twice gives the folds of its integer seed.
+    seq = np.random.SeedSequence(11)
+    for _ in range(2):
+        c = cross_validate(X, y, sampler, (0.05, 0.5), folds=4, seed=seq)
+        np.testing.assert_array_equal(a.fold_accuracy, c.fold_accuracy)
     assert a.fold_accuracy.shape == (4, 2)
     np.testing.assert_allclose(a.mean_accuracy, a.fold_accuracy.mean(axis=0))
 

@@ -53,7 +53,7 @@ def test_exact_leverage_matches_explicit_inverse():
     lam = 0.1
     K = kernel_matrix(X, KernelSpec(1.0))
     scores = exact_leverage(regularized_factor(K, lam), Z, dens)
-    Minv = np.linalg.inv(K.entries + 6 * lam * np.eye(6))
+    Minv = np.linalg.inv(K + 6 * lam * np.eye(6))
     for i in range(5):
         c = Z.entries[:, 2 * i] * np.sqrt(5)  # undo the 1/sqrt(l) column scale
         s = Z.entries[:, 2 * i + 1] * np.sqrt(5)
@@ -135,7 +135,7 @@ def test_surrogate_dof_trace_bound():
         y = np.where(rng.uniform(size=50) > 0.5, 1.0, -1.0)
         K = kernel_matrix(X, KernelSpec(1.0))
         for lam in (0.05, 0.5):
-            bound = 2.0 * np.trace(K.entries) / (50 * lam)
+            bound = 2.0 * np.trace(K) / (50 * lam)
             assert surrogate_dof(K, y, lam) <= bound + 1e-12
 
 
@@ -275,6 +275,16 @@ def test_pipeline_determinism():
     np.testing.assert_array_equal(a.weights, b.weights)
     c, _ = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=8)
     assert not np.array_equal(a.frequencies, c.frequencies)
+    # One SeedSequence object passed twice draws the same pool both times,
+    # and the same pool as its integer seed.
+    for pipeline in (surrogate_pipeline, erls_baseline_pipeline):
+        seq = np.random.SeedSequence(7)
+        d, _ = pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=seq)
+        e, _ = pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=seq)
+        f, _ = pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=7)
+        np.testing.assert_array_equal(d.frequencies, e.frequencies)
+        np.testing.assert_array_equal(d.weights, e.weights)
+        np.testing.assert_array_equal(d.frequencies, f.frequencies)
 
 
 def test_pipeline_gathered_features_match_direct_map():

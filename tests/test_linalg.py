@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from rffkrr import NumericalError
 from rffkrr import linalg
@@ -40,12 +41,26 @@ def test_psd_factor_rejects_indefinite_matrix():
         linalg.psd_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def _near_tie(n=300):
+    # Top |eigenvalues| 1 and +/-0.999 nearly tie, the slow case for
+    # iterative eigensolvers: a power iteration that stops when its estimate
+    # changes by <= 1e-9 stops ~5e-7 off here.
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = np.concatenate([[1.0, 0.999, -0.999], rng.uniform(-0.5, 0.5, n - 3)])
+    A = (Q * eigs) @ Q.T
+    return 0.5 * (A + A.T)
+
+
 def test_spectral_norm_matches_eigvalsh():
-    for seed in range(3):
-        A = np.random.default_rng(seed).standard_normal((64, 64))
+    inputs = [
+        np.random.default_rng(seed).standard_normal((64, 64)) for seed in range(3)
+    ]
+    inputs += [_near_tie(), np.array([[-3.0]]), np.array([[0.5, 2.0], [2.0, -1.0]])]
+    for A in inputs:
         A = 0.5 * (A + A.T)
         expected = np.abs(np.linalg.eigvalsh(A)).max()
-        assert linalg.spectral_norm_sym(A) == pytest.approx(expected, rel=1e-6)
+        assert linalg.spectral_norm_sym(A) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_norm_handles_plus_minus_pair():
@@ -62,6 +77,15 @@ def test_spectral_norm_input_validation():
         linalg.spectral_norm_sym(np.ones((2, 3)))
     with pytest.raises(NumericalError):
         linalg.spectral_norm_sym(np.array([[np.nan]]))
+
+
+def test_spectral_norm_lanczos_failure_is_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericalError):
+        linalg.spectral_norm_sym(np.eye(4))
 
 
 def test_exact_mode_cap_boundary():
