@@ -61,8 +61,15 @@ plan = build_resample_plan(surrogate_leverage(y, Z, lam, simplified=True), targe
 picked = resample(plan, pool, seed=2)
 print()
 print("resampling probabilities:", np.round(plan.probabilities, 3))
-print("resampled pool size:", picked.frequencies.shape[0], "source:", picked.source)
-print("importance weights:", np.round(picked.weights, 3))
+print(
+    f"resampled pool: {picked.size} distinct frequencies out of {plan.target} draws,",
+    "source:",
+    picked.source,
+)
+print("importance weights (repeats merged):", np.round(picked.weights, 3))
 
-hits = np.isclose(picked.frequencies, pool.frequencies[planted]).all(axis=1).sum()
-print(f"planted frequency {planted} drawn {hits} of 6 times")
+# a frequency drawn c times has weight c / (l q) * (u / s); invert for c
+hit = np.isclose(picked.frequencies, pool.frequencies[planted]).all(axis=1)
+scale = pool.size * plan.probabilities[planted] * plan.target / picked.size
+hits = round(float((picked.weights[hit] * scale).sum()))
+print(f"planted frequency {planted} drawn {hits} of {plan.target} times")

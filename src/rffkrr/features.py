@@ -4,7 +4,10 @@ A frequency pool holds l frequencies w_1..w_l together with importance
 weights r_i = p(w_i) / q(w_i), the ratio of the kernel's spectral density
 to the density the pool was actually drawn from.  Plain Monte Carlo and
 quasi-Monte Carlo pools have all ratios equal to 1; resampled pools carry
-the correction that keeps the kernel estimate unbiased.
+the correction that keeps the kernel estimate unbiased.  A resampled pool
+holds the u <= s distinct frequencies of s draws, and its weights fold in
+each frequency's draw count c_i and the factor u/s, so that the 1/u
+scaling below gives the same Z Z^T as the s draws kept apart.
 
 For a pool of size s the feature map sends a point x to the row
 
@@ -44,7 +47,10 @@ class FrequencyPool:
 
     frequencies : (l, d) array, one frequency per row.
     weights     : (l,) array of ratios p(w_i)/q(w_i); all 1 for direct
-                  Monte Carlo and QMC pools.
+                  Monte Carlo and QMC pools.  A resampled pool has one
+                  row per distinct draw (l = u <= s) and the weight
+                  c_i r_i / (l_0 q_i) (u / s) for a frequency drawn c_i
+                  times with probability q_i from a pool of size l_0.
     source      : PoolSource tag.
     """
 
@@ -83,7 +89,11 @@ class FrequencyPool:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Mapped features, shape (n, 2s) for s frequencies."""
+    """Mapped features, shape (n, 2s) for s frequencies.
+
+    For a resampled pool s is its size u, the number of distinct draws,
+    which may be below the requested feature count.
+    """
 
     entries: np.ndarray
     n_frequencies: int

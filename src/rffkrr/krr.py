@@ -2,7 +2,9 @@
 
 The primal solve is beta = (Z^T Z + n lam I)^{-1} Z^T y for an (n, 2s)
 feature matrix Z, so the cost scales with the feature count rather than
-n.  ``fit_exact`` provides the kernel-space reference alpha =
+n.  A resampled pool has u <= s distinct frequencies and Z has 2u
+columns; its Z Z^T, and so every prediction, equals that of the s draws
+kept apart.  ``fit_exact`` provides the kernel-space reference alpha =
 (K + n lam I)^{-1} y used by tests at small n.
 """
 

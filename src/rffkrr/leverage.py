@@ -62,14 +62,10 @@ def _source_for_kind(kind):
 
 @dataclass(frozen=True)
 class LeverageScores:
-    """Per-frequency scores with their empirical normalization constant.
-
-    ``normalizer`` is the plain sum of ``per_frequency``; dividing by it
-    yields the resampling probabilities.
-    """
+    """Per-frequency scores; normalized, they give the resampling
+    probabilities."""
 
     per_frequency: np.ndarray
-    normalizer: float
     kind: ScoreKind
 
     def __post_init__(self):
@@ -161,9 +157,7 @@ def exact_leverage(kreg_factor, z_pool, density_values=None):
     # function is defined on raw cos/sin vectors, hence the factor l.
     quad = size * np.einsum("ij,ij->j", Z, solved)
     per_frequency = dens * np.clip(_pair_sums(quad), 0.0, None)
-    return LeverageScores(
-        per_frequency, float(per_frequency.sum()), ScoreKind.EXACT_ERLS
-    )
+    return LeverageScores(per_frequency, ScoreKind.EXACT_ERLS)
 
 
 def surrogate_leverage(y, z_pool, lam, density_values=None, simplified=False):
@@ -192,7 +186,7 @@ def surrogate_leverage(y, z_pool, lam, density_values=None, simplified=False):
         raw = label_term + n * norm_term
     per_frequency = dens * raw / (n**2 * lam)
     kind = ScoreKind.SURROGATE_SIMPLIFIED if simplified else ScoreKind.SURROGATE
-    return LeverageScores(per_frequency, float(per_frequency.sum()), kind)
+    return LeverageScores(per_frequency, kind)
 
 
 def approx_ridge_leverage(z_pool, lam, density_values=None):
@@ -214,9 +208,7 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     ridge = gram + n * lam * np.eye(gram.shape[0])
     solved = linalg.psd_solve(ridge, gram)
     per_frequency = dens * np.clip(_pair_sums(np.diag(solved)), 0.0, None)
-    return LeverageScores(
-        per_frequency, float(per_frequency.sum()), ScoreKind.APPROX_ERLS
-    )
+    return LeverageScores(per_frequency, ScoreKind.APPROX_ERLS)
 
 
 def degrees_of_freedom(K, lam):
@@ -266,11 +258,21 @@ def build_resample_plan(scores, target):
 
 
 def _draw(plan, pool, seed):
-    # The one place resampling weights are formed: r_i / (l q_i).
-    indices = make_rng(seed).choice(
+    # The one place resampling weights are formed.  The s draws merge into
+    # u distinct indices; index i, drawn c_i times, gets the weight
+    # c_i r_i / (l q_i) (u / s).  feature_map scales by 1/u, so its column
+    # pair carries c_i r_i / (l q_i s), the sum of its c_i per-draw pairs
+    # in Z Z^T.
+    draws = make_rng(seed).choice(
         plan.pool_size, size=plan.target, replace=True, p=plan.probabilities
     )
-    weights = pool.weights[indices] / (plan.pool_size * plan.probabilities[indices])
+    indices, counts = np.unique(draws, return_counts=True)
+    weights = (
+        counts
+        * pool.weights[indices]
+        / (plan.pool_size * plan.probabilities[indices])
+        * (indices.size / plan.target)
+    )
     out = FrequencyPool(
         pool.frequencies[indices], weights, _source_for_kind(plan.kind)
     )
@@ -278,13 +280,17 @@ def _draw(plan, pool, seed):
 
 
 def resample(plan, pool, seed):
-    """Draw a weighted pool of ``plan.target`` frequencies with replacement.
+    """Draw ``plan.target`` frequencies with replacement, merging repeats.
 
-    The weight attached to a frequency drawn with probability q_i from a
-    pool of size l with prior ratio r_i is r_i / (l q_i), which keeps the
-    kernel estimate of the resampled feature map unbiased.  Frequencies
-    whose probability underflowed to zero are never drawn.  The output
-    pool's source tag follows the leverage kind recorded on the plan.
+    A frequency drawn with probability q_i from a pool of size l with
+    prior ratio r_i has per-draw weight r_i / (l q_i), which keeps the
+    kernel estimate of the resampled feature map unbiased.  The u <= s
+    distinct draws come back once each, in pool order, with the weight
+    c_i r_i / (l q_i) (u / s) for c_i draws, so the output pool of size u
+    has the same feature-space kernel as the s draws kept apart.
+    Frequencies whose probability underflowed to zero are never drawn.
+    The output pool's source tag follows the leverage kind recorded on
+    the plan.
     """
     if plan.pool_size != pool.size:
         raise ValueError(
@@ -293,16 +299,18 @@ def resample(plan, pool, seed):
     return _draw(plan, pool, seed)[1]
 
 
-def _gather_features(z_pool, indices, weights, target):
+def _gather_features(z_pool, indices, weights):
     # Reuse the pooled cos/sin columns instead of re-evaluating the map:
     # column pair 2i, 2i+1 of the pool, rescaled from sqrt(1/l) to
-    # sqrt(w/s), gives the resampled feature pair.
+    # sqrt(w/u), gives the resampled feature pair.
     pool_size = z_pool.n_frequencies
-    column_index = np.empty(2 * target, dtype=np.int64)
+    unique = indices.size
+    column_index = np.empty(2 * unique, dtype=np.int64)
     column_index[0::2] = 2 * indices
     column_index[1::2] = 2 * indices + 1
-    factors = np.repeat(np.sqrt(pool_size * weights / target), 2)
-    return FeatureMatrix(z_pool.entries[:, column_index] * factors, target)
+    entries = np.take(z_pool.entries, column_index, axis=1)
+    entries *= np.repeat(np.sqrt(pool_size * weights / unique), 2)
+    return FeatureMatrix(entries, unique)
 
 
 def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
@@ -316,7 +324,7 @@ def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
     z_pool = feature_map(X, pool)
     plan = build_resample_plan(score_fn(z_pool), s)
     indices, out = _draw(plan, pool, seed_draw)
-    return out, _gather_features(z_pool, indices, out.weights, s)
+    return out, _gather_features(z_pool, indices, out.weights)
 
 
 def surrogate_pipeline(
@@ -326,9 +334,10 @@ def surrogate_pipeline(
 
     Runs without a single linear solve.  ``pool_size`` defaults to s;
     larger pools give the resampler more to choose from.  Returns the
-    resampled pool, which carries importance weights 1 / (l q_i), and its
-    (n, 2s) FeatureMatrix on X, assembled by gathering pooled columns
-    rather than re-evaluating the map.
+    resampled pool of the u <= s distinct draws, with repeats merged into
+    their weights as in :func:`resample`, and its (n, 2u) FeatureMatrix
+    on X, assembled by gathering pooled columns rather than re-evaluating
+    the map.
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -347,10 +356,10 @@ def surrogate_pipeline(
 def erls_baseline_pipeline(X, y, spec, s, lam, pool_size=None, seed=0):
     """Pool-and-resample pipeline scored by approximate ridge leverage.
 
-    Identical flow and return value (pool, FeatureMatrix) to
-    :func:`surrogate_pipeline`, but the scoring step factors the pooled
-    feature Gram matrix, so it pays the O(n l^2 + l^3) cost the surrogate
-    exists to avoid.  Labels are ignored by the scores and accepted only
+    Identical flow and return value (merged pool of u <= s frequencies,
+    (n, 2u) FeatureMatrix) to :func:`surrogate_pipeline`, but the scoring
+    step factors the pooled feature Gram matrix, so it pays the
+    O(n l^2 + l^3) cost the surrogate exists to avoid.  Labels are ignored by the scores and accepted only
     for signature parity with the surrogate pipeline.
     """
     return _resample_pipeline(

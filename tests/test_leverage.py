@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rffkrr import (
+    FrequencyPool,
     KernelSpec,
     LeverageScores,
     NumericalError,
@@ -20,11 +21,15 @@ from rffkrr import (
     ResamplePlan,
     ScoreKind,
     build_resample_plan,
+    cross_validate,
     degrees_of_freedom,
     erls_baseline_pipeline,
     exact_leverage,
     feature_map,
+    fit,
     kernel_matrix,
+    make_sampler,
+    predict,
     regularized_factor,
     resample,
     sample_mc,
@@ -34,7 +39,7 @@ from rffkrr import (
     surrogate_pipeline,
 )
 from rffkrr.experiments import METHODS, generate_features
-from rffkrr.features import FeatureMatrix
+from rffkrr.features import FeatureMatrix, spawn_seeds
 from rffkrr.leverage import approx_ridge_leverage
 from rffkrr import linalg
 
@@ -46,6 +51,28 @@ def _instance(seed, n=30, d=2, l=8):
     density = spectral_density(KernelSpec(1.0), d)
     pool = sample_mc(density, l, seed + 1000)
     return X, y, pool, feature_map(X, pool), density.pdf(pool.frequencies)
+
+
+def _per_draw_reference(method, X, y, s, lam, pool_size, variant, seed):
+    """The resampling pipelines' draws kept apart: one frequency per draw,
+    weight r_i / (l q_i), rebuilt from the same seeds step by step.
+    Returns (draw indices, per-draw pool)."""
+    seed_pool, seed_draw = spawn_seeds(seed, 2)
+    density = spectral_density(KernelSpec(1.0), X.shape[1])
+    pool = sample_mc(density, pool_size, seed_pool)
+    z_pool = feature_map(X, pool)
+    if method == "SurrogateRFF":
+        scores = surrogate_leverage(y, z_pool, lam, simplified=variant == "simplified")
+        source = PoolSource.SURROGATE_RESAMPLED
+    else:
+        scores = approx_ridge_leverage(z_pool, lam)
+        source = PoolSource.LEVERAGE_RESAMPLED
+    plan = build_resample_plan(scores, s)
+    draws = np.random.default_rng(seed_draw).choice(
+        pool_size, size=s, replace=True, p=plan.probabilities
+    )
+    weights = pool.weights[draws] / (pool_size * plan.probabilities[draws])
+    return draws, FrequencyPool(pool.frequencies[draws], weights, source)
 
 
 def test_exact_leverage_matches_explicit_inverse():
@@ -140,11 +167,11 @@ def test_surrogate_dof_trace_bound():
 
 
 def test_build_plan_normalization():
-    scores = LeverageScores(np.array([3.0, 1.0]), 4.0, ScoreKind.SURROGATE)
+    scores = LeverageScores(np.array([3.0, 1.0]), ScoreKind.SURROGATE)
     plan = build_resample_plan(scores, 1)
     np.testing.assert_allclose(plan.probabilities, [0.75, 0.25])
     uniform = build_resample_plan(
-        LeverageScores(np.full(5, 2.2), 11.0, ScoreKind.EXACT_ERLS), 3
+        LeverageScores(np.full(5, 2.2), ScoreKind.EXACT_ERLS), 3
     )
     np.testing.assert_allclose(uniform.probabilities, 0.2)
 
@@ -156,20 +183,20 @@ def test_build_plan_normalization():
 )
 def test_plan_scale_invariance(raw_scores, scale):
     per = np.asarray(raw_scores)
-    base = build_resample_plan(LeverageScores(per, per.sum(), ScoreKind.SURROGATE), 1)
+    base = build_resample_plan(LeverageScores(per, ScoreKind.SURROGATE), 1)
     scaled = build_resample_plan(
-        LeverageScores(per * scale, per.sum() * scale, ScoreKind.SURROGATE), 1
+        LeverageScores(per * scale, ScoreKind.SURROGATE), 1
     )
     assert abs(base.probabilities - scaled.probabilities).max() <= 1e-14
     assert abs(base.probabilities.sum() - 1.0) <= 1e-12
 
 
 def test_plan_rejects_degenerate_scores():
-    zeros = LeverageScores(np.zeros(3), 0.0, ScoreKind.SURROGATE_SIMPLIFIED)
+    zeros = LeverageScores(np.zeros(3), ScoreKind.SURROGATE_SIMPLIFIED)
     with pytest.raises(NumericalError):
         build_resample_plan(zeros, 2)
     with pytest.raises(ValueError):
-        build_resample_plan(LeverageScores(np.ones(3), 3.0, ScoreKind.SURROGATE), 4)
+        build_resample_plan(LeverageScores(np.ones(3), ScoreKind.SURROGATE), 4)
 
 
 def test_plan_validation():
@@ -206,7 +233,7 @@ def test_simplified_plan_matches_double_loop():
 def test_resample_weight_trivials():
     pool = sample_mc(spectral_density(KernelSpec(1.0), 1), 4, 1)
     uniform = build_resample_plan(
-        LeverageScores(np.ones(4), 4.0, ScoreKind.SURROGATE), 3
+        LeverageScores(np.ones(4), ScoreKind.SURROGATE), 3
     )
     out = resample(uniform, pool, 9)
     np.testing.assert_array_equal(out.weights, np.ones(3))
@@ -214,7 +241,7 @@ def test_resample_weight_trivials():
 
     two = sample_mc(spectral_density(KernelSpec(1.0), 1), 2, 1)
     degenerate = build_resample_plan(
-        LeverageScores(np.array([1.0, 0.0]), 1.0, ScoreKind.EXACT_ERLS), 1
+        LeverageScores(np.array([1.0, 0.0]), ScoreKind.EXACT_ERLS), 1
     )
     out = resample(degenerate, two, 9)
     np.testing.assert_array_equal(out.frequencies, two.frequencies[:1])
@@ -225,7 +252,7 @@ def test_resample_weight_trivials():
 def test_resample_determinism_and_validation():
     pool = sample_mc(spectral_density(KernelSpec(1.0), 2), 6, 2)
     plan = build_resample_plan(
-        LeverageScores(np.arange(1.0, 7.0), 21.0, ScoreKind.SURROGATE), 4
+        LeverageScores(np.arange(1.0, 7.0), ScoreKind.SURROGATE), 4
     )
     a = resample(plan, pool, 5)
     b = resample(plan, pool, 5)
@@ -239,7 +266,7 @@ def test_resampled_estimator_unbiased_by_enumeration():
     # plain pool mean, exactly, whatever the probabilities are.
     freqs = np.array([[0.3], [1.1], [-2.0]])
     plan = build_resample_plan(
-        LeverageScores(np.array([3.0, 1.0, 4.0]), 8.0, ScoreKind.SURROGATE), 2
+        LeverageScores(np.array([3.0, 1.0, 4.0]), ScoreKind.SURROGATE), 2
     )
     delta = 0.7
     weights = 1.0 / (3 * plan.probabilities)
@@ -251,9 +278,19 @@ def test_resampled_estimator_unbiased_by_enumeration():
 def test_surrogate_pipeline_runs_without_solves():
     X, y, pool, Z, _ = _instance(3, n=40, l=8)
     linalg.reset_solve_count()
-    out, _ = surrogate_pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2)
+    out, feats = surrogate_pipeline(
+        X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2
+    )
     assert linalg.solve_count() == 0
-    assert out.size == 4
+    # Repeated draws merge: one frequency per distinct draw, at most s.
+    draws, reference = _per_draw_reference(
+        "SurrogateRFF", X, y, 4, 0.1, 8, "simplified", 2
+    )
+    assert out.size == np.unique(draws).size <= 4
+    ref = feature_map(X, reference).entries
+    np.testing.assert_allclose(
+        feats.entries @ feats.entries.T, ref @ ref.T, rtol=1e-12, atol=1e-12
+    )
     assert out.source is PoolSource.SURROGATE_RESAMPLED
 
 
@@ -296,10 +333,69 @@ def test_pipeline_gathered_features_match_direct_map():
             pool, feats = generate_features(
                 method, X, y, KernelSpec(1.0), 4, 8, variant, 0.1, 3
             )
-            assert feats.n_frequencies == pool.size == 4
+            expected = 4
+            if method in ("SurrogateRFF", "LeverageRFF"):
+                draws, _ = _per_draw_reference(method, X, y, 4, 0.1, 8, variant, 3)
+                expected = np.unique(draws).size
+                assert expected <= 4
+            assert feats.n_frequencies == pool.size == expected
             np.testing.assert_allclose(
                 feats.entries, feature_map(X, pool).entries, atol=1e-12
             )
+
+
+@pytest.mark.parametrize("pool_mult", [1, 4])
+@pytest.mark.parametrize(
+    "method, variant",
+    [
+        ("SurrogateRFF", "simplified"),
+        ("SurrogateRFF", "full"),
+        ("LeverageRFF", "simplified"),
+    ],
+)
+def test_merged_draws_match_per_draw_reference(method, variant, pool_mult):
+    # Merging repeated draws into one weighted frequency leaves the
+    # feature-space kernel, and so every ridge result, unchanged.
+    X, y, *_ = _instance(41, n=60)
+    X_new = np.random.default_rng(42).uniform(size=(25, 2))
+    s, lam, seed = 16, 0.1, 5
+    pool_size = pool_mult * s
+    merged, feats = generate_features(
+        method, X, y, KernelSpec(1.0), s, pool_size, variant, lam, seed
+    )
+    draws, reference = _per_draw_reference(
+        method, X, y, s, lam, pool_size, variant, seed
+    )
+    assert merged.size == np.unique(draws).size < s
+    ref = feature_map(X, reference).entries
+
+    np.testing.assert_allclose(
+        feats.entries @ feats.entries.T, ref @ ref.T, rtol=1e-12, atol=1e-12
+    )
+
+    got = predict(fit(feats, y, lam, merged), X_new)
+    want = predict(fit(ref, y, lam, reference), X_new)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    # Unbiasedness bookkeeping: the merged weights, rescaled by s/u, sum
+    # to the per-draw weights r_i / (l q_i).
+    assert merged.weights.sum() * s / merged.size == pytest.approx(
+        reference.weights.sum(), rel=1e-12
+    )
+
+    def reference_sampler(X_tr, y_tr, lam_, seed_):
+        _, per_draw = _per_draw_reference(
+            method, X_tr, y_tr, s, lam_, pool_size, variant, seed_
+        )
+        return per_draw, feature_map(X_tr, per_draw)
+
+    sampler = make_sampler(method, KernelSpec(1.0), s, pool_size, variant)
+    reference_sampler.lambda_dependent = sampler.lambda_dependent
+    grid = (0.05, 0.1, 0.5, 1.0)
+    np.testing.assert_array_equal(
+        cross_validate(X, y, sampler, grid, folds=3, seed=9).fold_accuracy,
+        cross_validate(X, y, reference_sampler, grid, folds=3, seed=9).fold_accuracy,
+    )
 
 
 def test_pipeline_argument_validation():
@@ -331,9 +427,9 @@ def test_approx_ridge_leverage_flattens_at_huge_lambda():
 
 def test_score_validation():
     with pytest.raises(ValueError):
-        LeverageScores(np.array([1.0, -2.0]), 1.0, ScoreKind.SURROGATE)
+        LeverageScores(np.array([1.0, -2.0]), ScoreKind.SURROGATE)
     with pytest.raises(ValueError):
-        LeverageScores(np.empty(0), 0.0, ScoreKind.SURROGATE)
+        LeverageScores(np.empty(0), ScoreKind.SURROGATE)
     Z = FeatureMatrix(np.ones((4, 2)), 1)
     with pytest.raises(ValueError):
         surrogate_leverage(np.ones(4), Z, 0.0)
