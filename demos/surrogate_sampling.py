@@ -48,21 +48,23 @@ surrogate = surrogate_leverage(y, Z, lam)
 print(f"{'freq':>4} {'|w|':>8} {'exact':>12} {'surrogate':>12} {'ratio':>8}")
 for i in range(pool.frequencies.shape[0]):
     norm = np.linalg.norm(pool.frequencies[i])
-    e, s = exact.per_frequency[i], surrogate.per_frequency[i]
+    e, s = exact[i], surrogate[i]
     print(f"{i:>4} {norm:>8.3f} {e:>12.5f} {s:>12.5f} {s / e:>8.2f}")
 
-assert np.all(surrogate.per_frequency >= exact.per_frequency), "domination violated"
+assert np.all(surrogate >= exact), "domination violated"
 print()
 print("surrogate >= exact at every frequency (it always is)")
 
 # resampling: the simplified score drops the constant column-norm term,
 # leaving pure label correlation, so the planted frequency dominates
-plan = build_resample_plan(surrogate_leverage(y, Z, lam, simplified=True), target=6)
-picked = resample(plan, pool, seed=2)
+draws = 6
+scores = surrogate_leverage(y, Z, lam, simplified=True)
+probabilities = build_resample_plan(scores)
+picked = resample(pool, scores, draws, seed=2)
 print()
-print("resampling probabilities:", np.round(plan.probabilities, 3))
+print("resampling probabilities:", np.round(probabilities, 3))
 print(
-    f"resampled pool: {picked.size} distinct frequencies out of {plan.target} draws,",
+    f"resampled pool: {picked.size} distinct frequencies out of {draws} draws,",
     "source:",
     picked.source,
 )
@@ -70,6 +72,6 @@ print("importance weights (repeats merged):", np.round(picked.weights, 3))
 
 # a frequency drawn c times has weight c / (l q) * (u / s); invert for c
 hit = np.isclose(picked.frequencies, pool.frequencies[planted]).all(axis=1)
-scale = pool.size * plan.probabilities[planted] * plan.target / picked.size
+scale = pool.size * probabilities[planted] * draws / picked.size
 hits = round(float((picked.weights[hit] * scale).sum()))
-print(f"planted frequency {planted} drawn {hits} of {plan.target} times")
+print(f"planted frequency {planted} drawn {hits} of {draws} times")

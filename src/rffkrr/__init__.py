@@ -58,9 +58,6 @@ from .krr import (
     predict,
 )
 from .leverage import (
-    LeverageScores,
-    ResamplePlan,
-    ScoreKind,
     approx_ridge_leverage,
     build_resample_plan,
     degrees_of_freedom,
@@ -94,14 +91,11 @@ __all__ = [
     "GIVEN_PARTITION",
     "KernelSpec",
     "KrrModel",
-    "LeverageScores",
     "METHODS",
     "MinMaxNormalizer",
     "NumericalError",
     "PoolSource",
     "RANDOM_HALF",
-    "ResamplePlan",
-    "ScoreKind",
     "SpectralDensity",
     "TrialRecord",
     "UsageError",

@@ -37,8 +37,7 @@ class PoolSource(enum.Enum):
 
     MONTE_CARLO = "mc"
     QMC = "qmc"
-    LEVERAGE_RESAMPLED = "leverage"
-    SURROGATE_RESAMPLED = "surrogate"
+    RESAMPLED = "resampled"
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,9 @@ class FrequencyPool:
                   row per distinct draw (l = u <= s) and the weight
                   c_i r_i / (l_0 q_i) (u / s) for a frequency drawn c_i
                   times with probability q_i from a pool of size l_0.
-    source      : PoolSource tag.
+    source      : PoolSource tag: MONTE_CARLO or QMC for direct draws,
+                  RESAMPLED for the output of a resampling step, whatever
+                  scores drove it.
     """
 
     frequencies: np.ndarray

@@ -19,15 +19,16 @@ the label term.  Neither needs a linear solve, which is the entire point:
 scoring a pool of l frequencies costs one pass over the (n, 2l) feature
 matrix.
 
+Resampling is three steps on plain arrays: a scoring function returns
+one score per pool frequency, :func:`build_resample_plan` normalizes the
+scores into probabilities, and :func:`resample` draws from them.
+
 Pools scored here must be unweighted draws from the spectral density p
 (plain Monte Carlo pools).  Because such a pool is already p-distributed,
 the p(w_i) factors cancel when scores are normalized into resampling
 probabilities, so the pipelines score with density values of 1; explicit
 density values are accepted for diagnostics such as domination checks.
 """
-
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,66 +44,6 @@ from .features import (
     spawn_seeds,
 )
 from .kernels import matrix_entries, spectral_density
-
-
-class ScoreKind(enum.Enum):
-    """Which leverage function produced a set of scores."""
-
-    EXACT_ERLS = "exact-erls"
-    APPROX_ERLS = "approx-erls"
-    SURROGATE = "surrogate"
-    SURROGATE_SIMPLIFIED = "surrogate-simplified"
-
-
-def _source_for_kind(kind):
-    if kind in (ScoreKind.EXACT_ERLS, ScoreKind.APPROX_ERLS):
-        return PoolSource.LEVERAGE_RESAMPLED
-    return PoolSource.SURROGATE_RESAMPLED
-
-
-@dataclass(frozen=True)
-class LeverageScores:
-    """Per-frequency scores; normalized, they give the resampling
-    probabilities."""
-
-    per_frequency: np.ndarray
-    kind: ScoreKind
-
-    def __post_init__(self):
-        per = np.asarray(self.per_frequency, dtype=float).ravel()
-        if per.size == 0:
-            raise ValueError("empty score vector")
-        if not np.all(np.isfinite(per)) or np.any(per < 0):
-            raise ValueError("scores must be finite and nonnegative")
-        object.__setattr__(self, "per_frequency", per)
-
-
-@dataclass(frozen=True)
-class ResamplePlan:
-    """Multinomial resampling plan over a pool of frequencies.
-
-    ``kind`` records which leverage function produced the probabilities so
-    that :func:`resample` can tag the output pool's provenance.
-    """
-
-    pool_size: int
-    target: int
-    probabilities: np.ndarray
-    kind: ScoreKind
-
-    def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float).ravel()
-        if probs.shape[0] != self.pool_size:
-            raise ValueError(
-                f"{probs.shape[0]} probabilities for a pool of {self.pool_size}"
-            )
-        if not 1 <= self.target <= self.pool_size:
-            raise ValueError(f"target {self.target} outside 1..{self.pool_size}")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "probabilities", probs)
 
 
 def _pair_sums(values):
@@ -143,7 +84,8 @@ def regularized_factor(K, lam):
 
 
 def exact_leverage(kreg_factor, z_pool, density_values=None):
-    """Exact ridge leverage of each pool frequency, via n x n solves.
+    """Exact ridge leverage of each pool frequency, via n x n solves, as
+    an (l,) array.
 
     ``kreg_factor`` comes from :func:`regularized_factor`; ``z_pool`` is
     the feature matrix of an unweighted pool on the same n points.  Cost
@@ -156,12 +98,12 @@ def exact_leverage(kreg_factor, z_pool, density_values=None):
     # Columns of z_pool carry a 1/sqrt(l) normalization; the leverage
     # function is defined on raw cos/sin vectors, hence the factor l.
     quad = size * np.einsum("ij,ij->j", Z, solved)
-    per_frequency = dens * np.clip(_pair_sums(quad), 0.0, None)
-    return LeverageScores(per_frequency, ScoreKind.EXACT_ERLS)
+    return dens * np.clip(_pair_sums(quad), 0.0, None)
 
 
 def surrogate_leverage(y, z_pool, lam, density_values=None, simplified=False):
-    """Solve-free surrogate leverage of each pool frequency.
+    """Solve-free surrogate leverage of each pool frequency, as an (l,)
+    array.
 
     Needs only the label correlations y^T Z and, for the full variant, the
     column norms of Z.  ``density_values`` defaults to 1 for every
@@ -184,13 +126,12 @@ def surrogate_leverage(y, z_pool, lam, density_values=None, simplified=False):
     else:
         norm_term = size * _pair_sums((Z * Z).sum(axis=0))
         raw = label_term + n * norm_term
-    per_frequency = dens * raw / (n**2 * lam)
-    kind = ScoreKind.SURROGATE_SIMPLIFIED if simplified else ScoreKind.SURROGATE
-    return LeverageScores(per_frequency, kind)
+    return dens * raw / (n**2 * lam)
 
 
 def approx_ridge_leverage(z_pool, lam, density_values=None):
-    """Feature-space approximate ridge leverage (the classical baseline).
+    """Feature-space approximate ridge leverage (the classical baseline),
+    as an (l,) array.
 
     Scores column j of the pool's feature matrix by the diagonal of
     G (G + n lam I)^{-1} with G = Z^T Z, then sums cos/sin pairs.  By the
@@ -207,8 +148,7 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     gram = Z.T @ Z
     ridge = gram + n * lam * np.eye(gram.shape[0])
     solved = linalg.psd_solve(ridge, gram)
-    per_frequency = dens * np.clip(_pair_sums(np.diag(solved)), 0.0, None)
-    return LeverageScores(per_frequency, ScoreKind.APPROX_ERLS)
+    return dens * np.clip(_pair_sums(np.diag(solved)), 0.0, None)
 
 
 def degrees_of_freedom(K, lam):
@@ -242,45 +182,52 @@ def surrogate_dof(K, y, lam):
     return float((y @ Km @ y + n * np.trace(Km)) / (n**2 * lam))
 
 
-def build_resample_plan(scores, target):
-    """Normalize scores into multinomial resampling probabilities."""
-    per = scores.per_frequency
-    if not 1 <= target <= per.shape[0]:
-        raise ValueError(
-            f"cannot draw {target} frequencies from a pool of {per.shape[0]}"
-        )
-    total = per.sum()
+def build_resample_plan(scores):
+    """Normalize per-frequency scores into multinomial resampling
+    probabilities, returned as an (l,) array summing to 1.
+
+    This is where scores from outside are checked: they must be
+    nonempty, finite and nonnegative (else ValueError), and not all zero
+    (else NumericalError).
+    """
+    scores = np.asarray(scores, dtype=float).ravel()
+    if scores.size == 0:
+        raise ValueError("empty score vector")
+    if not np.all(np.isfinite(scores)) or np.any(scores < 0):
+        raise ValueError("scores must be finite and nonnegative")
+    total = scores.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise NumericalError("all leverage scores are zero; cannot build a plan")
-    probs = per / total
-    probs = probs / probs.sum()
-    return ResamplePlan(per.shape[0], int(target), probs, scores.kind)
+    return scores / total
 
 
-def _draw(plan, pool, seed):
+def _draw(pool, scores, s, seed):
     # The one place resampling weights are formed.  The s draws merge into
     # u distinct indices; index i, drawn c_i times, gets the weight
     # c_i r_i / (l q_i) (u / s).  feature_map scales by 1/u, so its column
     # pair carries c_i r_i / (l q_i s), the sum of its c_i per-draw pairs
     # in Z Z^T.
-    draws = make_rng(seed).choice(
-        plan.pool_size, size=plan.target, replace=True, p=plan.probabilities
-    )
+    probabilities = build_resample_plan(scores)
+    size = pool.size
+    if probabilities.size != size:
+        raise ValueError(f"{probabilities.size} scores for a pool of {size}")
+    if not 1 <= s <= size:
+        raise ValueError(f"cannot draw {s} frequencies from a pool of {size}")
+    draws = make_rng(seed).choice(size, size=s, replace=True, p=probabilities)
     indices, counts = np.unique(draws, return_counts=True)
     weights = (
         counts
         * pool.weights[indices]
-        / (plan.pool_size * plan.probabilities[indices])
-        * (indices.size / plan.target)
+        / (size * probabilities[indices])
+        * (indices.size / s)
     )
-    out = FrequencyPool(
-        pool.frequencies[indices], weights, _source_for_kind(plan.kind)
-    )
+    out = FrequencyPool(pool.frequencies[indices], weights, PoolSource.RESAMPLED)
     return indices, out
 
 
-def resample(plan, pool, seed):
-    """Draw ``plan.target`` frequencies with replacement, merging repeats.
+def resample(pool, scores, s, seed):
+    """Draw s frequencies from ``pool`` with replacement, with probabilities
+    proportional to ``scores`` (one per pool frequency), merging repeats.
 
     A frequency drawn with probability q_i from a pool of size l with
     prior ratio r_i has per-draw weight r_i / (l q_i), which keeps the
@@ -289,14 +236,11 @@ def resample(plan, pool, seed):
     c_i r_i / (l q_i) (u / s) for c_i draws, so the output pool of size u
     has the same feature-space kernel as the s draws kept apart.
     Frequencies whose probability underflowed to zero are never drawn.
-    The output pool's source tag follows the leverage kind recorded on
-    the plan.
+    The output pool is tagged ``PoolSource.RESAMPLED``.  Raises
+    ValueError unless there is one score per pool frequency and
+    1 <= s <= l.
     """
-    if plan.pool_size != pool.size:
-        raise ValueError(
-            f"plan covers {plan.pool_size} frequencies, pool has {pool.size}"
-        )
-    return _draw(plan, pool, seed)[1]
+    return _draw(pool, scores, s, seed)[1]
 
 
 def _gather_features(z_pool, indices, weights):
@@ -316,14 +260,11 @@ def _gather_features(z_pool, indices, weights):
 def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     pool_size = int(s) if pool_size is None else int(pool_size)
-    if pool_size < s:
-        raise ValueError(f"pool size {pool_size} is smaller than s={s}")
     seed_pool, seed_draw = spawn_seeds(seed, 2)
     density = spectral_density(spec, X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
     z_pool = feature_map(X, pool)
-    plan = build_resample_plan(score_fn(z_pool), s)
-    indices, out = _draw(plan, pool, seed_draw)
+    indices, out = _draw(pool, score_fn(z_pool), s, seed_draw)
     return out, _gather_features(z_pool, indices, out.weights)
 
 
@@ -359,8 +300,9 @@ def erls_baseline_pipeline(X, y, spec, s, lam, pool_size=None, seed=0):
     Identical flow and return value (merged pool of u <= s frequencies,
     (n, 2u) FeatureMatrix) to :func:`surrogate_pipeline`, but the scoring
     step factors the pooled feature Gram matrix, so it pays the
-    O(n l^2 + l^3) cost the surrogate exists to avoid.  Labels are ignored by the scores and accepted only
-    for signature parity with the surrogate pipeline.
+    O(n l^2 + l^3) cost the surrogate exists to avoid.  Labels are
+    ignored by the scores and accepted only for signature parity with
+    the surrogate pipeline.
     """
     return _resample_pipeline(
         X, spec, s, pool_size, seed, lambda z_pool: approx_ridge_leverage(z_pool, lam)

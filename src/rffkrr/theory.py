@@ -142,9 +142,10 @@ def required_features(
     Returns a BoundReport with s_required_surrogate = 5 D log(16 d) /
     delta and s_required_erls = 5 d log(16 d) / delta, the Bernstein
     constant m = D eig_1 / (eig_1 + n lam), and the decay classification
-    of the spectrum.  When a pool has been scored by both
-    ``exact_leverage`` and the full-variant ``surrogate_leverage`` (with
-    matching density values), l_sup = D * max(exact_i / surrogate_i)
+    of the spectrum.  When ``exact_scores`` and ``surrogate_scores`` are
+    the (l,) arrays that ``exact_leverage`` and the full-variant
+    ``surrogate_leverage`` return for one pool (with matching density
+    values), l_sup = D * max(exact_i / surrogate_i)
     realizes sup l(w)/q(w) for the surrogate sampling density.
     ``lam_star`` is carried for two-stage refits and defaults to lam.
     """
@@ -174,8 +175,8 @@ def required_features(
 
     l_sup = None
     if exact_scores is not None and surrogate_scores is not None:
-        exact = exact_scores.per_frequency
-        surr = surrogate_scores.per_frequency
+        exact = np.asarray(exact_scores, dtype=float)
+        surr = np.asarray(surrogate_scores, dtype=float)
         if exact.shape != surr.shape:
             raise ValueError("score vectors cover different pools")
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -75,8 +75,8 @@ def test_criterion_1_domination(acceptance):
         y = np.where(rng.uniform(size=n) > 0.5, 1.0, -1.0)
         K = kernel_matrix(X, SPEC)
         Z = feature_map(X, sample_mc(spectral_density(SPEC, d), 10, 1000 + i))
-        exact = exact_leverage(regularized_factor(K, lam), Z).per_frequency
-        surr = surrogate_leverage(y, Z, lam).per_frequency
+        exact = exact_leverage(regularized_factor(K, lam), Z)
+        surr = surrogate_leverage(y, Z, lam)
         score_margin = min(score_margin, float(((surr - exact) / exact).min()))
         dof = degrees_of_freedom(K, lam)
         sdof = surrogate_dof(K, y, lam)
@@ -111,7 +111,7 @@ def test_criterion_2_oracle_equivalence(acceptance):
     X6 = rng6.uniform(size=(6, 2))
     K6 = kernel_matrix(X6, SPEC)
     Z6 = feature_map(X6, sample_mc(spectral_density(SPEC, 2), 5, 13))
-    scores = exact_leverage(regularized_factor(K6, 0.1), Z6).per_frequency
+    scores = exact_leverage(regularized_factor(K6, 0.1), Z6)
     M_inv = np.linalg.inv(K6 + 6 * 0.1 * np.eye(6))
     raw = Z6.entries * np.sqrt(5)  # undo the 1/sqrt(l) column scaling
     by_hand = np.array(
@@ -153,13 +153,13 @@ def test_criterion_3_unbiasedness(acceptance):
     y = np.where(rng.uniform(size=10) > 0.5, 1.0, -1.0)
     pool = sample_mc(spectral_density(SPEC, 2), 6, 5)
     Z = feature_map(X, pool)
-    plan = build_resample_plan(surrogate_leverage(y, Z, 0.1), 1)
+    plan = build_resample_plan(surrogate_leverage(y, Z, 0.1))
     expected = np.zeros((10, 10))
-    for i, prob in enumerate(plan.probabilities):
+    for i, prob in enumerate(plan):
         single = FrequencyPool(
             pool.frequencies[i : i + 1],
             np.array([pool.weights[i] / (6 * prob)]),
-            PoolSource.SURROGATE_RESAMPLED,
+            PoolSource.RESAMPLED,
         )
         entries = feature_map(X, single).entries
         expected += prob * (entries @ entries.T)

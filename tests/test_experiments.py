@@ -192,8 +192,8 @@ def test_generate_features_pool_provenance():
     expected = {
         "RFF": PoolSource.MONTE_CARLO,
         "QMC": PoolSource.QMC,
-        "SurrogateRFF": PoolSource.SURROGATE_RESAMPLED,
-        "LeverageRFF": PoolSource.LEVERAGE_RESAMPLED,
+        "SurrogateRFF": PoolSource.RESAMPLED,
+        "LeverageRFF": PoolSource.RESAMPLED,
     }
     for method, source in expected.items():
         pool, Z = generate_features(

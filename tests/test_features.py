@@ -85,9 +85,9 @@ def test_pool_validation():
     with pytest.raises(ValueError):  # mc pools must be unweighted
         FrequencyPool(np.ones((2, 1)), np.array([1.0, 2.0]), PoolSource.MONTE_CARLO)
     with pytest.raises(ValueError):
-        FrequencyPool(np.ones((1, 1)), np.array([-0.5]), PoolSource.SURROGATE_RESAMPLED)
+        FrequencyPool(np.ones((1, 1)), np.array([-0.5]), PoolSource.RESAMPLED)
     # resampled pools may carry arbitrary nonnegative weights
-    pool = FrequencyPool(np.ones((2, 1)), np.array([0.0, 2.5]), PoolSource.SURROGATE_RESAMPLED)
+    pool = FrequencyPool(np.ones((2, 1)), np.array([0.0, 2.5]), PoolSource.RESAMPLED)
     assert pool.size == 2 and pool.dim == 1
 
 
@@ -115,7 +115,7 @@ def test_feature_map_matches_scalar_loop():
     pool = FrequencyPool(
         rng.standard_normal((3, 2)),
         np.array([0.5, 1.0, 2.0]),
-        PoolSource.SURROGATE_RESAMPLED,
+        PoolSource.RESAMPLED,
     )
     Z = feature_map(X, pool).entries
     gram = Z @ Z.T
@@ -146,7 +146,7 @@ def test_approx_kernel_entry_trivials():
     pool = sample_mc(DENSITY, 6, 11)
     x = np.array([0.2, 0.9])
     assert approx_kernel_entry(x, x, pool) == pytest.approx(1.0, abs=1e-12)
-    dead = FrequencyPool(pool.frequencies, np.zeros(6), PoolSource.SURROGATE_RESAMPLED)
+    dead = FrequencyPool(pool.frequencies, np.zeros(6), PoolSource.RESAMPLED)
     assert approx_kernel_entry(x, np.zeros(2), dead) == 0.0
 
 

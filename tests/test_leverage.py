@@ -15,11 +15,8 @@ from hypothesis import strategies as st
 from rffkrr import (
     FrequencyPool,
     KernelSpec,
-    LeverageScores,
     NumericalError,
     PoolSource,
-    ResamplePlan,
-    ScoreKind,
     build_resample_plan,
     cross_validate,
     degrees_of_freedom,
@@ -53,26 +50,30 @@ def _instance(seed, n=30, d=2, l=8):
     return X, y, pool, feature_map(X, pool), density.pdf(pool.frequencies)
 
 
-def _per_draw_reference(method, X, y, s, lam, pool_size, variant, seed):
-    """The resampling pipelines' draws kept apart: one frequency per draw,
-    weight r_i / (l q_i), rebuilt from the same seeds step by step.
-    Returns (draw indices, per-draw pool)."""
+def _scored_pool(method, X, y, lam, pool_size, variant, seed):
+    """The resampling pipelines' pool and its scores, rebuilt from the same
+    seeds step by step.  Returns (pool, scores, draw seed)."""
     seed_pool, seed_draw = spawn_seeds(seed, 2)
     density = spectral_density(KernelSpec(1.0), X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
     z_pool = feature_map(X, pool)
     if method == "SurrogateRFF":
         scores = surrogate_leverage(y, z_pool, lam, simplified=variant == "simplified")
-        source = PoolSource.SURROGATE_RESAMPLED
     else:
         scores = approx_ridge_leverage(z_pool, lam)
-        source = PoolSource.LEVERAGE_RESAMPLED
-    plan = build_resample_plan(scores, s)
+    return pool, scores, seed_draw
+
+
+def _per_draw_reference(method, X, y, s, lam, pool_size, variant, seed):
+    """The resampling pipelines' draws kept apart: one frequency per draw,
+    weight r_i / (l q_i).  Returns (draw indices, per-draw pool)."""
+    pool, scores, seed_draw = _scored_pool(method, X, y, lam, pool_size, variant, seed)
+    plan = build_resample_plan(scores)
     draws = np.random.default_rng(seed_draw).choice(
-        pool_size, size=s, replace=True, p=plan.probabilities
+        pool_size, size=s, replace=True, p=plan
     )
-    weights = pool.weights[draws] / (pool_size * plan.probabilities[draws])
-    return draws, FrequencyPool(pool.frequencies[draws], weights, source)
+    weights = pool.weights[draws] / (pool_size * plan[draws])
+    return draws, FrequencyPool(pool.frequencies[draws], weights, PoolSource.RESAMPLED)
 
 
 def test_exact_leverage_matches_explicit_inverse():
@@ -85,8 +86,7 @@ def test_exact_leverage_matches_explicit_inverse():
         c = Z.entries[:, 2 * i] * np.sqrt(5)  # undo the 1/sqrt(l) column scale
         s = Z.entries[:, 2 * i + 1] * np.sqrt(5)
         expected = dens[i] * (c @ Minv @ c + s @ Minv @ s)
-        assert scores.per_frequency[i] == pytest.approx(expected, abs=1e-10)
-    assert scores.kind is ScoreKind.EXACT_ERLS
+        assert scores[i] == pytest.approx(expected, abs=1e-10)
 
 
 def test_surrogate_closed_form_small_case():
@@ -96,16 +96,14 @@ def test_surrogate_closed_form_small_case():
     y = np.array([1.0, 1.0])
     full = surrogate_leverage(y, Z, 0.5)
     simplified = surrogate_leverage(y, Z, 0.5, simplified=True)
-    assert full.per_frequency[0] == pytest.approx(1.5, abs=1e-15)
-    assert simplified.per_frequency[0] == pytest.approx(0.5, abs=1e-15)
-    assert full.kind is ScoreKind.SURROGATE
-    assert simplified.kind is ScoreKind.SURROGATE_SIMPLIFIED
+    assert full[0] == pytest.approx(1.5, abs=1e-15)
+    assert simplified[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_simplified_score_zero_when_labels_orthogonal():
     Z = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1)
     scores = surrogate_leverage(np.array([1.0, 1.0]), Z, 0.3, simplified=True)
-    assert scores.per_frequency[0] == 0.0
+    assert scores[0] == 0.0
 
 
 def test_full_minus_simplified_is_constant():
@@ -113,8 +111,8 @@ def test_full_minus_simplified_is_constant():
     # full variant only adds the constant n * n / (n^2 lam) = 1/lam.
     X, y, pool, Z, _ = _instance(7, n=30, l=12)
     lam = 0.25
-    full = surrogate_leverage(y, Z, lam).per_frequency
-    simplified = surrogate_leverage(y, Z, lam, simplified=True).per_frequency
+    full = surrogate_leverage(y, Z, lam)
+    simplified = surrogate_leverage(y, Z, lam, simplified=True)
     np.testing.assert_allclose(full - simplified, 1.0 / lam, rtol=1e-12)
 
 
@@ -124,8 +122,8 @@ def test_surrogate_dominates_exact_leverage():
         X, y, pool, Z, dens = _instance(seed, n=50, d=3, l=20)
         K = kernel_matrix(X, KernelSpec(1.0))
         for lam in (0.05, 0.1, 0.5, 1.0):
-            exact = exact_leverage(regularized_factor(K, lam), Z, dens).per_frequency
-            surr = surrogate_leverage(y, Z, lam, density_values=dens).per_frequency
+            exact = exact_leverage(regularized_factor(K, lam), Z, dens)
+            surr = surrogate_leverage(y, Z, lam, density_values=dens)
             worst = min(worst, float((surr - exact).min()))
             assert surrogate_dof(K, y, lam) >= degrees_of_freedom(K, lam)
     assert worst >= -1e-10
@@ -167,13 +165,10 @@ def test_surrogate_dof_trace_bound():
 
 
 def test_build_plan_normalization():
-    scores = LeverageScores(np.array([3.0, 1.0]), ScoreKind.SURROGATE)
-    plan = build_resample_plan(scores, 1)
-    np.testing.assert_allclose(plan.probabilities, [0.75, 0.25])
-    uniform = build_resample_plan(
-        LeverageScores(np.full(5, 2.2), ScoreKind.EXACT_ERLS), 3
-    )
-    np.testing.assert_allclose(uniform.probabilities, 0.2)
+    plan = build_resample_plan(np.array([3.0, 1.0]))
+    np.testing.assert_allclose(plan, [0.75, 0.25])
+    uniform = build_resample_plan(np.full(5, 2.2))
+    np.testing.assert_allclose(uniform, 0.2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,34 +178,25 @@ def test_build_plan_normalization():
 )
 def test_plan_scale_invariance(raw_scores, scale):
     per = np.asarray(raw_scores)
-    base = build_resample_plan(LeverageScores(per, ScoreKind.SURROGATE), 1)
-    scaled = build_resample_plan(
-        LeverageScores(per * scale, ScoreKind.SURROGATE), 1
-    )
-    assert abs(base.probabilities - scaled.probabilities).max() <= 1e-14
-    assert abs(base.probabilities.sum() - 1.0) <= 1e-12
+    base = build_resample_plan(per)
+    scaled = build_resample_plan(per * scale)
+    assert abs(base - scaled).max() <= 1e-14
+    assert abs(base.sum() - 1.0) <= 1e-12
 
 
 def test_plan_rejects_degenerate_scores():
-    zeros = LeverageScores(np.zeros(3), ScoreKind.SURROGATE_SIMPLIFIED)
     with pytest.raises(NumericalError):
-        build_resample_plan(zeros, 2)
+        build_resample_plan(np.zeros(3))
+    pool = sample_mc(spectral_density(KernelSpec(1.0), 1), 3, 1)
     with pytest.raises(ValueError):
-        build_resample_plan(LeverageScores(np.ones(3), ScoreKind.SURROGATE), 4)
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        ResamplePlan(2, 1, np.array([0.9, 0.2]), ScoreKind.SURROGATE)  # sum != 1
-    with pytest.raises(ValueError):
-        ResamplePlan(3, 1, np.array([0.5, 0.5]), ScoreKind.SURROGATE)
+        resample(pool, np.ones(3), 4, 9)
 
 
 def test_label_flip_leaves_simplified_plan_unchanged():
     X, y, pool, Z, _ = _instance(23, l=10)
-    a = build_resample_plan(surrogate_leverage(y, Z, 0.1, simplified=True), 4)
-    b = build_resample_plan(surrogate_leverage(-y, Z, 0.1, simplified=True), 4)
-    np.testing.assert_array_equal(a.probabilities, b.probabilities)
+    a = build_resample_plan(surrogate_leverage(y, Z, 0.1, simplified=True))
+    b = build_resample_plan(surrogate_leverage(-y, Z, 0.1, simplified=True))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_simplified_plan_matches_double_loop():
@@ -221,56 +207,46 @@ def test_simplified_plan_matches_double_loop():
     y = np.where(rng.uniform(size=8) > 0.5, 1.0, -1.0)
     pool = sample_mc(spectral_density(KernelSpec(1.0), 2), 16, 33)
     Z = feature_map(X, pool)
-    plan = build_resample_plan(surrogate_leverage(y, Z, 0.1, simplified=True), 4)
+    plan = build_resample_plan(surrogate_leverage(y, Z, 0.1, simplified=True))
     raw = np.empty(16)
     for i in range(16):
         c = sum(y[j] * np.cos(pool.frequencies[i] @ X[j]) for j in range(8))
         s = sum(y[j] * np.sin(pool.frequencies[i] @ X[j]) for j in range(8))
         raw[i] = c**2 + s**2
-    np.testing.assert_allclose(plan.probabilities, raw / raw.sum(), atol=1e-12)
+    np.testing.assert_allclose(plan, raw / raw.sum(), atol=1e-12)
 
 
 def test_resample_weight_trivials():
     pool = sample_mc(spectral_density(KernelSpec(1.0), 1), 4, 1)
-    uniform = build_resample_plan(
-        LeverageScores(np.ones(4), ScoreKind.SURROGATE), 3
-    )
-    out = resample(uniform, pool, 9)
+    out = resample(pool, np.ones(4), 3, 9)
     np.testing.assert_array_equal(out.weights, np.ones(3))
-    assert out.source is PoolSource.SURROGATE_RESAMPLED
+    assert out.source is PoolSource.RESAMPLED
 
     two = sample_mc(spectral_density(KernelSpec(1.0), 1), 2, 1)
-    degenerate = build_resample_plan(
-        LeverageScores(np.array([1.0, 0.0]), ScoreKind.EXACT_ERLS), 1
-    )
-    out = resample(degenerate, two, 9)
+    out = resample(two, np.array([1.0, 0.0]), 1, 9)
     np.testing.assert_array_equal(out.frequencies, two.frequencies[:1])
     np.testing.assert_array_equal(out.weights, [0.5])  # 1 / (l * prob) = 1/2
-    assert out.source is PoolSource.LEVERAGE_RESAMPLED
+    assert out.source is PoolSource.RESAMPLED
 
 
 def test_resample_determinism_and_validation():
     pool = sample_mc(spectral_density(KernelSpec(1.0), 2), 6, 2)
-    plan = build_resample_plan(
-        LeverageScores(np.arange(1.0, 7.0), ScoreKind.SURROGATE), 4
-    )
-    a = resample(plan, pool, 5)
-    b = resample(plan, pool, 5)
+    scores = np.arange(1.0, 7.0)
+    a = resample(pool, scores, 4, 5)
+    b = resample(pool, scores, 4, 5)
     np.testing.assert_array_equal(a.frequencies, b.frequencies)
     with pytest.raises(ValueError):
-        resample(plan, sample_mc(spectral_density(KernelSpec(1.0), 2), 5, 2), 5)
+        resample(sample_mc(spectral_density(KernelSpec(1.0), 2), 5, 2), scores, 4, 5)
 
 
 def test_resampled_estimator_unbiased_by_enumeration():
     # Expectation under the plan of weight * cos(w.delta) must equal the
     # plain pool mean, exactly, whatever the probabilities are.
     freqs = np.array([[0.3], [1.1], [-2.0]])
-    plan = build_resample_plan(
-        LeverageScores(np.array([3.0, 1.0, 4.0]), ScoreKind.SURROGATE), 2
-    )
+    plan = build_resample_plan(np.array([3.0, 1.0, 4.0]))
     delta = 0.7
-    weights = 1.0 / (3 * plan.probabilities)
-    lhs = float((plan.probabilities * weights * np.cos(freqs.ravel() * delta)).sum())
+    weights = 1.0 / (3 * plan)
+    lhs = float((plan * weights * np.cos(freqs.ravel() * delta)).sum())
     rhs = float(np.cos(freqs.ravel() * delta).mean())
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -291,7 +267,7 @@ def test_surrogate_pipeline_runs_without_solves():
     np.testing.assert_allclose(
         feats.entries @ feats.entries.T, ref @ ref.T, rtol=1e-12, atol=1e-12
     )
-    assert out.source is PoolSource.SURROGATE_RESAMPLED
+    assert out.source is PoolSource.RESAMPLED
 
 
 def test_erls_baseline_pipeline_pays_for_solves():
@@ -301,7 +277,7 @@ def test_erls_baseline_pipeline_pays_for_solves():
         X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2
     )
     assert linalg.solve_count() > 0
-    assert out.source is PoolSource.LEVERAGE_RESAMPLED
+    assert out.source is PoolSource.RESAMPLED
 
 
 def test_pipeline_determinism():
@@ -369,6 +345,12 @@ def test_merged_draws_match_per_draw_reference(method, variant, pool_mult):
     assert merged.size == np.unique(draws).size < s
     ref = feature_map(X, reference).entries
 
+    # The pipeline draws through the public resample, bit for bit.
+    pool, scores, seed_draw = _scored_pool(method, X, y, lam, pool_size, variant, seed)
+    public = resample(pool, scores, s, seed_draw)
+    np.testing.assert_array_equal(merged.frequencies, public.frequencies)
+    np.testing.assert_array_equal(merged.weights, public.weights)
+
     np.testing.assert_allclose(
         feats.entries @ feats.entries.T, ref @ ref.T, rtol=1e-12, atol=1e-12
     )
@@ -411,25 +393,30 @@ def test_approx_ridge_leverage_pushthrough():
     # kernel-side scores divided by the pool size.
     X, y, pool, Z, _ = _instance(31, n=20, l=6)
     lam = 0.2
-    approx_scores = approx_ridge_leverage(Z, lam)
-    assert approx_scores.kind is ScoreKind.APPROX_ERLS
-    approx = approx_scores.per_frequency
+    approx = approx_ridge_leverage(Z, lam)
     K = Z.entries @ Z.entries.T
-    exact = exact_leverage(regularized_factor(K, lam), Z).per_frequency
+    exact = exact_leverage(regularized_factor(K, lam), Z)
     np.testing.assert_allclose(6 * approx, exact, atol=1e-10)
 
 
 def test_approx_ridge_leverage_flattens_at_huge_lambda():
     X, y, pool, Z, _ = _instance(3, n=40, l=8)
-    plan = build_resample_plan(approx_ridge_leverage(Z, 1e6), 4)
-    assert np.abs(plan.probabilities - 1 / 8).max() < 1e-3
+    plan = build_resample_plan(approx_ridge_leverage(Z, 1e6))
+    assert np.abs(plan - 1 / 8).max() < 1e-3
 
 
 def test_score_validation():
-    with pytest.raises(ValueError):
-        LeverageScores(np.array([1.0, -2.0]), ScoreKind.SURROGATE)
-    with pytest.raises(ValueError):
-        LeverageScores(np.empty(0), ScoreKind.SURROGATE)
+    # build_resample_plan is where scores from outside are checked.
+    for bad in ([1.0, -2.0], [1.0, np.nan], [1.0, np.inf], []):
+        with pytest.raises(ValueError):
+            build_resample_plan(np.array(bad))
+    with pytest.raises(NumericalError):
+        build_resample_plan(np.zeros(3))
+    # resample checks the scores against the pool and 1 <= s <= l.
+    pool = sample_mc(spectral_density(KernelSpec(1.0), 2), 4, 3)
+    for scores, s in ((np.ones(3), 2), (np.ones(5), 2), (np.ones(4), 0), (np.ones(4), 5)):
+        with pytest.raises(ValueError):
+            resample(pool, scores, s, 1)
     Z = FeatureMatrix(np.ones((4, 2)), 1)
     with pytest.raises(ValueError):
         surrogate_leverage(np.ones(4), Z, 0.0)
