@@ -179,6 +179,8 @@ def required_features(
         surr = np.asarray(surrogate_scores, dtype=float)
         if exact.shape != surr.shape:
             raise ValueError("score vectors cover different pools")
+        if not np.all(np.isfinite([exact, surr])) or np.any([exact < 0, surr < 0]):
+            raise ValueError("scores must be finite and nonnegative")
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where((exact == 0) & (surr == 0), 0.0, exact / surr)
         l_sup = float(D * ratio.max())

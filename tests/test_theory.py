@@ -113,6 +113,12 @@ def test_mismatched_score_vectors_rejected():
     surr = surrogate_leverage(y, Z_b, 0.1)
     with pytest.raises(ValueError, match="pools"):
         required_features(K, y, 0.1, 0.1, exact_scores=exact, surrogate_scores=surr)
+    surr = surrogate_leverage(y, Z_a, 0.1)
+    for bad in (np.nan, np.inf, -1.0):
+        broken = surr.copy()
+        broken[3] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            required_features(K, y, 0.1, 0.1, exact_scores=exact, surrogate_scores=broken)
 
 
 def test_classify_decay_exponential():
