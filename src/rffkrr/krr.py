@@ -46,7 +46,7 @@ class CvReport:
 
 def _ridge_coefficients(gram, rhs, ridge):
     """Solve (gram + ridge I) beta = rhs with one refinement step."""
-    system = gram + ridge * np.eye(gram.shape[0])
+    system = linalg.add_diagonal(gram, ridge)
     factor = linalg.psd_factor(system)
     beta = linalg.factor_solve(factor, rhs)
     rhs_norm = float(np.linalg.norm(rhs))
@@ -96,7 +96,7 @@ def fit_exact(K, y, lam):
         raise ValueError(f"{y.shape[0]} labels for {n} points")
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    return linalg.psd_solve(Km + n * lam * np.eye(n), y)
+    return linalg.psd_solve(linalg.add_diagonal(Km, n * lam), y)
 
 
 def predict(model, X):

@@ -80,7 +80,7 @@ def regularized_factor(K, lam):
     linalg.check_exact_cap(n)
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    return linalg.psd_factor(Km + n * lam * np.eye(n))
+    return linalg.psd_factor(linalg.add_diagonal(Km, n * lam))
 
 
 def exact_leverage(kreg_factor, z_pool, density_values=None):
@@ -146,8 +146,7 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     n = Z.shape[0]
     dens = _density_vector(density_values, size)
     gram = Z.T @ Z
-    ridge = gram + n * lam * np.eye(gram.shape[0])
-    solved = linalg.psd_solve(ridge, gram)
+    solved = linalg.psd_solve(linalg.add_diagonal(gram, n * lam), gram)
     return dens * np.clip(_pair_sums(np.diag(solved)), 0.0, None)
 
 
@@ -162,7 +161,7 @@ def degrees_of_freedom(K, lam):
     linalg.check_exact_cap(n)
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    solved = linalg.psd_solve(Km + n * lam * np.eye(n), Km)
+    solved = linalg.psd_solve(linalg.add_diagonal(Km, n * lam), Km)
     return float(np.trace(solved))
 
 

@@ -68,6 +68,17 @@ def factor_solve(factor, rhs):
     return scipy.linalg.cho_solve(factor, np.asarray(rhs, dtype=float))
 
 
+def add_diagonal(mat, value):
+    """Copy of a square matrix with ``value`` added to its diagonal.
+
+    Equal entry for entry to ``mat + value * np.eye(m)``, without the two
+    m x m temporaries that form allocates.  The input is left unchanged.
+    """
+    out = np.array(mat, dtype=float)
+    out[np.diag_indices_from(out)] += value
+    return out
+
+
 def psd_solve(mat, rhs):
     """Factor-and-solve convenience wrapper (two counted operations)."""
     return factor_solve(psd_factor(mat), rhs)

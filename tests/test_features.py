@@ -1,5 +1,7 @@
 """Frequency pools, the Halton sequence, and the paired cos/sin map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from rffkrr import (
     approx_kernel_entry,
     eval_kernel,
     feature_map,
+    features,
     halton,
     sample_mc,
     sample_qmc,
@@ -135,6 +138,79 @@ def test_feature_map_row_equivariance():
     np.testing.assert_array_equal(
         feature_map(X[perm], pool).entries, feature_map(X, pool).entries[perm]
     )
+
+
+def _one_shot_map(X, pool):
+    # The whole n x s projection at once: the reference the blocked map
+    # must reproduce.
+    s = pool.size
+    projections = X @ pool.frequencies.T
+    scale = np.sqrt(pool.weights / s)
+    Z = np.empty((X.shape[0], 2 * s))
+    Z[:, 0::2] = np.cos(projections) * scale
+    Z[:, 1::2] = np.sin(projections) * scale
+    return Z
+
+
+def _block_case(n, s, kind):
+    density = spectral_density(KernelSpec(1.0), 14)
+    X = np.random.default_rng(n).uniform(size=(n, 14))
+    if kind == "qmc":
+        return X, sample_qmc(density, s)
+    pool = sample_mc(density, s, s)
+    if kind == "resampled":
+        weights = np.random.default_rng(s).uniform(0.0, 3.0, s)
+        pool = FrequencyPool(pool.frequencies, weights, PoolSource.RESAMPLED)
+    return X, pool
+
+
+_ROWS_64 = features._BLOCK_ENTRIES // 64
+
+
+@pytest.mark.parametrize(
+    "n, s, kind",
+    [
+        (1, 64, "mc"),
+        (_ROWS_64, 64, "mc"),
+        (_ROWS_64 + 1, 64, "mc"),
+        (3 * _ROWS_64 + 777, 64, "mc"),
+        (7490, 896, "mc"),
+        (5, features._BLOCK_ENTRIES + 8, "mc"),
+        (3 * _ROWS_64 + 777, 64, "resampled"),
+        (3 * _ROWS_64 + 777, 64, "qmc"),
+    ],
+)
+def test_feature_map_block_boundaries_are_exact(n, s, kind):
+    # Widths are multiples of 8: there OpenBLAS computes each row of the
+    # projection the same whatever the number of rows in the product.
+    X, pool = _block_case(n, s, kind)
+    np.testing.assert_array_equal(feature_map(X, pool).entries, _one_shot_map(X, pool))
+
+
+@pytest.mark.parametrize("s", [255, 951])
+def test_feature_map_ragged_width_within_rounding(s):
+    # For other widths the BLAS may round the last s mod 8 projection
+    # columns differently in a block than in the one-shot product.
+    X, pool = _block_case(3000, s, "resampled")
+    np.testing.assert_allclose(
+        feature_map(X, pool).entries,
+        _one_shot_map(X, pool),
+        rtol=0,
+        atol=100 * np.finfo(float).eps,
+    )
+
+
+def test_feature_map_memory_is_output_plus_blocks():
+    X = np.random.default_rng(5).uniform(size=(20000, 14))
+    pool = sample_mc(spectral_density(KernelSpec(1.0), 14), 256, 5)
+    tracemalloc.start()
+    try:
+        Z = feature_map(X, pool).entries
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = features._BLOCK_ENTRIES * Z.itemsize
+    assert peak <= Z.nbytes + 4 * block_bytes
 
 
 def test_feature_map_dimension_mismatch():

@@ -36,6 +36,15 @@ def test_solve_counter_counts_factor_and_solve():
     assert linalg.solve_count() == 0
 
 
+@pytest.mark.parametrize("m", [1, 5, 64])
+def test_add_diagonal_matches_identity_form(m):
+    mat = np.random.default_rng(m).standard_normal((m, m))
+    before = mat.copy()
+    shifted = linalg.add_diagonal(mat, 0.37)
+    np.testing.assert_array_equal(shifted, mat + 0.37 * np.eye(m))
+    np.testing.assert_array_equal(mat, before)
+
+
 def test_psd_factor_rejects_indefinite_matrix():
     with pytest.raises(NumericalError):
         linalg.psd_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
