@@ -61,6 +61,7 @@ from .leverage import (
     approx_ridge_leverage,
     build_resample_plan,
     degrees_of_freedom,
+    erls_baseline_grid,
     erls_baseline_pipeline,
     exact_leverage,
     regularized_factor,
@@ -107,6 +108,7 @@ __all__ = [
     "cross_validate",
     "degrees_of_freedom",
     "emit_report",
+    "erls_baseline_grid",
     "erls_baseline_pipeline",
     "eval_kernel",
     "exact_leverage",

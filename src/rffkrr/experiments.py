@@ -28,7 +28,7 @@ from .datasets import (
 from .features import feature_map, sample_mc, sample_qmc
 from .kernels import KernelSpec, kernel_matrix, relative_approx_error, spectral_density
 from .krr import classify_accuracy, cross_validate, fit, predict
-from .leverage import erls_baseline_pipeline, surrogate_pipeline
+from .leverage import erls_baseline_grid, erls_baseline_pipeline, surrogate_pipeline
 
 METHODS = ("RFF", "QMC", "LeverageRFF", "SurrogateRFF")
 
@@ -154,21 +154,30 @@ def generate_features(method, X, y, spec, s, pool_size, variant, lam, seed):
 
 
 def make_sampler(method, spec, s, pool_size, variant="simplified"):
-    """Wrap a method as a CV sampler callable (X, y, lam, seed) -> (pool, Z).
+    """Wrap a method as a CV sampler callable (X, y, lambda_grid, seed)
+    returning one (pool, Z) pair per grid value, Z the FeatureMatrix of
+    the pool on X, so cross-validation need not map the training rows
+    again.
 
-    The callable is :func:`generate_features` with the method fixed, so Z
-    is the FeatureMatrix of the pool on X and cross-validation need not
-    map the training rows again.  It advertises ``lambda_dependent``: only
-    the approximate leverage baseline actually changes its plan with
-    lambda (the surrogate scores scale by 1/lambda uniformly, which cancels
-    in normalization), so cross-validation can reuse pools and Gram
-    matrices across the grid for every other method.
+    Only the approximate leverage baseline changes its pool with lambda;
+    it draws, maps and forms the pool Gram once and redoes only the
+    factor, the draw and the gather per value
+    (:func:`~rffkrr.leverage.erls_baseline_grid`).  Every other method is
+    :func:`generate_features` at the first grid value, and the same pair
+    object stands for every value: the surrogate scores scale by
+    1/lambda uniformly, which cancels in normalization.
     """
 
-    def sampler(X, y, lam, seed):
-        return generate_features(method, X, y, spec, s, pool_size, variant, lam, seed)
+    def sampler(X, y, lambda_grid, seed):
+        if method == "LeverageRFF":
+            return erls_baseline_grid(
+                X, spec, s, lambda_grid, pool_size=pool_size, seed=seed
+            )
+        pair = generate_features(
+            method, X, y, spec, s, pool_size, variant, lambda_grid[0], seed
+        )
+        return [pair] * len(lambda_grid)
 
-    sampler.lambda_dependent = method == "LeverageRFF"
     return sampler
 
 

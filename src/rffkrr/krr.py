@@ -125,13 +125,14 @@ def classify_accuracy(predictions, labels):
 def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     """K-fold grid search for lambda, scored by classification accuracy.
 
-    ``sampler(X_train, y_train, lam, seed) -> (pool, FeatureMatrix)``
-    supplies the frequency pool per fold together with its features on
-    X_train, so the training rows are never mapped twice.  Samplers may
-    advertise ``lambda_dependent = False`` (plain Monte Carlo, QMC, and the
-    surrogate pipeline qualify: lambda only rescales surrogate scores, so
-    the plan is unchanged); for those the sampler runs once per fold, on
-    the first grid value, and only the ridge solve repeats across the grid.
+    ``sampler(X_train, y_train, grid, seed)`` is called once per fold with
+    the sorted, deduplicated grid and returns one (pool, FeatureMatrix)
+    pair per grid value: the frequency pool and its features on X_train,
+    so the training rows are never mapped twice.  A sampler whose pool
+    does not depend on lambda returns the same pair object for every
+    value; the training Gram and the validation map are rebuilt only when
+    the pair differs from the previous value's, and only the ridge solve
+    repeats across the grid.
 
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.
@@ -153,7 +154,6 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     children = spawn_seeds(seed, folds + 1)
     permutation = make_rng(children[0]).permutation(X.shape[0])
     blocks = np.array_split(permutation, folds)
-    lam_dependent = bool(getattr(sampler, "lambda_dependent", True))
 
     accuracy = np.zeros((folds, len(grid)))
     for f, block in enumerate(blocks):
@@ -162,13 +162,20 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
         X_tr, y_tr = X[mask], y[mask]
         X_val, y_val = X[block], y[block]
         n_tr = X_tr.shape[0]
-        for j, lam in enumerate(grid):
-            if j == 0 or lam_dependent:
-                pool, features = sampler(X_tr, y_tr, lam, children[f + 1])
+        pairs = sampler(X_tr, y_tr, grid, children[f + 1])
+        if len(pairs) != len(grid):
+            raise ValueError(
+                f"sampler returned {len(pairs)} pairs for {len(grid)} lambda values"
+            )
+        previous = None
+        for j, (lam, pair) in enumerate(zip(grid, pairs)):
+            if pair is not previous:
+                pool, features = pair
                 Z_tr = features.entries
                 Z_val = feature_map(X_val, pool).entries
                 gram = Z_tr.T @ Z_tr
                 rhs = Z_tr.T @ y_tr
+                previous = pair
             beta = _ridge_coefficients(gram, rhs, n_tr * lam)
             accuracy[f, j] = classify_accuracy(Z_val @ beta, y_val)
 

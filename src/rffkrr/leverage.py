@@ -131,23 +131,29 @@ def surrogate_leverage(y, z_pool, lam, density_values=None, simplified=False):
 
 def approx_ridge_leverage(z_pool, lam, density_values=None):
     """Feature-space approximate ridge leverage (the classical baseline),
-    as an (l,) array.
+    as an (l,) array, or a (k, l) array with one row per value when
+    ``lam`` is a sequence of k values.
 
     Scores column j of the pool's feature matrix by the diagonal of
     G (G + n lam I)^{-1} with G = Z^T Z, then sums cos/sin pairs.  By the
     push-through identity this equals the exact leverage with K replaced
     by Z Z^T, up to the pool-size scaling of the columns.  Cost is
-    O(n l^2 + l^3): cheaper than exact leverage for l << n, but still a
-    factorization the surrogate avoids.
+    O(n l^2) for G, formed once for all values, plus O(l^3) per value:
+    cheaper than exact leverage for l << n, but still a factorization
+    the surrogate avoids.
     """
-    if not lam > 0:
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lams.ndim != 1 or lams.size == 0 or not np.all(lams > 0):
         raise ValueError(f"lambda must be positive, got {lam}")
     Z, size = _pool_arrays(z_pool)
     n = Z.shape[0]
     dens = _density_vector(density_values, size)
     gram = Z.T @ Z
-    solved = linalg.psd_solve(linalg.add_diagonal(gram, n * lam), gram)
-    return dens * np.clip(_pair_sums(np.diag(solved)), 0.0, None)
+    scores = np.empty((lams.size, size))
+    for row, value in zip(scores, lams):
+        solved = linalg.psd_solve(linalg.add_diagonal(gram, n * value), gram)
+        row[:] = dens * np.clip(_pair_sums(np.diag(solved)), 0.0, None)
+    return scores if np.ndim(lam) else scores[0]
 
 
 def degrees_of_freedom(K, lam):
@@ -257,14 +263,24 @@ def _gather_features(z_pool, indices, weights):
 
 
 def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
+    """Draw and map one pool, then resample it once per score vector.
+
+    ``score_fn(z_pool)`` returns one row of pool scores per lambda value.
+    Every row is drawn with the same draw seed, so row k gives the pair a
+    one-value call with that row's scores gives.  Returns one (pool,
+    FeatureMatrix) pair per row.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     pool_size = int(s) if pool_size is None else int(pool_size)
     seed_pool, seed_draw = spawn_seeds(seed, 2)
     density = spectral_density(spec, X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
     z_pool = feature_map(X, pool)
-    indices, out = _draw(pool, score_fn(z_pool), s, seed_draw)
-    return out, _gather_features(z_pool, indices, out.weights)
+    pairs = []
+    for scores in score_fn(z_pool):
+        indices, out = _draw(pool, scores, s, seed_draw)
+        pairs.append((out, _gather_features(z_pool, indices, out.weights)))
+    return pairs
 
 
 def surrogate_pipeline(
@@ -281,15 +297,29 @@ def surrogate_pipeline(
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}")
+    simplified = variant == "simplified"
     return _resample_pipeline(
         X,
         spec,
         s,
         pool_size,
         seed,
-        lambda z_pool: surrogate_leverage(
-            y, z_pool, lam, simplified=(variant == "simplified")
-        ),
+        lambda z_pool: [surrogate_leverage(y, z_pool, lam, simplified=simplified)],
+    )[0]
+
+
+def erls_baseline_grid(X, spec, s, lambda_grid, pool_size=None, seed=0):
+    """Approximate-leverage resampling for every value of a lambda grid.
+
+    Draws and maps one pool and forms its feature Gram once; per value
+    it factors the regularized Gram, scores, draws from the same draw
+    seed and gathers.  Returns one (pool, FeatureMatrix) pair per grid
+    value, each equal bit for bit to :func:`erls_baseline_pipeline` at
+    that value.  This is the cross-validation sampler of the baseline.
+    """
+    grid = tuple(lambda_grid)
+    return _resample_pipeline(
+        X, spec, s, pool_size, seed, lambda z_pool: approx_ridge_leverage(z_pool, grid)
     )
 
 
@@ -299,10 +329,9 @@ def erls_baseline_pipeline(X, y, spec, s, lam, pool_size=None, seed=0):
     Identical flow and return value (merged pool of u <= s frequencies,
     (n, 2u) FeatureMatrix) to :func:`surrogate_pipeline`, but the scoring
     step factors the pooled feature Gram matrix, so it pays the
-    O(n l^2 + l^3) cost the surrogate exists to avoid.  Labels are
-    ignored by the scores and accepted only for signature parity with
-    the surrogate pipeline.
+    O(n l^2 + l^3) cost the surrogate exists to avoid.  It is the
+    one-value case of :func:`erls_baseline_grid`.  Labels are ignored by
+    the scores and accepted only for signature parity with the surrogate
+    pipeline.
     """
-    return _resample_pipeline(
-        X, spec, s, pool_size, seed, lambda z_pool: approx_ridge_leverage(z_pool, lam)
-    )
+    return erls_baseline_grid(X, spec, s, (lam,), pool_size, seed)[0]

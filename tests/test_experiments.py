@@ -98,6 +98,27 @@ def test_threaded_run_matches_sequential():
         assert rs.rel_error == rp.rel_error
 
 
+def test_threaded_resampled_run_matches_sequential():
+    # Resampling methods with a wide pool: LeverageRFF's cross-validation
+    # shares one pool across the grid, and worker threads must not change
+    # a single record.
+    methods = ("SurrogateRFF", "LeverageRFF")
+    ds = _blob_dataset(seed=6)
+    seq = run_experiment(
+        _config(methods=methods, trials=2, pool_multiplier=4), dataset=ds
+    )
+    par = run_experiment(
+        _config(methods=methods, trials=2, pool_multiplier=4, threads=2), dataset=ds
+    )
+    assert [(r.method, r.s, r.trial) for r in seq] == [
+        (r.method, r.s, r.trial) for r in par
+    ]
+    for rs, rp in zip(seq, par):
+        assert rs.accuracy == rp.accuracy
+        assert rs.rel_error == rp.rel_error
+        assert rs.lam == rp.lam
+
+
 def test_timing_mode_skips_fit_and_error():
     records = run_experiment(_config(), dataset=_blob_dataset(), mode="timing")
     record = records[0]
@@ -179,11 +200,41 @@ def test_config_validation():
             _config(**overrides)
 
 
-def test_sampler_lambda_dependence_flags():
+def test_lambda_free_samplers_return_one_shared_pair():
+    ds = _blob_dataset()
     spec = KernelSpec(1.0)
+    grid = (0.05, 0.1, 1.0)
     for method in ("RFF", "QMC", "SurrogateRFF"):
-        assert make_sampler(method, spec, 4, 8).lambda_dependent is False
-    assert make_sampler("LeverageRFF", spec, 4, 8).lambda_dependent is True
+        pairs = make_sampler(method, spec, 4, 8)(ds.X, ds.y, grid, 3)
+        assert len(pairs) == len(grid)
+        assert all(pair is pairs[0] for pair in pairs)
+        pool, Z = pairs[0]
+        want_pool, want_Z = generate_features(
+            method, ds.X, ds.y, spec, 4, 8, "simplified", grid[0], 3
+        )
+        np.testing.assert_array_equal(pool.frequencies, want_pool.frequencies)
+        np.testing.assert_array_equal(Z.entries, want_Z.entries)
+
+
+@pytest.mark.parametrize("pool_size", [8, 32])
+def test_leverage_sampler_pairs_equal_generation_at_each_lambda(pool_size):
+    # One pool, one map and one pool Gram serve the whole grid; each
+    # value's pair is still exactly what a one-value generation gives.
+    ds = _blob_dataset(seed=4)
+    spec = KernelSpec(1.0)
+    grid = (0.001, 0.05, 0.1, 1.0)
+    seed = np.random.SeedSequence(12)
+    pairs = make_sampler("LeverageRFF", spec, 8, pool_size)(ds.X, ds.y, grid, seed)
+    assert len(pairs) == len(grid)
+    for lam, (pool, Z) in zip(grid, pairs):
+        want_pool, want_Z = generate_features(
+            "LeverageRFF", ds.X, ds.y, spec, 8, pool_size, "simplified", lam, seed
+        )
+        assert pool.source is want_pool.source
+        np.testing.assert_array_equal(pool.frequencies, want_pool.frequencies)
+        np.testing.assert_array_equal(pool.weights, want_pool.weights)
+        assert Z.n_frequencies == want_Z.n_frequencies
+        np.testing.assert_array_equal(Z.entries, want_Z.entries)
 
 
 def test_generate_features_pool_provenance():

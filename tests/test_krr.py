@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rffkrr import (
+    FeatureMatrix,
     KernelSpec,
     NumericalError,
     classify_accuracy,
@@ -11,12 +12,14 @@ from rffkrr import (
     feature_map,
     fit,
     fit_exact,
+    generate_features,
     kernel_matrix,
     make_sampler,
     predict,
     sample_mc,
     spectral_density,
 )
+from rffkrr import linalg
 
 DENSITY = spectral_density(KernelSpec(1.0), 2)
 
@@ -219,53 +222,79 @@ def test_cv_deterministic_and_shape():
     np.testing.assert_allclose(a.mean_accuracy, a.fold_accuracy.mean(axis=0))
 
 
-def test_cv_fast_path_agrees_with_per_lambda_resampling():
-    # A lambda-independent sampler may be driven through either branch;
-    # both must produce the same report because pools depend only on seeds.
+def test_cv_fresh_equal_pairs_give_identical_report():
+    # A sampler that hands back a fresh copy of the shared pair for every
+    # lambda makes cross_validate rebuild the Gram and the validation map
+    # at each value; the report must not change.
     X, y = _blob(seed=5)
-    fast = make_sampler("RFF", KernelSpec(1.0), 6, 6)
-    slow = make_sampler("RFF", KernelSpec(1.0), 6, 6)
-    slow.lambda_dependent = True
-    a = cross_validate(X, y, fast, (0.05, 1.0), folds=3, seed=2)
-    b = cross_validate(X, y, slow, (0.05, 1.0), folds=3, seed=2)
-    np.testing.assert_allclose(a.fold_accuracy, b.fold_accuracy)
-    assert a.chosen_lambda == b.chosen_lambda
+    grid = (0.05, 0.3, 1.0)
+    for method in ("RFF", "QMC", "SurrogateRFF"):
+        shared = make_sampler(method, KernelSpec(1.0), 6, 12)
+
+        def fresh(X_tr, y_tr, grid_, seed_):
+            pool, Z = shared(X_tr, y_tr, grid_, seed_)[0]
+            return [
+                (pool, FeatureMatrix(Z.entries.copy(), Z.n_frequencies))
+                for _ in grid_
+            ]
+
+        a = cross_validate(X, y, shared, grid, folds=3, seed=2)
+        b = cross_validate(X, y, fresh, grid, folds=3, seed=2)
+        np.testing.assert_array_equal(a.fold_accuracy, b.fold_accuracy)
+        assert a.chosen_lambda == b.chosen_lambda
+
+
+def _per_lambda_sampler(method, spec, s, pool_size, variant="simplified"):
+    # The flow before samplers took the grid: one full generation per value.
+    def sampler(X_tr, y_tr, grid, seed):
+        return [
+            generate_features(
+                method, X_tr, y_tr, spec, s, pool_size, variant, lam, seed
+            )
+            for lam in grid
+        ]
+
+    return sampler
 
 
 def _remapping_reference_cv(X, y, sampler, grid, folds, seed):
-    # The straightforward loop: draw when cross_validate draws (every
-    # lambda, or the first only for lambda-independent samplers), map the
-    # training rows again, and fit and predict through the public API.
+    # The straightforward loop: take each lambda's pool from a per-lambda
+    # sampler, map the training rows again, and fit and predict through
+    # the public API.
     children = np.random.SeedSequence(seed).spawn(folds + 1)
     permutation = np.random.default_rng(children[0]).permutation(len(y))
     accuracy = np.zeros((folds, len(grid)))
     for f, block in enumerate(np.array_split(permutation, folds)):
         mask = np.ones(len(y), dtype=bool)
         mask[block] = False
-        for j, lam in enumerate(grid):
-            if j == 0 or sampler.lambda_dependent:
-                pool, _ = sampler(X[mask], y[mask], lam, children[f + 1])
+        pairs = sampler(X[mask], y[mask], grid, children[f + 1])
+        for j, (lam, (pool, _)) in enumerate(zip(grid, pairs)):
             model = fit(feature_map(X[mask], pool), y[mask], lam, pool)
             accuracy[f, j] = classify_accuracy(predict(model, X[block]), y[block])
     return accuracy
 
 
-@pytest.mark.parametrize("method", ["RFF", "SurrogateRFF", "LeverageRFF"])
+@pytest.mark.parametrize("method", ["RFF", "QMC", "SurrogateRFF", "LeverageRFF"])
 def test_cv_reuses_sampler_features_without_changing_accuracy(method):
     X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=7)
     grid = (0.001, 0.01, 0.1)
-    sampler = make_sampler(method, KernelSpec(1.0), 6, 24)
+    spec = KernelSpec(1.0)
+    sampler = make_sampler(method, spec, 6, 24)
     report = cross_validate(X, y, sampler, grid, folds=4, seed=3)
-    expected = _remapping_reference_cv(X, y, sampler, grid, folds=4, seed=3)
+    expected = _remapping_reference_cv(
+        X, y, _per_lambda_sampler(method, spec, 6, 24), grid, folds=4, seed=3
+    )
     np.testing.assert_array_equal(report.fold_accuracy, expected)
 
 
 @pytest.mark.parametrize(
-    "method, per_fold", [("RFF", 2), ("SurrogateRFF", 2), ("LeverageRFF", 2 * 3)]
+    "method, per_fold", [("RFF", 2), ("SurrogateRFF", 2), ("LeverageRFF", 1 + 3)]
 )
 def test_cv_maps_training_rows_once_per_draw(method, per_fold, monkeypatch):
     # One map inside the sampler (its pool on the training rows) and one of
-    # the validation rows; the training rows are never mapped again.
+    # the validation rows per distinct pool; the training rows are never
+    # mapped again.  LeverageRFF maps its pool once per fold and resamples
+    # it for each of the three lambdas.
     import rffkrr.experiments
     import rffkrr.krr
     import rffkrr.leverage
@@ -282,6 +311,36 @@ def test_cv_maps_training_rows_once_per_draw(method, per_fold, monkeypatch):
     sampler = make_sampler(method, KernelSpec(1.0), 4, 8)
     cross_validate(X, y, sampler, (0.01, 0.1, 1.0), folds=3, seed=0)
     assert len(calls) == 3 * per_fold
+
+
+def test_leverage_cv_solve_count_matches_per_lambda_flow():
+    # Sharing the pool, its map and its Gram across the grid saves no
+    # solve: each lambda still factors its own regularized pool Gram.
+    X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=7)
+    spec = KernelSpec(1.0)
+    grid = (0.001, 0.01, 0.1, 1.0)
+    counts = []
+    for sampler in (
+        make_sampler("LeverageRFF", spec, 6, 24),
+        _per_lambda_sampler("LeverageRFF", spec, 6, 24),
+    ):
+        linalg.reset_solve_count()
+        cross_validate(X, y, sampler, grid, folds=3, seed=1)
+        counts.append(linalg.solve_count())
+    # 3 folds x 4 values x (pool-Gram factor and solve + ridge factor and
+    # solve); no refinement step fires on this instance.
+    assert counts == [48, 48]
+
+
+def test_cv_rejects_sampler_with_wrong_pair_count():
+    X, y = _blob()
+    rff = make_sampler("RFF", KernelSpec(1.0), 4, 4)
+
+    def short(X_tr, y_tr, grid, seed):
+        return rff(X_tr, y_tr, grid, seed)[:-1]
+
+    with pytest.raises(ValueError, match="pairs"):
+        cross_validate(X, y, short, (0.1, 1.0), folds=3)
 
 
 def test_cv_validation():

@@ -365,14 +365,16 @@ def test_merged_draws_match_per_draw_reference(method, variant, pool_mult):
         reference.weights.sum(), rel=1e-12
     )
 
-    def reference_sampler(X_tr, y_tr, lam_, seed_):
-        _, per_draw = _per_draw_reference(
-            method, X_tr, y_tr, s, lam_, pool_size, variant, seed_
-        )
-        return per_draw, feature_map(X_tr, per_draw)
+    def reference_sampler(X_tr, y_tr, grid_, seed_):
+        pairs = []
+        for lam_ in grid_:
+            _, per_draw = _per_draw_reference(
+                method, X_tr, y_tr, s, lam_, pool_size, variant, seed_
+            )
+            pairs.append((per_draw, feature_map(X_tr, per_draw)))
+        return pairs
 
     sampler = make_sampler(method, KernelSpec(1.0), s, pool_size, variant)
-    reference_sampler.lambda_dependent = sampler.lambda_dependent
     grid = (0.05, 0.1, 0.5, 1.0)
     np.testing.assert_array_equal(
         cross_validate(X, y, sampler, grid, folds=3, seed=9).fold_accuracy,
@@ -397,6 +399,19 @@ def test_approx_ridge_leverage_pushthrough():
     K = Z.entries @ Z.entries.T
     exact = exact_leverage(regularized_factor(K, lam), Z)
     np.testing.assert_allclose(6 * approx, exact, atol=1e-10)
+
+
+def test_approx_ridge_leverage_grid_rows_equal_one_value_calls():
+    # One Gram for the whole grid; row k is the one-value score at grid[k].
+    X, y, pool, Z, _ = _instance(12, n=40, l=8)
+    grid = (0.01, 0.2, 3.0)
+    rows = approx_ridge_leverage(Z, grid)
+    assert rows.shape == (3, 8)
+    for row, lam in zip(rows, grid):
+        np.testing.assert_array_equal(row, approx_ridge_leverage(Z, lam))
+    for bad in ((), (0.1, 0.0), (0.1, np.nan)):
+        with pytest.raises(ValueError):
+            approx_ridge_leverage(Z, bad)
 
 
 def test_approx_ridge_leverage_flattens_at_huge_lambda():
