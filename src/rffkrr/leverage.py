@@ -135,12 +135,14 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     ``lam`` is a sequence of k values.
 
     Scores column j of the pool's feature matrix by the diagonal of
-    G (G + n lam I)^{-1} with G = Z^T Z, then sums cos/sin pairs.  By the
-    push-through identity this equals the exact leverage with K replaced
-    by Z Z^T, up to the pool-size scaling of the columns.  Cost is
-    O(n l^2) for G, formed once for all values, plus O(l^3) per value:
-    cheaper than exact leverage for l << n, but still a factorization
-    the surrogate avoids.
+    G (G + n lam I)^{-1} = I - n lam (G + n lam I)^{-1} with G = Z^T Z,
+    then sums cos/sin pairs.  By the push-through identity this equals the
+    exact leverage with K replaced by Z Z^T, up to the pool-size scaling
+    of the columns.  Cost is O(n l^2) for G, formed once for all values,
+    plus per value one Cholesky factor and one triangular inverse of
+    G + n lam I (:func:`rffkrr.linalg.psd_inverse_diagonal`, O(l^3)):
+    cheaper than exact leverage for l << n, but still a factorization the
+    surrogate avoids.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or lams.size == 0 or not np.all(lams > 0):
@@ -151,24 +153,27 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     gram = Z.T @ Z
     scores = np.empty((lams.size, size))
     for row, value in zip(scores, lams):
-        solved = linalg.psd_solve(linalg.add_diagonal(gram, n * value), gram)
-        row[:] = dens * np.clip(_pair_sums(np.diag(solved)), 0.0, None)
+        shift = n * value
+        diagonal = 1.0 - shift * linalg.psd_inverse_diagonal(gram, shift)
+        row[:] = dens * np.clip(_pair_sums(diagonal), 0.0, None)
     return scores if np.ndim(lam) else scores[0]
 
 
 def degrees_of_freedom(K, lam):
     """Effective degrees of freedom Tr[K (K + n lam I)^{-1}].
 
-    Equals sum_i eig_i / (eig_i + n lam); computed here by a Cholesky
-    solve rather than an eigendecomposition.
+    Equals sum_i eig_i / (eig_i + n lam), and also
+    n - n lam Tr[(K + n lam I)^{-1}], which is how it is computed here: one
+    Cholesky factor and one triangular inverse for the diagonal of the
+    inverse, rather than an n-column solve or an eigendecomposition.
     """
     Km = matrix_entries(K)
     n = Km.shape[0]
     linalg.check_exact_cap(n)
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    solved = linalg.psd_solve(linalg.add_diagonal(Km, n * lam), Km)
-    return float(np.trace(solved))
+    shift = n * lam
+    return float(n - shift * linalg.psd_inverse_diagonal(Km, shift).sum())
 
 
 def surrogate_dof(K, y, lam):

@@ -1,11 +1,12 @@
-"""Dense linear-algebra helpers: counted SPD solves and a Lanczos
-spectral norm.
+"""Dense linear-algebra helpers: counted SPD solves, the diagonal of a
+regularized SPD inverse, and a Lanczos spectral norm.
 
-Every Cholesky factorization and triangular solve in the package goes
-through this module so that tests can count how many linear solves a code
-path performs.  The point of the surrogate sampling pipeline is that it
-runs without any solves at all, and the counter is how that claim is
-checked rather than merely asserted.
+Every Cholesky factorization, triangular solve and triangular inverse in
+the package goes through this module so that tests can count how many
+linear solves a code path performs; :func:`psd_inverse_diagonal` counts
+as two, its factor and its inverse.  The point of the surrogate sampling
+pipeline is that it runs without any solves at all, and the counter is
+how that claim is checked rather than merely asserted.
 """
 
 import numpy as np
@@ -82,6 +83,40 @@ def add_diagonal(mat, value):
 def psd_solve(mat, rhs):
     """Factor-and-solve convenience wrapper (two counted operations)."""
     return factor_solve(psd_factor(mat), rhs)
+
+
+def psd_inverse_diagonal(mat, shift=0.0):
+    """Diagonal of (mat + shift I)^{-1} for a symmetric positive definite
+    shifted matrix.  Counted twice: a Cholesky factor and a triangular
+    inverse.
+
+    With mat + shift I = L L^T, the inverse is L^{-T} L^{-1}, so its
+    diagonal is the squared column norms of L^{-1}.  One private copy of
+    the shifted matrix is factored (``potrf``) and inverted (``trtri``) in
+    place: about (2/3) m^3 flops, and no other m x m float array.
+    Only one triangle of ``mat`` is read; the input is left unchanged.
+    Raises NumericalError if the shifted matrix holds NaN or Inf or is not
+    positive definite.
+    """
+    # A symmetric matrix is its own transpose, so the transpose of the copy
+    # is the same matrix; for a C-order input it is in the Fortran order that
+    # LAPACK overwrites in place without a further copy.
+    a = add_diagonal(mat, shift).T
+    if not np.isfinite(a).all():
+        raise NumericalError("matrix contains NaN or Inf")
+    _bump()
+    # clean=1 zeroes the unused upper triangle, which trtri leaves alone, so
+    # the full column norms below see only L^{-1}.
+    factor, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"matrix is not positive definite (potrf info {info})")
+    _bump()
+    inverse, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"triangular inverse failed (trtri info {info})")
+    # Row j of the C-order array is column j of L^{-1}.
+    rows = inverse.T
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def spectral_norm_sym(mat):

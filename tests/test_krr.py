@@ -327,7 +327,7 @@ def test_leverage_cv_solve_count_matches_per_lambda_flow():
         linalg.reset_solve_count()
         cross_validate(X, y, sampler, grid, folds=3, seed=1)
         counts.append(linalg.solve_count())
-    # 3 folds x 4 values x (pool-Gram factor and solve + ridge factor and
+    # 3 folds x 4 values x (pool-Gram factor and inverse + ridge factor and
     # solve); no refinement step fires on this instance.
     assert counts == [48, 48]
 

@@ -7,6 +7,8 @@ feature matrices carry a 1/sqrt(l) column normalization, so the scoring
 functions multiply their quadratic forms by the pool size to undo it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ from rffkrr import (
 )
 from rffkrr.experiments import METHODS, generate_features
 from rffkrr.features import FeatureMatrix, spawn_seeds
-from rffkrr.leverage import approx_ridge_leverage
+from rffkrr.leverage import _draw, approx_ridge_leverage
 from rffkrr import linalg
 
 
@@ -276,7 +278,8 @@ def test_erls_baseline_pipeline_pays_for_solves():
     out, _ = erls_baseline_pipeline(
         X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2
     )
-    assert linalg.solve_count() > 0
+    # One factor and one triangular inverse of the regularized pool Gram.
+    assert linalg.solve_count() == 2
     assert out.source is PoolSource.RESAMPLED
 
 
@@ -418,6 +421,60 @@ def test_approx_ridge_leverage_flattens_at_huge_lambda():
     X, y, pool, Z, _ = _instance(3, n=40, l=8)
     plan = build_resample_plan(approx_ridge_leverage(Z, 1e6))
     assert np.abs(plan - 1 / 8).max() < 1e-3
+
+
+def _solved_ridge_leverage(Z, lam):
+    """The scorer as a full solve: diag(G (G + n lam I)^{-1}) read off
+    (G + n lam I)^{-1} G, pair-summed and clipped.  Returns the scores and
+    cond(G + n lam I)."""
+    entries = Z.entries
+    gram = entries.T @ entries
+    shifted = linalg.add_diagonal(gram, entries.shape[0] * lam)
+    solved = linalg.psd_solve(shifted, gram)
+    scores = np.clip(np.diag(solved).reshape(-1, 2).sum(axis=1), 0.0, None)
+    return scores, np.linalg.cond(shifted)
+
+
+@pytest.mark.parametrize("n, l", [(200, 32), (40, 48)])
+def test_approx_ridge_leverage_matches_solved_diagonal(n, l):
+    # n > 2l, and 2l > n where G = Z^T Z is rank-deficient.  A score is
+    # 1 - n lam diag((G + n lam I)^{-1}), a sum of m = 2l squared entries of
+    # the inverse Cholesky factor subtracted from 1, so it carries the
+    # order-m forward-error constant of a Cholesky inverse: m eps cond.  At
+    # lam = 10, cond is about 1.07 and one rounding of n lam d ~ 1 is already
+    # eps / 2, so eps cond alone is not a bound this formula can meet.
+    X, y, pool, Z, _ = _instance(40 + l, n=n, d=3, l=l)
+    grid = (1e-4, 1e-2, 1.0, 10.0)
+    rows = approx_ridge_leverage(Z, grid)
+    eps = np.finfo(np.float64).eps
+    for row, lam in zip(rows, grid):
+        expected, cond = _solved_ridge_leverage(Z, lam)
+        np.testing.assert_allclose(row, expected, rtol=0, atol=2 * l * eps * cond)
+
+
+def test_approx_ridge_leverage_draws_as_solved_diagonal():
+    X, y, pool, Z, _ = _instance(5, n=2000, d=3, l=256)
+    for lam in (1e-3, 0.1):
+        expected, _ = _solved_ridge_leverage(Z, lam)
+        drawn, _ = _draw(pool, approx_ridge_leverage(Z, lam), 128, 17)
+        reference, _ = _draw(pool, expected, 128, 17)
+        assert np.array_equal(drawn, reference)
+
+
+def test_approx_ridge_leverage_peak_memory():
+    # The Gram plus one private copy of G + n lam I per value, factored and
+    # inverted in place: well under 3.5 buffers of (2l)^2 doubles.
+    l = 512
+    X = np.random.default_rng(8).uniform(size=(3000, 14))
+    pool = sample_mc(spectral_density(KernelSpec(1.0), 14), l, 9)
+    Z = feature_map(X, pool)
+    tracemalloc.start()
+    try:
+        approx_ridge_leverage(Z, (0.01, 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (2 * l) ** 2 * 8
 
 
 def test_score_validation():

@@ -50,6 +50,48 @@ def test_psd_factor_rejects_indefinite_matrix():
         linalg.psd_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def _dense_spd(m, seed):
+    A = np.random.default_rng(seed).standard_normal((m, m))
+    return A @ A.T + m * np.eye(m)
+
+
+@pytest.mark.parametrize("m", [1, 5, 64])
+def test_psd_inverse_diagonal_matches_dense_inverse(m):
+    # Dense, non-diagonal inputs: a factor whose unused triangle kept the
+    # input's entries would give diagonals far off here.
+    spd = _dense_spd(m, m)
+    expected = np.diag(np.linalg.inv(spd))
+    np.testing.assert_allclose(linalg.psd_inverse_diagonal(spd), expected, rtol=1e-12)
+    np.testing.assert_allclose(
+        linalg.psd_inverse_diagonal(spd, 0.3),
+        np.diag(np.linalg.inv(spd + 0.3 * np.eye(m))),
+        rtol=1e-12,
+    )
+
+
+def test_psd_inverse_diagonal_counts_factor_and_inverse():
+    linalg.psd_inverse_diagonal(_dense_spd(5, 1))
+    assert linalg.solve_count() == 2
+
+
+def test_psd_inverse_diagonal_leaves_input_unchanged():
+    for spd in (_dense_spd(6, 2), np.asfortranarray(_dense_spd(6, 3))):
+        before = spd.copy()
+        linalg.psd_inverse_diagonal(spd, 0.5)
+        np.testing.assert_array_equal(spd, before)
+
+
+def test_psd_inverse_diagonal_rejects_indefinite_and_nan():
+    with pytest.raises(NumericalError):
+        linalg.psd_inverse_diagonal(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    nan = _dense_spd(4, 4)
+    nan[2, 1] = nan[1, 2] = np.nan
+    with pytest.raises(NumericalError):
+        linalg.psd_inverse_diagonal(nan)
+    with pytest.raises(ValueError):
+        linalg.psd_inverse_diagonal(np.ones((2, 3)))
+
+
 def _near_tie(n=300):
     # Top |eigenvalues| 1 and +/-0.999 nearly tie, the slow case for
     # iterative eigensolvers: a power iteration that stops when its estimate
