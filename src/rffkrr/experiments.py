@@ -229,20 +229,24 @@ def _run_one(config, dataset, spec, method, s, trial, mode):
     )
     gen_time = time.perf_counter() - start
 
-    accuracy = solve_time = math.nan
+    accuracy = solve_time = rel_error = math.nan
     if mode == "full":
         start = time.perf_counter()
         model = fit(Z, train.y, lam, pool)
         solve_time = time.perf_counter() - start
-        accuracy = classify_accuracy(predict(model, test.X), test.y)
-
-    rel_error = math.nan
     if mode in ("full", "error"):
         count = min(config.err_subsample, train.n)
         rng = np.random.default_rng(_child_seed(config.seed, trial, _TAG_ERR))
         subset = rng.choice(train.n, size=count, replace=False)
+        Z_sub = Z.entries[subset]
+    # The rest needs only the error-stage rows of Z: drop it before predict
+    # maps the test half.
+    del Z
+    if mode == "full":
+        accuracy = classify_accuracy(predict(model, test.X), test.y)
+    if mode in ("full", "error"):
         K_sub = kernel_matrix(train.X[subset], spec)
-        rel_error = relative_approx_error(K_sub, Z.entries[subset])
+        rel_error = relative_approx_error(K_sub, Z_sub)
 
     return TrialRecord(
         method=method,

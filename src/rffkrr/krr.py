@@ -122,6 +122,35 @@ def classify_accuracy(predictions, labels):
     return float(np.mean(signs == labels))
 
 
+def _fold_accuracy(X, y, block, sampler, grid, seed):
+    # One fold, in a frame of its own: its pairs, training and validation
+    # features and Grams die when it returns, before the next fold's
+    # sampler call maps a new pool.
+    mask = np.ones(X.shape[0], dtype=bool)
+    mask[block] = False
+    X_tr, y_tr = X[mask], y[mask]
+    X_val, y_val = X[block], y[block]
+    n_tr = X_tr.shape[0]
+    pairs = sampler(X_tr, y_tr, grid, seed)
+    if len(pairs) != len(grid):
+        raise ValueError(
+            f"sampler returned {len(pairs)} pairs for {len(grid)} lambda values"
+        )
+    accuracy = np.empty(len(grid))
+    previous = None
+    for j, (lam, pair) in enumerate(zip(grid, pairs)):
+        if pair is not previous:
+            pool, features = pair
+            Z_tr = features.entries
+            Z_val = feature_map(X_val, pool).entries
+            gram = Z_tr.T @ Z_tr
+            rhs = Z_tr.T @ y_tr
+            previous = pair
+        beta = _ridge_coefficients(gram, rhs, n_tr * lam)
+        accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
+    return accuracy
+
+
 def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     """K-fold grid search for lambda, scored by classification accuracy.
 
@@ -136,6 +165,9 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
 
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.
+    Each fold runs in a helper call, so nothing of one fold (its pairs,
+    training and validation features, Gram) is still held when the next
+    fold's sampler runs: the peak is one fold's working set.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -157,27 +189,7 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
 
     accuracy = np.zeros((folds, len(grid)))
     for f, block in enumerate(blocks):
-        mask = np.ones(X.shape[0], dtype=bool)
-        mask[block] = False
-        X_tr, y_tr = X[mask], y[mask]
-        X_val, y_val = X[block], y[block]
-        n_tr = X_tr.shape[0]
-        pairs = sampler(X_tr, y_tr, grid, children[f + 1])
-        if len(pairs) != len(grid):
-            raise ValueError(
-                f"sampler returned {len(pairs)} pairs for {len(grid)} lambda values"
-            )
-        previous = None
-        for j, (lam, pair) in enumerate(zip(grid, pairs)):
-            if pair is not previous:
-                pool, features = pair
-                Z_tr = features.entries
-                Z_val = feature_map(X_val, pool).entries
-                gram = Z_tr.T @ Z_tr
-                rhs = Z_tr.T @ y_tr
-                previous = pair
-            beta = _ridge_coefficients(gram, rhs, n_tr * lam)
-            accuracy[f, j] = classify_accuracy(Z_val @ beta, y_val)
+        accuracy[f] = _fold_accuracy(X, y, block, sampler, grid, children[f + 1])
 
     means = accuracy.mean(axis=0)
     chosen = grid[int(np.flatnonzero(means == means.max()).max())]

@@ -35,6 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import NumericalError
 from .features import (
+    _BLOCK_ENTRIES,
     FeatureMatrix,
     FrequencyPool,
     PoolSource,
@@ -142,7 +143,9 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     plus per value one Cholesky factor and one triangular inverse of
     G + n lam I (:func:`rffkrr.linalg.psd_inverse_diagonal`, O(l^3)):
     cheaper than exact leverage for l << n, but still a factorization the
-    surrogate avoids.
+    surrogate avoids.  Every value but the last works on a copy of G; the
+    last (or only) one shifts, factors and inverts G itself, so a
+    one-value call holds one (2l, 2l) buffer beyond Z, not two.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or lams.size == 0 or not np.all(lams > 0):
@@ -152,10 +155,15 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     dens = _density_vector(density_values, size)
     gram = Z.T @ Z
     scores = np.empty((lams.size, size))
-    for row, value in zip(scores, lams):
+    for k, value in enumerate(lams):
         shift = n * value
-        diagonal = 1.0 - shift * linalg.psd_inverse_diagonal(gram, shift)
-        row[:] = dens * np.clip(_pair_sums(diagonal), 0.0, None)
+        if k < lams.size - 1:
+            inverse_diagonal = linalg.psd_inverse_diagonal(gram, shift)
+        else:
+            # G is needed no more: shift, factor and invert it in place.
+            inverse_diagonal = linalg._inverse_diagonal_in_place(gram, shift)
+        diagonal = 1.0 - shift * inverse_diagonal
+        scores[k] = dens * np.clip(_pair_sums(diagonal), 0.0, None)
     return scores if np.ndim(lam) else scores[0]
 
 
@@ -253,18 +261,25 @@ def resample(pool, scores, s, seed):
     return _draw(pool, scores, s, seed)[1]
 
 
-def _gather_features(z_pool, indices, weights):
+def _gather_features(z_entries, indices, weights, out):
     # Reuse the pooled cos/sin columns instead of re-evaluating the map:
-    # column pair 2i, 2i+1 of the pool, rescaled from sqrt(1/l) to
-    # sqrt(w/u), gives the resampled feature pair.
-    pool_size = z_pool.n_frequencies
+    # column pair 2i, 2i+1 of the (n, 2l) pool map, rescaled from sqrt(1/l)
+    # to sqrt(w/u), gives the resampled feature pair, written to the
+    # (n, 2u) array ``out``.  Rows go by block, and each block is read
+    # whole before it is written.  Block rows [a, b) of ``out`` end at flat
+    # offset 2ub <= 2lb, where row b of the pool map begins, so ``out`` may
+    # be the front of the pool map's own buffer: no unread row is
+    # overwritten.
+    pool_size = z_entries.shape[1] // 2
     unique = indices.size
     column_index = np.empty(2 * unique, dtype=np.int64)
     column_index[0::2] = 2 * indices
     column_index[1::2] = 2 * indices + 1
-    entries = np.take(z_pool.entries, column_index, axis=1)
-    entries *= np.repeat(np.sqrt(pool_size * weights / unique), 2)
-    return FeatureMatrix(entries, unique)
+    scale = np.repeat(np.sqrt(pool_size * weights / unique), 2)
+    rows = max(1, _BLOCK_ENTRIES // (2 * unique))
+    for start in range(0, out.shape[0], rows):
+        block = np.take(z_entries[start : start + rows], column_index, axis=1)
+        np.multiply(block, scale, out=out[start : start + rows])
 
 
 def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
@@ -274,6 +289,13 @@ def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
     Every row is drawn with the same draw seed, so row k gives the pair a
     one-value call with that row's scores gives.  Returns one (pool,
     FeatureMatrix) pair per row.
+
+    Each row's features are gathered from the pool map's columns.  Rows
+    before the last get fresh (n, 2u) arrays, because later rows still
+    need the pool map.  The last row, the only one of a one-value call, is
+    gathered into the front of the pool map's own buffer, which then
+    shrinks to (n, 2u) in place: the pool map and a copy of its chosen
+    columns are never held at once.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     pool_size = int(s) if pool_size is None else int(pool_size)
@@ -281,10 +303,24 @@ def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
     density = spectral_density(spec, X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
     z_pool = feature_map(X, pool)
+    draws = [_draw(pool, scores, s, seed_draw) for scores in score_fn(z_pool)]
+    # ndarray.resize refuses an array with other references, so Z must be
+    # the pool map's last one when it shrinks.
+    Z = z_pool.entries
+    del z_pool
+    n = Z.shape[0]
     pairs = []
-    for scores in score_fn(z_pool):
-        indices, out = _draw(pool, scores, s, seed_draw)
-        pairs.append((out, _gather_features(z_pool, indices, out.weights)))
+    for indices, out in draws[:-1]:
+        entries = np.empty((n, 2 * indices.size))
+        _gather_features(Z, indices, out.weights, entries)
+        pairs.append((out, FeatureMatrix(entries, indices.size)))
+    indices, out = draws[-1]
+    width = 2 * indices.size
+    front = Z.reshape(-1)[: n * width].reshape(n, width)
+    _gather_features(Z, indices, out.weights, front)
+    del front
+    Z.resize((n, width))
+    pairs.append((out, FeatureMatrix(Z, indices.size)))
     return pairs
 
 

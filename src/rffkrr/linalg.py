@@ -54,11 +54,15 @@ def psd_factor(mat):
     """Cholesky-factor a symmetric positive definite matrix.  Counted.
 
     Returns an opaque factor object accepted by :func:`factor_solve`.
-    Raises NumericalError if the matrix is not positive definite.
+    Raises NumericalError if the matrix holds NaN or Inf or is not
+    positive definite.
     """
+    a = np.asarray(mat, dtype=float)
+    if not np.isfinite(a).all():
+        raise NumericalError("matrix contains NaN or Inf")
     _bump()
     try:
-        return scipy.linalg.cho_factor(np.asarray(mat, dtype=float), lower=True)
+        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"matrix is not positive definite: {exc}") from exc
 
@@ -92,16 +96,25 @@ def psd_inverse_diagonal(mat, shift=0.0):
 
     With mat + shift I = L L^T, the inverse is L^{-T} L^{-1}, so its
     diagonal is the squared column norms of L^{-1}.  One private copy of
-    the shifted matrix is factored (``potrf``) and inverted (``trtri``) in
+    ``mat`` is shifted, factored (``potrf``) and inverted (``trtri``) in
     place: about (2/3) m^3 flops, and no other m x m float array.
     Only one triangle of ``mat`` is read; the input is left unchanged.
     Raises NumericalError if the shifted matrix holds NaN or Inf or is not
     positive definite.
     """
-    # A symmetric matrix is its own transpose, so the transpose of the copy
-    # is the same matrix; for a C-order input it is in the Fortran order that
-    # LAPACK overwrites in place without a further copy.
-    a = add_diagonal(mat, shift).T
+    return _inverse_diagonal_in_place(np.array(mat, dtype=float), shift)
+
+
+def _inverse_diagonal_in_place(a, shift):
+    # The core of psd_inverse_diagonal, for a caller that owns the float
+    # matrix ``a`` and has no further use for it: ``a`` is shifted and
+    # overwritten by the factor and then by the inverse.  For a C-order
+    # ``a`` no m x m copy is made.
+    a[np.diag_indices_from(a)] += shift
+    # A symmetric matrix is its own transpose, so the transpose is the same
+    # matrix; for a C-order array it is in the Fortran order that LAPACK
+    # overwrites in place.
+    a = a.T
     if not np.isfinite(a).all():
         raise NumericalError("matrix contains NaN or Inf")
     _bump()

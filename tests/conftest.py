@@ -1,5 +1,5 @@
-"""Shared fixtures: the acceptance-line recorder and benchmark dataset
-discovery.
+"""Shared fixtures: the acceptance-line recorder, benchmark dataset
+discovery, and the traced-peak helper for memory bounds.
 
 The acceptance tests in test_acceptance.py print one PASS/FAIL line per
 criterion; those lines are also replayed in the terminal summary so they
@@ -21,6 +21,7 @@ can be used as distributed.
 """
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,23 @@ def acceptance():
         return passed
 
     return record
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` calls ``fn()`` under tracemalloc and returns
+    (peak traced bytes, result).  Arrays made before the call are not
+    counted; tracing stops even if ``fn`` raises."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter):

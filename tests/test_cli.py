@@ -8,7 +8,7 @@ import pytest
 
 import rffkrr
 import rffkrr.cli as cli
-from rffkrr import NumericalError
+from rffkrr import NumericalError, linalg
 from rffkrr.experiments import REPORT_HEADER, ExperimentConfig
 
 
@@ -196,6 +196,12 @@ def test_numerical_failures_exit_3(blob_csv, monkeypatch, capsys):
         raise np.linalg.LinAlgError("factorization failed")
 
     monkeypatch.setattr(cli, "run_experiment", explode_lapack)
+    assert cli.main(["krr", "--data", blob_csv, "--trials", "1"]) == 3
+
+    def factor_nan_gram(*args, **kwargs):
+        linalg.psd_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    monkeypatch.setattr(cli, "run_experiment", factor_nan_gram)
     assert cli.main(["krr", "--data", blob_csv, "--trials", "1"]) == 3
 
 

@@ -1,6 +1,7 @@
 import math
 import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -175,6 +176,29 @@ def test_gen_timer_brackets_feature_generation_only(monkeypatch):
     assert 0.05 <= record.gen_time_s <= 0.12
     assert record.solve_time_s >= 0.15
     assert record.lam == 0.05
+
+
+def test_generated_features_are_freed_before_predict(monkeypatch):
+    # predict maps the test half; the trial's feature matrix (and every CV
+    # fold's) must be dead by then, only its error-stage rows kept.
+    real_generate, real_predict = experiments.generate_features, experiments.predict
+    refs, alive = [], []
+
+    def tracking_generate(*args, **kwargs):
+        pool, Z = real_generate(*args, **kwargs)
+        refs.append(weakref.ref(Z))
+        return pool, Z
+
+    def checking_predict(model, X):
+        alive.append(sum(ref() is not None for ref in refs))
+        return real_predict(model, X)
+
+    monkeypatch.setattr(experiments, "generate_features", tracking_generate)
+    monkeypatch.setattr(experiments, "predict", checking_predict)
+    config = _config(methods=("RFF", "SurrogateRFF", "LeverageRFF"))
+    records = run_experiment(config, dataset=_blob_dataset(), mode="full")
+    assert alive == [0, 0, 0]
+    assert all(0.0 < record.rel_error < 1.0 for record in records)
 
 
 def test_config_validation():

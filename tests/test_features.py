@@ -1,7 +1,5 @@
 """Frequency pools, the Halton sequence, and the paired cos/sin map."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -200,15 +198,10 @@ def test_feature_map_ragged_width_within_rounding(s):
     )
 
 
-def test_feature_map_memory_is_output_plus_blocks():
+def test_feature_map_memory_is_output_plus_blocks(traced_peak):
     X = np.random.default_rng(5).uniform(size=(20000, 14))
     pool = sample_mc(spectral_density(KernelSpec(1.0), 14), 256, 5)
-    tracemalloc.start()
-    try:
-        Z = feature_map(X, pool).entries
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, Z = traced_peak(lambda: feature_map(X, pool).entries)
     block_bytes = features._BLOCK_ENTRIES * Z.itemsize
     assert peak <= Z.nbytes + 4 * block_bytes
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,24 @@ def test_cv_maps_training_rows_once_per_draw(method, per_fold, monkeypatch):
     sampler = make_sampler(method, KernelSpec(1.0), 4, 8)
     cross_validate(X, y, sampler, (0.01, 0.1, 1.0), folds=3, seed=0)
     assert len(calls) == 3 * per_fold
+
+
+@pytest.mark.parametrize("method", ["RFF", "LeverageRFF"])
+def test_cv_frees_each_fold_before_the_next_sampler_call(method):
+    # Fold f's features (every pair's, for LeverageRFF) and everything
+    # built from them must be gone when the sampler maps fold f + 1.
+    X, y = _blob(seed=4)
+    inner = make_sampler(method, KernelSpec(1.0), 4, 8)
+    refs, alive = [], []
+
+    def sampler(X_tr, y_tr, grid, seed):
+        alive.append(sum(ref() is not None for ref in refs))
+        pairs = inner(X_tr, y_tr, grid, seed)
+        refs.extend(weakref.ref(features) for _, features in pairs)
+        return pairs
+
+    cross_validate(X, y, sampler, (0.01, 0.1, 1.0), folds=3, seed=0)
+    assert alive == [0, 0, 0]
 
 
 def test_leverage_cv_solve_count_matches_per_lambda_flow():

@@ -7,8 +7,6 @@ feature matrices carry a 1/sqrt(l) column normalization, so the scoring
 functions multiply their quadratic forms by the pool size to undo it.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +20,7 @@ from rffkrr import (
     build_resample_plan,
     cross_validate,
     degrees_of_freedom,
+    erls_baseline_grid,
     erls_baseline_pipeline,
     exact_leverage,
     feature_map,
@@ -40,7 +39,7 @@ from rffkrr import (
 from rffkrr.experiments import METHODS, generate_features
 from rffkrr.features import FeatureMatrix, spawn_seeds
 from rffkrr.leverage import _draw, approx_ridge_leverage
-from rffkrr import linalg
+from rffkrr import features, linalg
 
 
 def _instance(seed, n=30, d=2, l=8):
@@ -461,20 +460,102 @@ def test_approx_ridge_leverage_draws_as_solved_diagonal():
         assert np.array_equal(drawn, reference)
 
 
-def test_approx_ridge_leverage_peak_memory():
-    # The Gram plus one private copy of G + n lam I per value, factored and
-    # inverted in place: well under 3.5 buffers of (2l)^2 doubles.
-    l = 512
-    X = np.random.default_rng(8).uniform(size=(3000, 14))
+def _pool_map_and_buffer(l, n=3000):
+    X = np.random.default_rng(8).uniform(size=(n, 14))
     pool = sample_mc(spectral_density(KernelSpec(1.0), 14), l, 9)
-    Z = feature_map(X, pool)
-    tracemalloc.start()
-    try:
-        approx_ridge_leverage(Z, (0.01, 0.1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * (2 * l) ** 2 * 8
+    return feature_map(X, pool), (2 * l) ** 2 * 8
+
+
+def test_approx_ridge_leverage_peak_memory(traced_peak):
+    # The Gram plus one private copy of G + n lam I for every value but the
+    # last, each factored and inverted in place: under 3.5 buffers of
+    # (2l)^2 doubles.
+    Z, buffer = _pool_map_and_buffer(512)
+    peak, _ = traced_peak(lambda: approx_ridge_leverage(Z, (0.01, 0.1)))
+    assert peak <= 3.5 * buffer
+
+
+def test_approx_ridge_leverage_one_value_factors_its_gram_in_place(traced_peak):
+    # One value shifts, factors and inverts G itself: about one buffer of
+    # (2l)^2 doubles, where a private copy of G would make two.
+    Z, buffer = _pool_map_and_buffer(512)
+    before = Z.entries.copy()
+    peak, scores = traced_peak(lambda: approx_ridge_leverage(Z, 0.01))
+    assert peak <= 1.5 * buffer
+    # Row 0 of a grid call is scored on a copy of G.
+    np.testing.assert_array_equal(scores, approx_ridge_leverage(Z, (0.01, 0.1))[0])
+    np.testing.assert_array_equal(Z.entries, before)
+
+
+def _copy_gather_oracle(method, X, y, s, lams, pool_size, seed):
+    """The resampling pipelines rebuilt step by step, with the resampled
+    columns gathered into a fresh copy of the pool map's columns and then
+    rescaled.  Returns one (pool, entries) pair per lambda value."""
+    seed_pool, seed_draw = spawn_seeds(seed, 2)
+    density = spectral_density(KernelSpec(1.0), X.shape[1])
+    pool = sample_mc(density, pool_size, seed_pool)
+    z_pool = feature_map(X, pool)
+    if method == "SurrogateRFF":
+        rows = [surrogate_leverage(y, z_pool, lams[0], simplified=True)]
+    else:
+        rows = approx_ridge_leverage(z_pool, lams)
+    pairs = []
+    for scores in rows:
+        indices, out = _draw(pool, scores, s, seed_draw)
+        column_index = np.stack([2 * indices, 2 * indices + 1], axis=1).ravel()
+        entries = np.take(z_pool.entries, column_index, axis=1)
+        entries *= np.repeat(np.sqrt(pool_size * out.weights / indices.size), 2)
+        pairs.append((out, entries))
+    return pairs
+
+
+def _assert_pairs_equal(pair, expected):
+    (pool, Z), (want_pool, want_entries) = pair, expected
+    assert np.array_equal(pool.frequencies, want_pool.frequencies)
+    assert np.array_equal(pool.weights, want_pool.weights)
+    assert np.array_equal(Z.entries, want_entries)
+    assert Z.n_frequencies == want_pool.size
+
+
+@pytest.mark.parametrize("pool_mult", [1, 4])
+def test_pipelines_equal_copy_gather_oracle(pool_mult):
+    # 3000 rows of up to 2 x 64 columns span several gather blocks.
+    s, spec, grid = 64, KernelSpec(1.0), (1e-3, 0.05, 1.0)
+    rng = np.random.default_rng(pool_mult)
+    X = rng.uniform(size=(3000, 3))
+    y = np.where(rng.uniform(size=3000) > 0.5, 1.0, -1.0)
+    l = pool_mult * s
+    _assert_pairs_equal(
+        surrogate_pipeline(X, y, spec, s, 0.1, pool_size=l, seed=5),
+        _copy_gather_oracle("SurrogateRFF", X, y, s, (0.1,), l, 5)[0],
+    )
+    _assert_pairs_equal(
+        erls_baseline_pipeline(X, y, spec, s, 0.05, pool_size=l, seed=5),
+        _copy_gather_oracle("LeverageRFF", X, y, s, (0.05,), l, 5)[0],
+    )
+    oracle = _copy_gather_oracle("LeverageRFF", X, y, s, grid, l, 5)
+    rows = erls_baseline_grid(X, spec, s, grid, pool_size=l, seed=5)
+    assert len(rows) == len(grid)
+    for pair, expected in zip(rows, oracle):
+        _assert_pairs_equal(pair, expected)
+
+
+def test_surrogate_pipeline_peak_is_pool_map_plus_blocks(traced_peak):
+    # The resampled columns are compacted into the pool map's own buffer,
+    # which then shrinks: never the pool map plus an (n, 2u) copy.
+    n, l = 20000, 256
+    rng = np.random.default_rng(6)
+    X = rng.uniform(size=(n, 14))
+    y = np.where(rng.uniform(size=n) > 0.5, 1.0, -1.0)
+    peak, (pool, Z) = traced_peak(
+        lambda: surrogate_pipeline(X, y, KernelSpec(1.0), l, 0.1, seed=2)
+    )
+    block_bytes = features._BLOCK_ENTRIES * 8
+    assert peak <= n * 2 * l * 8 + 4 * block_bytes
+    # The returned Z owns exactly its n x 2u doubles.
+    assert Z.entries.base is None
+    assert Z.entries.flags.owndata and Z.entries.flags.c_contiguous
+    assert Z.entries.nbytes == n * 2 * pool.size * 8
 
 
 def test_score_validation():

@@ -50,6 +50,17 @@ def test_psd_factor_rejects_indefinite_matrix():
         linalg.psd_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_factor_rejects_non_finite_matrix(bad):
+    # A NaN or Inf Gram is a numerical failure (CLI exit 3), not a bare
+    # ValueError from scipy's finiteness check.
+    for mat in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[2.0, bad], [bad, 2.0]])):
+        with pytest.raises(NumericalError):
+            linalg.psd_factor(mat)
+        with pytest.raises(NumericalError):
+            linalg.psd_solve(mat, np.ones(2))
+
+
 def _dense_spd(m, seed):
     A = np.random.default_rng(seed).standard_normal((m, m))
     return A @ A.T + m * np.eye(m)
