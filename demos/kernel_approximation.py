@@ -32,15 +32,15 @@ print(f"{'s':>6} {'MC median':>12} {'MC best':>12} {'QMC':>12}")
 for s in (8, 32, 128, 512, 2048):
     errors = []
     for seed in range(10):
-        Z = feature_map(X, sample_mc(density, s, seed))
+        Z = feature_map(X, sample_mc(density, s, seed)).entries
         errors.append(relative_approx_error(K, Z))
-    qmc_error = relative_approx_error(K, feature_map(X, sample_qmc(density, s)))
+    qmc_error = relative_approx_error(K, feature_map(X, sample_qmc(density, s)).entries)
     print(
         f"{s:>6} {np.median(errors):>12.5f} {min(errors):>12.5f} {qmc_error:>12.5f}"
     )
 
 # single entries are just dot products of feature rows
-Z = feature_map(X, sample_mc(density, 2048, seed=0))
-approx = float(Z.entries[3] @ Z.entries[7])
+Z = feature_map(X, sample_mc(density, 2048, seed=0)).entries
+approx = float(Z[3] @ Z[7])
 print()
 print(f"k(x_3, x_7) exact {K[3, 7]:.6f} vs feature estimate {approx:.6f}")

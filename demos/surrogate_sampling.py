@@ -40,7 +40,7 @@ frequencies[planted] = (12.0, -9.0)
 pool = FrequencyPool(frequencies, np.ones(12), PoolSource.MONTE_CARLO)
 y = np.where(np.cos(X @ pool.frequencies[planted]) > 0.0, 1.0, -1.0)
 
-Z = feature_map(X, pool)
+Z = feature_map(X, pool).entries
 factor = regularized_factor(kernel_matrix(X, spec), lam)
 exact = exact_leverage(factor, Z)
 surrogate = surrogate_leverage(y, Z, lam)

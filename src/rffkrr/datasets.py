@@ -10,6 +10,7 @@ by sorted order (numerically when both parse as numbers, lexically
 otherwise).
 """
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,6 +124,8 @@ def _parse_libsvm(lines, path):
                 raise DataError(f"{path}:{lineno}: bad feature {token!r}") from exc
             if index < 1:
                 raise DataError(f"{path}:{lineno}: feature index {index} < 1")
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite feature {token!r}")
             pairs.append((index, value))
             max_index = max(max_index, index)
         if len({index for index, _ in pairs}) != len(pairs):
@@ -157,6 +160,8 @@ def _parse_csv(lines, path):
                 # Non-numeric feature fields on the first content line: a header.
                 continue
             raise DataError(f"{path}:{lineno}: bad feature value") from exc
+        if not all(map(math.isfinite, features)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
         if width is None:
             width = len(features)
         elif len(features) != width:
@@ -177,7 +182,8 @@ def load_dataset(path, fmt="csv", normalize=True):
     """Load and normalize one data file.
 
     ``fmt`` is "csv" (features then label, comma-separated, optional
-    header) or "libsvm" (label then 1-based index:value pairs).
+    header) or "libsvm" (label then 1-based index:value pairs).  A
+    non-finite feature value (nan, inf) is a DataError naming its line.
     """
     parser = _PARSERS.get(fmt)
     if parser is None:

@@ -135,13 +135,13 @@ def _child_seed(seed, trial, tag):
 def generate_features(method, X, y, spec, s, pool_size, variant, lam, seed):
     """Sample (and for resampling methods, score and resample) frequencies,
     then build the feature matrix.  This is the unit the benchmark timer
-    brackets.  Returns (pool, FeatureMatrix)."""
+    brackets.  Returns (pool, Z), Z the plain (n, 2u) feature array."""
     if method == "RFF":
         pool = sample_mc(spectral_density(spec, X.shape[1]), s, seed)
-        return pool, feature_map(X, pool)
+        return pool, feature_map(X, pool).entries
     if method == "QMC":
         pool = sample_qmc(spectral_density(spec, X.shape[1]), s)
-        return pool, feature_map(X, pool)
+        return pool, feature_map(X, pool).entries
     if method == "SurrogateRFF":
         return surrogate_pipeline(
             X, y, spec, s, lam, pool_size=pool_size, variant=variant, seed=seed
@@ -155,8 +155,8 @@ def generate_features(method, X, y, spec, s, pool_size, variant, lam, seed):
 
 def make_sampler(method, spec, s, pool_size, variant="simplified"):
     """Wrap a method as a CV sampler callable (X, y, lambda_grid, seed)
-    returning one (pool, Z) pair per grid value, Z the FeatureMatrix of
-    the pool on X, so cross-validation need not map the training rows
+    returning one (pool, Z) pair per grid value, Z the plain feature array
+    of the pool on X, so cross-validation need not map the training rows
     again.
 
     Only the approximate leverage baseline changes its pool with lambda;
@@ -238,7 +238,7 @@ def _run_one(config, dataset, spec, method, s, trial, mode):
         count = min(config.err_subsample, train.n)
         rng = np.random.default_rng(_child_seed(config.seed, trial, _TAG_ERR))
         subset = rng.choice(train.n, size=count, replace=False)
-        Z_sub = Z.entries[subset]
+        Z_sub = Z[subset]
     # The rest needs only the error-stage rows of Z: drop it before predict
     # maps the test half.
     del Z

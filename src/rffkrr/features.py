@@ -95,27 +95,14 @@ class FrequencyPool:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Mapped features, shape (n, 2s) for s frequencies.
+    """What :func:`feature_map` returns: the (n, 2s) array ``entries``.
 
-    For a resampled pool s is its size u, the number of distinct draws,
-    which may be below the requested feature count.
+    Every other function takes and returns that plain array; the wrapper
+    stays only because the benchmark harness reads ``.entries`` off
+    :func:`feature_map`'s result.
     """
 
     entries: np.ndarray
-    n_frequencies: int
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[1] != 2 * self.n_frequencies:
-            raise ValueError(
-                f"feature matrix shape {entries.shape} does not match "
-                f"{self.n_frequencies} frequencies"
-            )
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
 
 
 def as_seed_sequence(seed):
@@ -204,7 +191,7 @@ def sample_qmc(density, count):
 def feature_map(X, pool):
     """Map data rows through the pool's paired cos/sin features.
 
-    Returns a FeatureMatrix with entries of shape (n, 2s): frequency i
+    Returns a FeatureMatrix whose ``entries`` has shape (n, 2s): frequency i
     contributes columns 2i (cosine) and 2i+1 (sine), both scaled by
     sqrt(weights[i] / s).  Z is filled one block of rows at a time, with
     cos and sin written straight into its columns, so the memory used
@@ -234,11 +221,14 @@ def feature_map(X, pool):
         np.sin(projections, out=block[:, 1::2])
         block *= scale
         start = stop
-    return FeatureMatrix(Z, s)
+    return FeatureMatrix(Z)
 
 
 def approx_kernel_entry(x, x_prime, pool):
-    """Feature-space estimate of k(x, x') = z(x) . z(x')."""
-    zx = feature_map(np.asarray(x, dtype=float).reshape(1, -1), pool).entries
-    zp = feature_map(np.asarray(x_prime, dtype=float).reshape(1, -1), pool).entries
-    return float(zx.ravel() @ zp.ravel())
+    """Feature-space estimate of k(x, x') = z(x) . z(x').
+
+    Both points go through one two-row map: a one-row map goes to gemv
+    and rounds differently from the same rows of a larger map.
+    """
+    Z = feature_map(np.vstack([x, x_prime]), pool).entries
+    return float(Z[0] @ Z[1])

@@ -142,12 +142,12 @@ def matrix_entries(K):
 def relative_approx_error(K, Z):
     """Relative spectral-norm error ||K - Z Z^T||_2 / ||K||_2.
 
-    ``K`` is a kernel matrix (checked by :func:`matrix_entries`); ``Z`` a
-    FeatureMatrix or array with one row per data point.  Both norms come
+    ``K`` is a kernel matrix (checked by :func:`matrix_entries`); ``Z`` the
+    feature array, one row per data point.  Both norms come
     from the seeded Lanczos call in :mod:`rffkrr.linalg`.
     """
     Km = matrix_entries(K)
-    Zm = np.asarray(getattr(Z, "entries", Z), dtype=float)
+    Zm = np.asarray(Z, dtype=float)
     if Zm.ndim != 2 or Zm.shape[0] != Km.shape[0]:
         raise ValueError(
             f"feature matrix has {Zm.shape[0] if Zm.ndim == 2 else 'bad'} rows, "

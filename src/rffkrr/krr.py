@@ -64,10 +64,10 @@ def _ridge_coefficients(gram, rhs, ridge):
 def fit(Z, y, lam, pool=None):
     """Fit ridge coefficients on a feature matrix.
 
-    ``Z`` may be a FeatureMatrix or a plain (n, m) array; ``pool`` travels
-    on the model so that :func:`predict` can map new points.
+    ``Z`` is the plain (n, m) feature array; ``pool`` travels on the model
+    so that :func:`predict` can map new points.
     """
-    Zm = np.asarray(getattr(Z, "entries", Z), dtype=float)
+    Zm = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if Zm.ndim != 2 or Zm.shape[0] != y.shape[0]:
         raise ValueError(
@@ -140,8 +140,7 @@ def _fold_accuracy(X, y, block, sampler, grid, seed):
     previous = None
     for j, (lam, pair) in enumerate(zip(grid, pairs)):
         if pair is not previous:
-            pool, features = pair
-            Z_tr = features.entries
+            pool, Z_tr = pair
             Z_val = feature_map(X_val, pool).entries
             gram = Z_tr.T @ Z_tr
             rhs = Z_tr.T @ y_tr
@@ -155,9 +154,9 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     """K-fold grid search for lambda, scored by classification accuracy.
 
     ``sampler(X_train, y_train, grid, seed)`` is called once per fold with
-    the sorted, deduplicated grid and returns one (pool, FeatureMatrix)
-    pair per grid value: the frequency pool and its features on X_train,
-    so the training rows are never mapped twice.  A sampler whose pool
+    the sorted, deduplicated grid and returns one (pool, Z) pair per grid
+    value: the frequency pool and its plain feature array on X_train, so
+    the training rows are never mapped twice.  A sampler whose pool
     does not depend on lambda returns the same pair object for every
     value; the training Gram and the validation map are rebuilt only when
     the pair differs from the previous value's, and only the ridge solve

@@ -24,10 +24,12 @@ one score per pool frequency, :func:`build_resample_plan` normalizes the
 scores into probabilities, and :func:`resample` draws from them.
 
 Pools scored here must be unweighted draws from the spectral density p
-(plain Monte Carlo pools).  Because such a pool is already p-distributed,
-the p(w_i) factors cancel when scores are normalized into resampling
-probabilities, so the pipelines score with density values of 1; explicit
-density values are accepted for diagnostics such as domination checks.
+(plain Monte Carlo pools), passed as the plain (n, 2l) array of their
+feature map.  Because such a pool is already p-distributed, the p(w_i)
+factors cancel when scores are normalized into resampling probabilities,
+so every scorer leaves them out and returns the rest of its formula.
+Unit weights also give every raw cos/sin pair |c|^2 + |s|^2 = n, which
+the full surrogate uses in place of a pass over Z.
 """
 
 import numpy as np
@@ -36,7 +38,6 @@ from . import linalg
 from .errors import NumericalError
 from .features import (
     _BLOCK_ENTRIES,
-    FeatureMatrix,
     FrequencyPool,
     PoolSource,
     feature_map,
@@ -52,23 +53,14 @@ def _pair_sums(values):
     return values.reshape(-1, 2).sum(axis=1)
 
 
-def _pool_arrays(z_pool, n=None):
-    Z = z_pool.entries
-    size = z_pool.n_frequencies
+def _pool_arrays(Z, n=None):
+    # A pool's feature map: (n, 2l), one cos/sin column pair per frequency.
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] % 2:
+        raise ValueError(f"feature matrix shape {Z.shape} is not (n, 2l)")
     if n is not None and Z.shape[0] != n:
         raise ValueError(f"feature matrix has {Z.shape[0]} rows, expected {n}")
-    return Z, size
-
-
-def _density_vector(density_values, size):
-    if density_values is None:
-        return np.ones(size)
-    dens = np.asarray(density_values, dtype=float).ravel()
-    if dens.shape[0] != size:
-        raise ValueError(f"{dens.shape[0]} density values for {size} frequencies")
-    if not np.all(np.isfinite(dens)) or np.any(dens < 0):
-        raise ValueError("density values must be finite and nonnegative")
-    return dens
+    return Z, Z.shape[1] // 2
 
 
 def regularized_factor(K, lam):
@@ -84,32 +76,32 @@ def regularized_factor(K, lam):
     return linalg.psd_factor(linalg.add_diagonal(Km, n * lam))
 
 
-def exact_leverage(kreg_factor, z_pool, density_values=None):
+def exact_leverage(kreg_factor, Z):
     """Exact ridge leverage of each pool frequency, via n x n solves, as
-    an (l,) array.
+    an (l,) array, without the density factor p(w).
 
-    ``kreg_factor`` comes from :func:`regularized_factor`; ``z_pool`` is
-    the feature matrix of an unweighted pool on the same n points.  Cost
-    is one triangular solve against all 2l columns.
+    ``kreg_factor`` comes from :func:`regularized_factor`; ``Z`` is the
+    (n, 2l) feature array of an unweighted pool on the same n points.
+    Cost is one triangular solve against all 2l columns.
     """
     n = kreg_factor[0].shape[0]
-    Z, size = _pool_arrays(z_pool, n)
-    dens = _density_vector(density_values, size)
+    Z, size = _pool_arrays(Z, n)
     solved = linalg.factor_solve(kreg_factor, Z)
-    # Columns of z_pool carry a 1/sqrt(l) normalization; the leverage
-    # function is defined on raw cos/sin vectors, hence the factor l.
+    # Columns of Z carry a 1/sqrt(l) normalization; the leverage function
+    # is defined on raw cos/sin vectors, hence the factor l.
     quad = size * np.einsum("ij,ij->j", Z, solved)
-    return dens * np.clip(_pair_sums(quad), 0.0, None)
+    return np.clip(_pair_sums(quad), 0.0, None)
 
 
-def surrogate_leverage(y, z_pool, lam, density_values=None, simplified=False):
+def surrogate_leverage(y, Z, lam, simplified=False):
     """Solve-free surrogate leverage of each pool frequency, as an (l,)
-    array.
+    array, without the density factor p(w).
 
-    Needs only the label correlations y^T Z and, for the full variant, the
-    column norms of Z.  ``density_values`` defaults to 1 for every
-    frequency, which is the correct choice when the scores feed a
-    resampling plan over a pool already drawn from the spectral density.
+    ``Z`` is the (n, 2l) feature array of a unit-weight pool, so every raw
+    cos/sin pair has |c|^2 + |s|^2 = n and the full variant's norm term is
+    the constant n^2: full = simplified + 1/lam up to rounding, and only
+    the label correlations y^T Z are computed.  A weighted (resampled) map
+    breaks that identity and is not a valid input.
     """
     y = np.asarray(y, dtype=float).ravel()
     if not np.all(np.isfinite(y)):
@@ -117,25 +109,19 @@ def surrogate_leverage(y, z_pool, lam, density_values=None, simplified=False):
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     n = y.shape[0]
-    Z, size = _pool_arrays(z_pool, n)
-    dens = _density_vector(density_values, size)
-
-    correlations = y @ Z
-    label_term = size * _pair_sums(correlations**2)
-    if simplified:
-        raw = label_term
-    else:
-        norm_term = size * _pair_sums((Z * Z).sum(axis=0))
-        raw = label_term + n * norm_term
-    return dens * raw / (n**2 * lam)
+    Z, size = _pool_arrays(Z, n)
+    raw = size * _pair_sums((y @ Z) ** 2)
+    if not simplified:
+        raw = raw + n**2
+    return raw / (n**2 * lam)
 
 
-def approx_ridge_leverage(z_pool, lam, density_values=None):
+def approx_ridge_leverage(Z, lam):
     """Feature-space approximate ridge leverage (the classical baseline),
     as an (l,) array, or a (k, l) array with one row per value when
     ``lam`` is a sequence of k values.
 
-    Scores column j of the pool's feature matrix by the diagonal of
+    Scores column j of the pool's (n, 2l) feature array Z by the diagonal of
     G (G + n lam I)^{-1} = I - n lam (G + n lam I)^{-1} with G = Z^T Z,
     then sums cos/sin pairs.  By the push-through identity this equals the
     exact leverage with K replaced by Z Z^T, up to the pool-size scaling
@@ -150,9 +136,8 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or lams.size == 0 or not np.all(lams > 0):
         raise ValueError(f"lambda must be positive, got {lam}")
-    Z, size = _pool_arrays(z_pool)
+    Z, size = _pool_arrays(Z)
     n = Z.shape[0]
-    dens = _density_vector(density_values, size)
     gram = Z.T @ Z
     scores = np.empty((lams.size, size))
     for k, value in enumerate(lams):
@@ -163,7 +148,7 @@ def approx_ridge_leverage(z_pool, lam, density_values=None):
             # G is needed no more: shift, factor and invert it in place.
             inverse_diagonal = linalg._inverse_diagonal_in_place(gram, shift)
         diagonal = 1.0 - shift * inverse_diagonal
-        scores[k] = dens * np.clip(_pair_sums(diagonal), 0.0, None)
+        scores[k] = np.clip(_pair_sums(diagonal), 0.0, None)
     return scores if np.ndim(lam) else scores[0]
 
 
@@ -285,10 +270,10 @@ def _gather_features(z_entries, indices, weights, out):
 def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
     """Draw and map one pool, then resample it once per score vector.
 
-    ``score_fn(z_pool)`` returns one row of pool scores per lambda value.
-    Every row is drawn with the same draw seed, so row k gives the pair a
-    one-value call with that row's scores gives.  Returns one (pool,
-    FeatureMatrix) pair per row.
+    ``score_fn(Z)`` returns one row of scores per lambda value for the
+    (n, 2l) pool map Z.  Every row is drawn with the same draw seed, so
+    row k gives the pair a one-value call with that row's scores gives.
+    Returns one (pool, Z) pair per row, Z the plain (n, 2u) array.
 
     Each row's features are gathered from the pool map's columns.  Rows
     before the last get fresh (n, 2u) arrays, because later rows still
@@ -302,25 +287,23 @@ def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
     seed_pool, seed_draw = spawn_seeds(seed, 2)
     density = spectral_density(spec, X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
-    z_pool = feature_map(X, pool)
-    draws = [_draw(pool, scores, s, seed_draw) for scores in score_fn(z_pool)]
     # ndarray.resize refuses an array with other references, so Z must be
-    # the pool map's last one when it shrinks.
-    Z = z_pool.entries
-    del z_pool
+    # the pool map's only one when it shrinks.
+    Z = feature_map(X, pool).entries
+    draws = [_draw(pool, scores, s, seed_draw) for scores in score_fn(Z)]
     n = Z.shape[0]
     pairs = []
     for indices, out in draws[:-1]:
         entries = np.empty((n, 2 * indices.size))
         _gather_features(Z, indices, out.weights, entries)
-        pairs.append((out, FeatureMatrix(entries, indices.size)))
+        pairs.append((out, entries))
     indices, out = draws[-1]
     width = 2 * indices.size
     front = Z.reshape(-1)[: n * width].reshape(n, width)
     _gather_features(Z, indices, out.weights, front)
     del front
     Z.resize((n, width))
-    pairs.append((out, FeatureMatrix(Z, indices.size)))
+    pairs.append((out, Z))
     return pairs
 
 
@@ -332,7 +315,7 @@ def surrogate_pipeline(
     Runs without a single linear solve.  ``pool_size`` defaults to s;
     larger pools give the resampler more to choose from.  Returns the
     resampled pool of the u <= s distinct draws, with repeats merged into
-    their weights as in :func:`resample`, and its (n, 2u) FeatureMatrix
+    their weights as in :func:`resample`, and its (n, 2u) feature array
     on X, assembled by gathering pooled columns rather than re-evaluating
     the map.
     """
@@ -345,7 +328,7 @@ def surrogate_pipeline(
         s,
         pool_size,
         seed,
-        lambda z_pool: [surrogate_leverage(y, z_pool, lam, simplified=simplified)],
+        lambda Z: [surrogate_leverage(y, Z, lam, simplified=simplified)],
     )[0]
 
 
@@ -354,13 +337,13 @@ def erls_baseline_grid(X, spec, s, lambda_grid, pool_size=None, seed=0):
 
     Draws and maps one pool and forms its feature Gram once; per value
     it factors the regularized Gram, scores, draws from the same draw
-    seed and gathers.  Returns one (pool, FeatureMatrix) pair per grid
+    seed and gathers.  Returns one (pool, Z) pair per grid
     value, each equal bit for bit to :func:`erls_baseline_pipeline` at
     that value.  This is the cross-validation sampler of the baseline.
     """
     grid = tuple(lambda_grid)
     return _resample_pipeline(
-        X, spec, s, pool_size, seed, lambda z_pool: approx_ridge_leverage(z_pool, grid)
+        X, spec, s, pool_size, seed, lambda Z: approx_ridge_leverage(Z, grid)
     )
 
 
@@ -368,7 +351,7 @@ def erls_baseline_pipeline(X, y, spec, s, lam, pool_size=None, seed=0):
     """Pool-and-resample pipeline scored by approximate ridge leverage.
 
     Identical flow and return value (merged pool of u <= s frequencies,
-    (n, 2u) FeatureMatrix) to :func:`surrogate_pipeline`, but the scoring
+    (n, 2u) feature array) to :func:`surrogate_pipeline`, but the scoring
     step factors the pooled feature Gram matrix, so it pays the
     O(n l^2 + l^3) cost the surrogate exists to avoid.  It is the
     one-value case of :func:`erls_baseline_grid`.  Labels are ignored by

@@ -144,9 +144,8 @@ def required_features(
     constant m = D eig_1 / (eig_1 + n lam), and the decay classification
     of the spectrum.  When ``exact_scores`` and ``surrogate_scores`` are
     the (l,) arrays that ``exact_leverage`` and the full-variant
-    ``surrogate_leverage`` return for one pool (with matching density
-    values), l_sup = D * max(exact_i / surrogate_i)
-    realizes sup l(w)/q(w) for the surrogate sampling density.
+    ``surrogate_leverage`` return for one pool, l_sup = D * max(exact_i /
+    surrogate_i) realizes sup l(w)/q(w) for the surrogate sampling density.
     ``lam_star`` is carried for two-stage refits and defaults to lam.
     """
     if not 0.0 < delta < 1.0:

@@ -74,7 +74,7 @@ def test_criterion_1_domination(acceptance):
         X = rng.uniform(size=(n, d))
         y = np.where(rng.uniform(size=n) > 0.5, 1.0, -1.0)
         K = kernel_matrix(X, SPEC)
-        Z = feature_map(X, sample_mc(spectral_density(SPEC, d), 10, 1000 + i))
+        Z = feature_map(X, sample_mc(spectral_density(SPEC, d), 10, 1000 + i)).entries
         exact = exact_leverage(regularized_factor(K, lam), Z)
         surr = surrogate_leverage(y, Z, lam)
         score_margin = min(score_margin, float(((surr - exact) / exact).min()))
@@ -110,10 +110,10 @@ def test_criterion_2_oracle_equivalence(acceptance):
     rng6 = np.random.default_rng(8)
     X6 = rng6.uniform(size=(6, 2))
     K6 = kernel_matrix(X6, SPEC)
-    Z6 = feature_map(X6, sample_mc(spectral_density(SPEC, 2), 5, 13))
+    Z6 = feature_map(X6, sample_mc(spectral_density(SPEC, 2), 5, 13)).entries
     scores = exact_leverage(regularized_factor(K6, 0.1), Z6)
     M_inv = np.linalg.inv(K6 + 6 * 0.1 * np.eye(6))
-    raw = Z6.entries * np.sqrt(5)  # undo the 1/sqrt(l) column scaling
+    raw = Z6 * np.sqrt(5)  # undo the 1/sqrt(l) column scaling
     by_hand = np.array(
         [raw[:, 2 * i] @ M_inv @ raw[:, 2 * i] + raw[:, 2 * i + 1] @ M_inv @ raw[:, 2 * i + 1]
          for i in range(5)]
@@ -123,11 +123,11 @@ def test_criterion_2_oracle_equivalence(acceptance):
     # (c) with K = Z Z^T the feature and kernel solves give the same
     # training predictions
     pool = sample_mc(spectral_density(SPEC, 2), 10, 50)
-    Zf = feature_map(X, pool)
-    K_feat = Zf.entries @ Zf.entries.T
+    Zf = feature_map(X, pool).entries
+    K_feat = Zf @ Zf.T
     alpha = fit_exact(K_feat, y, 0.3)
     model = fit(Zf, y, 0.3, pool)
-    pred_dev = float(np.abs(Zf.entries @ model.beta - K_feat @ alpha).max())
+    pred_dev = float(np.abs(Zf @ model.beta - K_feat @ alpha).max())
 
     elapsed = time.perf_counter() - start
     passed = fit_dev <= 1e-9 and lev_dev <= 1e-10 and pred_dev <= 1e-6 and elapsed < 10.0
@@ -152,7 +152,7 @@ def test_criterion_3_unbiasedness(acceptance):
     X = rng.uniform(size=(10, 2))
     y = np.where(rng.uniform(size=10) > 0.5, 1.0, -1.0)
     pool = sample_mc(spectral_density(SPEC, 2), 6, 5)
-    Z = feature_map(X, pool)
+    Z = feature_map(X, pool).entries
     plan = build_resample_plan(surrogate_leverage(y, Z, 0.1))
     expected = np.zeros((10, 10))
     for i, prob in enumerate(plan):
@@ -163,7 +163,7 @@ def test_criterion_3_unbiasedness(acceptance):
         )
         entries = feature_map(X, single).entries
         expected += prob * (entries @ entries.T)
-    enum_dev = float(np.abs(expected - Z.entries @ Z.entries.T).max())
+    enum_dev = float(np.abs(expected - Z @ Z.T).max())
 
     # (b) Monte Carlo concentration at s = 10^4 on a unit-distance pair
     x, x_prime = np.zeros(1), np.ones(1)
@@ -285,12 +285,13 @@ def test_criterion_7_error_trend(acceptance, eeg_dataset):
     qmc_losses = []
     for s in counts:
         errors = [
-            relative_approx_error(K, feature_map(X, sample_mc(density, s, seed)))
+            relative_approx_error(K, feature_map(X, sample_mc(density, s, seed)).entries)
             for seed in range(20)
         ]
         median = float(np.median(errors))
         medians.append(median)
-        qmc_error = relative_approx_error(K, feature_map(X, sample_qmc(density, s)))
+        qmc_Z = feature_map(X, sample_qmc(density, s)).entries
+        qmc_error = relative_approx_error(K, qmc_Z)
         if qmc_error > median:
             qmc_losses.append(f"s={s}: {qmc_error:.3f} > {median:.3f}")
     elapsed = time.perf_counter() - start

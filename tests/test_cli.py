@@ -184,6 +184,25 @@ def test_non_binary_labels_exit_2(tmp_path, capsys):
     assert "2 label values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fmt, row",
+    [("csv", "nan,0.5,1"), ("csv", "0.5,inf,1"), ("libsvm", "1 1:nan 2:0.5")],
+)
+def test_non_finite_features_exit_2(blob_csv, tmp_path, fmt, row, capsys):
+    lines = Path(blob_csv).read_text().splitlines()
+    if fmt == "libsvm":
+        lines = [
+            f"{label} 1:{a} 2:{b}"
+            for a, b, label in (line.split(",") for line in lines)
+        ]
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text("\n".join(lines[:5] + [row] + lines[5:]) + "\n")
+    argv = ["approx", "--data", str(path), "--format", fmt, "--method", "RFF",
+            "--trials", "1"]
+    assert cli.main(argv) == 2
+    assert ":6: non-finite feature" in capsys.readouterr().err
+
+
 def test_numerical_failures_exit_3(blob_csv, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise NumericalError("synthetic breakdown")

@@ -97,6 +97,19 @@ def test_libsvm_malformed_lines(tmp_path):
             load_dataset(_write(tmp_path, name, text), fmt="libsvm")
 
 
+def test_non_finite_features_rejected(tmp_path):
+    # float() parses nan and inf; left in, a NaN zeroes its whole column in
+    # MinMaxNormalizer and an Inf reaches feature_map as a ValueError.
+    cases = {
+        "nan.csv": ("0.0,1\nnan,2\n", "csv"),
+        "inf.csv": ("0.0,1\n-inf,2\n", "csv"),
+        "nan.libsvm": ("1 1:0.5\n-1 1:nan\n", "libsvm"),
+    }
+    for name, (text, fmt) in cases.items():
+        with pytest.raises(DataError, match=r":2: non-finite feature"):
+            load_dataset(_write(tmp_path, name, text), fmt=fmt)
+
+
 def test_csv_header_detection(tmp_path):
     with_header = _write(tmp_path, "h.csv", "f1,f2,label\n0,1,1\n1,0,2\n")
     ds = load_dataset(with_header, normalize=False)

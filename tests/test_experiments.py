@@ -13,12 +13,16 @@ from rffkrr import (
     KernelSpec,
     PoolSource,
     emit_report,
+    erls_baseline_grid,
+    feature_map,
     fit,
     generate_features,
     make_sampler,
     read_report,
     render_report,
     run_experiment,
+    sample_mc,
+    spectral_density,
 )
 
 REPORT_HEADER = experiments.REPORT_HEADER
@@ -237,7 +241,7 @@ def test_lambda_free_samplers_return_one_shared_pair():
             method, ds.X, ds.y, spec, 4, 8, "simplified", grid[0], 3
         )
         np.testing.assert_array_equal(pool.frequencies, want_pool.frequencies)
-        np.testing.assert_array_equal(Z.entries, want_Z.entries)
+        np.testing.assert_array_equal(Z, want_Z)
 
 
 @pytest.mark.parametrize("pool_size", [8, 32])
@@ -257,8 +261,7 @@ def test_leverage_sampler_pairs_equal_generation_at_each_lambda(pool_size):
         assert pool.source is want_pool.source
         np.testing.assert_array_equal(pool.frequencies, want_pool.frequencies)
         np.testing.assert_array_equal(pool.weights, want_pool.weights)
-        assert Z.n_frequencies == want_Z.n_frequencies
-        np.testing.assert_array_equal(Z.entries, want_Z.entries)
+        np.testing.assert_array_equal(Z, want_Z)
 
 
 def test_generate_features_pool_provenance():
@@ -276,9 +279,27 @@ def test_generate_features_pool_provenance():
         )
         assert pool.source == source
         assert pool.frequencies.shape == (4, 2)
-        assert Z.entries.shape == (ds.n, 8)
+        assert Z.shape == (ds.n, 8)
     with pytest.raises(ValueError, match="unknown method"):
         generate_features("SVM", ds.X, ds.y, spec, 4, 8, "simplified", 0.1, 3)
+
+
+def test_features_after_feature_map_are_plain_arrays():
+    # Only feature_map wraps its output; generation and the CV grid hand
+    # back plain arrays, and a resampled one owns its (n, 2u) buffer.
+    ds = _blob_dataset()
+    spec = KernelSpec(1.0)
+    for method in experiments.METHODS:
+        pool, Z = generate_features(method, ds.X, ds.y, spec, 4, 8, "full", 0.1, 3)
+        assert type(Z) is np.ndarray
+        if pool.source is PoolSource.RESAMPLED:
+            assert Z.base is None
+    for pool, Z in erls_baseline_grid(ds.X, spec, 4, (0.01, 0.1, 1.0), 8, seed=3):
+        assert type(Z) is np.ndarray and Z.base is None
+    mapped = feature_map(ds.X, sample_mc(spectral_density(spec, ds.dim), 4, 3))
+    assert type(mapped.entries) is np.ndarray
+    _, Z = generate_features("RFF", ds.X, ds.y, spec, 4, 8, "full", 0.1, 3)
+    np.testing.assert_array_equal(mapped.entries, Z)
 
 
 def test_csv_report_layout():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rffkrr import (
-    FeatureMatrix,
     KernelSpec,
     NumericalError,
     classify_accuracy,
@@ -95,11 +94,11 @@ def test_feature_fit_matches_exact_fit_when_factor_is_exact():
     X = rng.uniform(size=(12, 2))
     y = np.where(rng.uniform(size=12) > 0.5, 1.0, -1.0)
     pool = sample_mc(DENSITY, 10, 50)
-    Z = feature_map(X, pool)
-    K = Z.entries @ Z.entries.T
+    Z = feature_map(X, pool).entries
+    K = Z @ Z.T
     alpha = fit_exact(K, y, 0.3)
     model = fit(Z, y, 0.3, pool)
-    np.testing.assert_allclose(Z.entries @ model.beta, K @ alpha, atol=1e-6)
+    np.testing.assert_allclose(Z @ model.beta, K @ alpha, atol=1e-6)
 
 
 def test_predict_matches_row_loop():
@@ -107,7 +106,7 @@ def test_predict_matches_row_loop():
     X = rng.uniform(size=(12, 2))
     y = rng.standard_normal(12)
     pool = sample_mc(DENSITY, 10, 50)
-    model = fit(feature_map(X, pool), y, 0.3, pool)
+    model = fit(feature_map(X, pool).entries, y, 0.3, pool)
     X_new = rng.uniform(size=(8, 2))
     preds = predict(model, X_new)
     for j in range(8):
@@ -151,11 +150,11 @@ def test_data_fit_term_nondecreasing_in_lambda():
     rng = np.random.default_rng(0)
     X = rng.uniform(size=(25, 2))
     y = np.where(rng.uniform(size=25) > 0.4, 1.0, -1.0)
-    Z = feature_map(X, sample_mc(DENSITY, 6, 9))
+    Z = feature_map(X, sample_mc(DENSITY, 6, 9)).entries
     fits = []
     for lam in (0.01, 0.05, 0.1, 0.5, 1.0, 5.0):
         model = fit(Z, y, lam)
-        residual = y - Z.entries @ model.beta
+        residual = y - Z @ model.beta
         fits.append(float(residual @ residual) / 25)
     assert np.all(np.diff(fits) >= -1e-12)
 
@@ -235,10 +234,7 @@ def test_cv_fresh_equal_pairs_give_identical_report():
 
         def fresh(X_tr, y_tr, grid_, seed_):
             pool, Z = shared(X_tr, y_tr, grid_, seed_)[0]
-            return [
-                (pool, FeatureMatrix(Z.entries.copy(), Z.n_frequencies))
-                for _ in grid_
-            ]
+            return [(pool, Z.copy()) for _ in grid_]
 
         a = cross_validate(X, y, shared, grid, folds=3, seed=2)
         b = cross_validate(X, y, fresh, grid, folds=3, seed=2)
@@ -271,7 +267,7 @@ def _remapping_reference_cv(X, y, sampler, grid, folds, seed):
         mask[block] = False
         pairs = sampler(X[mask], y[mask], grid, children[f + 1])
         for j, (lam, (pool, _)) in enumerate(zip(grid, pairs)):
-            model = fit(feature_map(X[mask], pool), y[mask], lam, pool)
+            model = fit(feature_map(X[mask], pool).entries, y[mask], lam, pool)
             accuracy[f, j] = classify_accuracy(predict(model, X[block]), y[block])
     return accuracy
 

@@ -37,7 +37,7 @@ from rffkrr import (
     surrogate_pipeline,
 )
 from rffkrr.experiments import METHODS, generate_features
-from rffkrr.features import FeatureMatrix, spawn_seeds
+from rffkrr.features import spawn_seeds
 from rffkrr.leverage import _draw, approx_ridge_leverage
 from rffkrr import features, linalg
 
@@ -48,7 +48,7 @@ def _instance(seed, n=30, d=2, l=8):
     y = np.where(rng.uniform(size=n) > 0.5, 1.0, -1.0)
     density = spectral_density(KernelSpec(1.0), d)
     pool = sample_mc(density, l, seed + 1000)
-    return X, y, pool, feature_map(X, pool), density.pdf(pool.frequencies)
+    return X, y, pool, feature_map(X, pool).entries
 
 
 def _scored_pool(method, X, y, lam, pool_size, variant, seed):
@@ -57,11 +57,11 @@ def _scored_pool(method, X, y, lam, pool_size, variant, seed):
     seed_pool, seed_draw = spawn_seeds(seed, 2)
     density = spectral_density(KernelSpec(1.0), X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
-    z_pool = feature_map(X, pool)
+    Z = feature_map(X, pool).entries
     if method == "SurrogateRFF":
-        scores = surrogate_leverage(y, z_pool, lam, simplified=variant == "simplified")
+        scores = surrogate_leverage(y, Z, lam, simplified=variant == "simplified")
     else:
-        scores = approx_ridge_leverage(z_pool, lam)
+        scores = approx_ridge_leverage(Z, lam)
     return pool, scores, seed_draw
 
 
@@ -78,31 +78,34 @@ def _per_draw_reference(method, X, y, s, lam, pool_size, variant, seed):
 
 
 def test_exact_leverage_matches_explicit_inverse():
-    X, y, pool, Z, dens = _instance(8, n=6, l=5)
+    X, y, pool, Z = _instance(8, n=6, l=5)
     lam = 0.1
     K = kernel_matrix(X, KernelSpec(1.0))
-    scores = exact_leverage(regularized_factor(K, lam), Z, dens)
+    scores = exact_leverage(regularized_factor(K, lam), Z)
     Minv = np.linalg.inv(K + 6 * lam * np.eye(6))
     for i in range(5):
-        c = Z.entries[:, 2 * i] * np.sqrt(5)  # undo the 1/sqrt(l) column scale
-        s = Z.entries[:, 2 * i + 1] * np.sqrt(5)
-        expected = dens[i] * (c @ Minv @ c + s @ Minv @ s)
+        c = Z[:, 2 * i] * np.sqrt(5)  # undo the 1/sqrt(l) column scale
+        s = Z[:, 2 * i + 1] * np.sqrt(5)
+        expected = c @ Minv @ c + s @ Minv @ s
         assert scores[i] == pytest.approx(expected, abs=1e-10)
 
 
 def test_surrogate_closed_form_small_case():
-    # one frequency, cosine column (1, 0), sine column zero, y = (1, 1):
-    # full variant (1/(n^2 lam)) [ (y.c)^2 + n (|c|^2+|s|^2) ] = (1 + 2) / 2
-    Z = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
-    y = np.array([1.0, 1.0])
+    # one unit-weight frequency w = 1 at x = (0, pi): cosine column
+    # (1, -1), sine column (0, sin pi ~ 1e-16), y = (1, -1).  Simplified
+    # (y.c)^2 / (n^2 lam) = 4 / 2; full adds n (|c|^2+|s|^2) / (n^2 lam)
+    # = 4 / 2.
+    pool = FrequencyPool(np.ones((1, 1)), np.ones(1), PoolSource.MONTE_CARLO)
+    Z = feature_map(np.array([[0.0], [np.pi]]), pool).entries
+    y = np.array([1.0, -1.0])
     full = surrogate_leverage(y, Z, 0.5)
     simplified = surrogate_leverage(y, Z, 0.5, simplified=True)
-    assert full[0] == pytest.approx(1.5, abs=1e-15)
-    assert simplified[0] == pytest.approx(0.5, abs=1e-15)
+    assert full[0] == pytest.approx(4.0, abs=1e-15)
+    assert simplified[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_simplified_score_zero_when_labels_orthogonal():
-    Z = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1)
+    Z = np.array([[1.0, 0.0], [-1.0, 0.0]])
     scores = surrogate_leverage(np.array([1.0, 1.0]), Z, 0.3, simplified=True)
     assert scores[0] == 0.0
 
@@ -110,7 +113,7 @@ def test_simplified_score_zero_when_labels_orthogonal():
 def test_full_minus_simplified_is_constant():
     # Raw cos/sin column pairs satisfy |c|^2 + |s|^2 = n exactly, so the
     # full variant only adds the constant n * n / (n^2 lam) = 1/lam.
-    X, y, pool, Z, _ = _instance(7, n=30, l=12)
+    X, y, pool, Z = _instance(7, n=30, l=12)
     lam = 0.25
     full = surrogate_leverage(y, Z, lam)
     simplified = surrogate_leverage(y, Z, lam, simplified=True)
@@ -120,11 +123,11 @@ def test_full_minus_simplified_is_constant():
 def test_surrogate_dominates_exact_leverage():
     worst = np.inf
     for seed in range(5):
-        X, y, pool, Z, dens = _instance(seed, n=50, d=3, l=20)
+        X, y, pool, Z = _instance(seed, n=50, d=3, l=20)
         K = kernel_matrix(X, KernelSpec(1.0))
         for lam in (0.05, 0.1, 0.5, 1.0):
-            exact = exact_leverage(regularized_factor(K, lam), Z, dens)
-            surr = surrogate_leverage(y, Z, lam, density_values=dens)
+            exact = exact_leverage(regularized_factor(K, lam), Z)
+            surr = surrogate_leverage(y, Z, lam)
             worst = min(worst, float((surr - exact).min()))
             assert surrogate_dof(K, y, lam) >= degrees_of_freedom(K, lam)
     assert worst >= -1e-10
@@ -194,7 +197,7 @@ def test_plan_rejects_degenerate_scores():
 
 
 def test_label_flip_leaves_simplified_plan_unchanged():
-    X, y, pool, Z, _ = _instance(23, l=10)
+    X, y, pool, Z = _instance(23, l=10)
     a = build_resample_plan(surrogate_leverage(y, Z, 0.1, simplified=True))
     b = build_resample_plan(surrogate_leverage(-y, Z, 0.1, simplified=True))
     np.testing.assert_array_equal(a, b)
@@ -207,7 +210,7 @@ def test_simplified_plan_matches_double_loop():
     X = rng.uniform(size=(8, 2))
     y = np.where(rng.uniform(size=8) > 0.5, 1.0, -1.0)
     pool = sample_mc(spectral_density(KernelSpec(1.0), 2), 16, 33)
-    Z = feature_map(X, pool)
+    Z = feature_map(X, pool).entries
     plan = build_resample_plan(surrogate_leverage(y, Z, 0.1, simplified=True))
     raw = np.empty(16)
     for i in range(16):
@@ -253,7 +256,7 @@ def test_resampled_estimator_unbiased_by_enumeration():
 
 
 def test_surrogate_pipeline_runs_without_solves():
-    X, y, pool, Z, _ = _instance(3, n=40, l=8)
+    X, y, pool, Z = _instance(3, n=40, l=8)
     linalg.reset_solve_count()
     out, feats = surrogate_pipeline(
         X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2
@@ -265,14 +268,12 @@ def test_surrogate_pipeline_runs_without_solves():
     )
     assert out.size == np.unique(draws).size <= 4
     ref = feature_map(X, reference).entries
-    np.testing.assert_allclose(
-        feats.entries @ feats.entries.T, ref @ ref.T, rtol=1e-12, atol=1e-12
-    )
+    np.testing.assert_allclose(feats @ feats.T, ref @ ref.T, rtol=1e-12, atol=1e-12)
     assert out.source is PoolSource.RESAMPLED
 
 
 def test_erls_baseline_pipeline_pays_for_solves():
-    X, y, pool, Z, _ = _instance(3, n=40, l=8)
+    X, y, pool, Z = _instance(3, n=40, l=8)
     linalg.reset_solve_count()
     out, _ = erls_baseline_pipeline(
         X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2
@@ -316,10 +317,8 @@ def test_pipeline_gathered_features_match_direct_map():
                 draws, _ = _per_draw_reference(method, X, y, 4, 0.1, 8, variant, 3)
                 expected = np.unique(draws).size
                 assert expected <= 4
-            assert feats.n_frequencies == pool.size == expected
-            np.testing.assert_allclose(
-                feats.entries, feature_map(X, pool).entries, atol=1e-12
-            )
+            assert pool.size == expected
+            np.testing.assert_allclose(feats, feature_map(X, pool).entries, atol=1e-12)
 
 
 @pytest.mark.parametrize("pool_mult", [1, 4])
@@ -353,9 +352,7 @@ def test_merged_draws_match_per_draw_reference(method, variant, pool_mult):
     np.testing.assert_array_equal(merged.frequencies, public.frequencies)
     np.testing.assert_array_equal(merged.weights, public.weights)
 
-    np.testing.assert_allclose(
-        feats.entries @ feats.entries.T, ref @ ref.T, rtol=1e-12, atol=1e-12
-    )
+    np.testing.assert_allclose(feats @ feats.T, ref @ ref.T, rtol=1e-12, atol=1e-12)
 
     got = predict(fit(feats, y, lam, merged), X_new)
     want = predict(fit(ref, y, lam, reference), X_new)
@@ -373,7 +370,7 @@ def test_merged_draws_match_per_draw_reference(method, variant, pool_mult):
             _, per_draw = _per_draw_reference(
                 method, X_tr, y_tr, s, lam_, pool_size, variant, seed_
             )
-            pairs.append((per_draw, feature_map(X_tr, per_draw)))
+            pairs.append((per_draw, feature_map(X_tr, per_draw).entries))
         return pairs
 
     sampler = make_sampler(method, KernelSpec(1.0), s, pool_size, variant)
@@ -395,17 +392,17 @@ def test_pipeline_argument_validation():
 def test_approx_ridge_leverage_pushthrough():
     # With the kernel replaced by Z Z^T, the Gram-side scores equal the
     # kernel-side scores divided by the pool size.
-    X, y, pool, Z, _ = _instance(31, n=20, l=6)
+    X, y, pool, Z = _instance(31, n=20, l=6)
     lam = 0.2
     approx = approx_ridge_leverage(Z, lam)
-    K = Z.entries @ Z.entries.T
+    K = Z @ Z.T
     exact = exact_leverage(regularized_factor(K, lam), Z)
     np.testing.assert_allclose(6 * approx, exact, atol=1e-10)
 
 
 def test_approx_ridge_leverage_grid_rows_equal_one_value_calls():
     # One Gram for the whole grid; row k is the one-value score at grid[k].
-    X, y, pool, Z, _ = _instance(12, n=40, l=8)
+    X, y, pool, Z = _instance(12, n=40, l=8)
     grid = (0.01, 0.2, 3.0)
     rows = approx_ridge_leverage(Z, grid)
     assert rows.shape == (3, 8)
@@ -417,7 +414,7 @@ def test_approx_ridge_leverage_grid_rows_equal_one_value_calls():
 
 
 def test_approx_ridge_leverage_flattens_at_huge_lambda():
-    X, y, pool, Z, _ = _instance(3, n=40, l=8)
+    X, y, pool, Z = _instance(3, n=40, l=8)
     plan = build_resample_plan(approx_ridge_leverage(Z, 1e6))
     assert np.abs(plan - 1 / 8).max() < 1e-3
 
@@ -426,9 +423,8 @@ def _solved_ridge_leverage(Z, lam):
     """The scorer as a full solve: diag(G (G + n lam I)^{-1}) read off
     (G + n lam I)^{-1} G, pair-summed and clipped.  Returns the scores and
     cond(G + n lam I)."""
-    entries = Z.entries
-    gram = entries.T @ entries
-    shifted = linalg.add_diagonal(gram, entries.shape[0] * lam)
+    gram = Z.T @ Z
+    shifted = linalg.add_diagonal(gram, Z.shape[0] * lam)
     solved = linalg.psd_solve(shifted, gram)
     scores = np.clip(np.diag(solved).reshape(-1, 2).sum(axis=1), 0.0, None)
     return scores, np.linalg.cond(shifted)
@@ -442,7 +438,7 @@ def test_approx_ridge_leverage_matches_solved_diagonal(n, l):
     # order-m forward-error constant of a Cholesky inverse: m eps cond.  At
     # lam = 10, cond is about 1.07 and one rounding of n lam d ~ 1 is already
     # eps / 2, so eps cond alone is not a bound this formula can meet.
-    X, y, pool, Z, _ = _instance(40 + l, n=n, d=3, l=l)
+    X, y, pool, Z = _instance(40 + l, n=n, d=3, l=l)
     grid = (1e-4, 1e-2, 1.0, 10.0)
     rows = approx_ridge_leverage(Z, grid)
     eps = np.finfo(np.float64).eps
@@ -452,7 +448,7 @@ def test_approx_ridge_leverage_matches_solved_diagonal(n, l):
 
 
 def test_approx_ridge_leverage_draws_as_solved_diagonal():
-    X, y, pool, Z, _ = _instance(5, n=2000, d=3, l=256)
+    X, y, pool, Z = _instance(5, n=2000, d=3, l=256)
     for lam in (1e-3, 0.1):
         expected, _ = _solved_ridge_leverage(Z, lam)
         drawn, _ = _draw(pool, approx_ridge_leverage(Z, lam), 128, 17)
@@ -463,7 +459,7 @@ def test_approx_ridge_leverage_draws_as_solved_diagonal():
 def _pool_map_and_buffer(l, n=3000):
     X = np.random.default_rng(8).uniform(size=(n, 14))
     pool = sample_mc(spectral_density(KernelSpec(1.0), 14), l, 9)
-    return feature_map(X, pool), (2 * l) ** 2 * 8
+    return feature_map(X, pool).entries, (2 * l) ** 2 * 8
 
 
 def test_approx_ridge_leverage_peak_memory(traced_peak):
@@ -479,12 +475,12 @@ def test_approx_ridge_leverage_one_value_factors_its_gram_in_place(traced_peak):
     # One value shifts, factors and inverts G itself: about one buffer of
     # (2l)^2 doubles, where a private copy of G would make two.
     Z, buffer = _pool_map_and_buffer(512)
-    before = Z.entries.copy()
+    before = Z.copy()
     peak, scores = traced_peak(lambda: approx_ridge_leverage(Z, 0.01))
     assert peak <= 1.5 * buffer
     # Row 0 of a grid call is scored on a copy of G.
     np.testing.assert_array_equal(scores, approx_ridge_leverage(Z, (0.01, 0.1))[0])
-    np.testing.assert_array_equal(Z.entries, before)
+    np.testing.assert_array_equal(Z, before)
 
 
 def _copy_gather_oracle(method, X, y, s, lams, pool_size, seed):
@@ -494,7 +490,7 @@ def _copy_gather_oracle(method, X, y, s, lams, pool_size, seed):
     seed_pool, seed_draw = spawn_seeds(seed, 2)
     density = spectral_density(KernelSpec(1.0), X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
-    z_pool = feature_map(X, pool)
+    z_pool = feature_map(X, pool).entries
     if method == "SurrogateRFF":
         rows = [surrogate_leverage(y, z_pool, lams[0], simplified=True)]
     else:
@@ -503,7 +499,7 @@ def _copy_gather_oracle(method, X, y, s, lams, pool_size, seed):
     for scores in rows:
         indices, out = _draw(pool, scores, s, seed_draw)
         column_index = np.stack([2 * indices, 2 * indices + 1], axis=1).ravel()
-        entries = np.take(z_pool.entries, column_index, axis=1)
+        entries = np.take(z_pool, column_index, axis=1)
         entries *= np.repeat(np.sqrt(pool_size * out.weights / indices.size), 2)
         pairs.append((out, entries))
     return pairs
@@ -513,8 +509,8 @@ def _assert_pairs_equal(pair, expected):
     (pool, Z), (want_pool, want_entries) = pair, expected
     assert np.array_equal(pool.frequencies, want_pool.frequencies)
     assert np.array_equal(pool.weights, want_pool.weights)
-    assert np.array_equal(Z.entries, want_entries)
-    assert Z.n_frequencies == want_pool.size
+    assert type(Z) is np.ndarray
+    assert np.array_equal(Z, want_entries)
 
 
 @pytest.mark.parametrize("pool_mult", [1, 4])
@@ -553,9 +549,9 @@ def test_surrogate_pipeline_peak_is_pool_map_plus_blocks(traced_peak):
     block_bytes = features._BLOCK_ENTRIES * 8
     assert peak <= n * 2 * l * 8 + 4 * block_bytes
     # The returned Z owns exactly its n x 2u doubles.
-    assert Z.entries.base is None
-    assert Z.entries.flags.owndata and Z.entries.flags.c_contiguous
-    assert Z.entries.nbytes == n * 2 * pool.size * 8
+    assert Z.base is None
+    assert Z.flags.owndata and Z.flags.c_contiguous
+    assert Z.nbytes == n * 2 * pool.size * 8
 
 
 def test_score_validation():
@@ -570,10 +566,16 @@ def test_score_validation():
     for scores, s in ((np.ones(3), 2), (np.ones(5), 2), (np.ones(4), 0), (np.ones(4), 5)):
         with pytest.raises(ValueError):
             resample(pool, scores, s, 1)
-    Z = FeatureMatrix(np.ones((4, 2)), 1)
+    Z = np.ones((4, 2))
     with pytest.raises(ValueError):
         surrogate_leverage(np.ones(4), Z, 0.0)
     with pytest.raises(ValueError):
         surrogate_leverage(np.ones(3), Z, 0.1)
-    with pytest.raises(ValueError):
-        exact_leverage(regularized_factor(np.eye(4), 0.1), Z, np.ones(2))
+    # The scorers take (n, 2l) arrays: one cos/sin column pair per frequency.
+    for bad in (np.ones((4, 3)), np.ones(4), np.ones((4, 2, 1))):
+        with pytest.raises(ValueError):
+            surrogate_leverage(np.ones(4), bad, 0.1)
+        with pytest.raises(ValueError):
+            exact_leverage(regularized_factor(np.eye(4), 0.1), bad)
+        with pytest.raises(ValueError):
+            approx_ridge_leverage(bad, 0.1)

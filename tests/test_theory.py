@@ -96,7 +96,7 @@ def test_l_sup_bounded_by_surrogate_dof():
     # the surrogate score makes every ratio at most 1, so l_sup <= D.
     K, y, X = _gaussian_instance(n=25, seed=6)
     lam = 0.1
-    Z = feature_map(X, sample_mc(spectral_density(KernelSpec(1.0), 2), 12, 3))
+    Z = feature_map(X, sample_mc(spectral_density(KernelSpec(1.0), 2), 12, 3)).entries
     exact = exact_leverage(regularized_factor(K, lam), Z)
     surr = surrogate_leverage(y, Z, lam)
     report = required_features(K, y, lam, 0.1, exact_scores=exact, surrogate_scores=surr)
@@ -107,8 +107,8 @@ def test_l_sup_bounded_by_surrogate_dof():
 def test_mismatched_score_vectors_rejected():
     K, y, X = _gaussian_instance(n=25, seed=6)
     density = spectral_density(KernelSpec(1.0), 2)
-    Z_a = feature_map(X, sample_mc(density, 12, 3))
-    Z_b = feature_map(X, sample_mc(density, 8, 3))
+    Z_a = feature_map(X, sample_mc(density, 12, 3)).entries
+    Z_b = feature_map(X, sample_mc(density, 8, 3)).entries
     exact = exact_leverage(regularized_factor(K, 0.1), Z_a)
     surr = surrogate_leverage(y, Z_b, 0.1)
     with pytest.raises(ValueError, match="pools"):
