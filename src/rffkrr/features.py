@@ -104,6 +104,13 @@ class FeatureMatrix:
 
     entries: np.ndarray
 
+    def __post_init__(self):
+        shape = np.shape(self.entries)
+        if len(shape) != 2 or shape[1] % 2:
+            raise ValueError(
+                f"feature matrix shape {shape} is not (n, 2s) cos/sin pairs"
+            )
+
 
 def as_seed_sequence(seed):
     """Normalize an int / sequence-of-ints / SeedSequence into a SeedSequence."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rffkrr import (
+    FeatureMatrix,
     FrequencyPool,
     KernelSpec,
     PoolSource,
@@ -89,6 +90,13 @@ def test_pool_validation():
     # resampled pools may carry arbitrary nonnegative weights
     pool = FrequencyPool(np.ones((2, 1)), np.array([0.0, 2.5]), PoolSource.RESAMPLED)
     assert pool.size == 2 and pool.dim == 1
+
+
+def test_feature_matrix_width_check():
+    with pytest.raises(ValueError):
+        FeatureMatrix(np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        FeatureMatrix(np.ones(4))
 
 
 def test_zero_frequency_gives_constant_features():
