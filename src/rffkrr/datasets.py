@@ -91,14 +91,18 @@ def _map_labels(raw, path):
     return np.array([mapping[value] for value in raw])
 
 
-def _label_key(token):
+def _label_key(token, path, lineno):
     # Numeric labels sort numerically, anything else lexically; the two
     # kinds never mix within one file in practice, but a tuple key keeps
-    # sorting well-defined if they do.
+    # sorting well-defined if they do.  A nan key equals no other key, so
+    # non-finite labels are refused here rather than counted as classes.
     try:
-        return (0, float(token), "")
+        value = float(token)
     except ValueError:
         return (1, 0.0, token)
+    if not math.isfinite(value):
+        raise DataError(f"{path}:{lineno}: non-finite label {token!r}")
+    return (0, value, "")
 
 
 def _parse_libsvm(lines, path):
@@ -113,7 +117,7 @@ def _parse_libsvm(lines, path):
             float(tokens[0])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad label {tokens[0]!r}") from exc
-        labels.append(_label_key(tokens[0]))
+        labels.append(_label_key(tokens[0], path, lineno))
         pairs = []
         for token in tokens[1:]:
             index, _, value = token.partition(":")
@@ -169,7 +173,7 @@ def _parse_csv(lines, path):
                 f"{path}:{lineno}: {len(features)} features, expected {width}"
             )
         rows.append(features)
-        labels.append(_label_key(tokens[-1]))
+        labels.append(_label_key(tokens[-1], path, lineno))
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows), _map_labels(labels, path)
@@ -183,7 +187,8 @@ def load_dataset(path, fmt="csv", normalize=True):
 
     ``fmt`` is "csv" (features then label, comma-separated, optional
     header) or "libsvm" (label then 1-based index:value pairs).  A
-    non-finite feature value (nan, inf) is a DataError naming its line.
+    non-finite feature value or label (nan, inf) is a DataError naming
+    its line.
     """
     parser = _PARSERS.get(fmt)
     if parser is None:

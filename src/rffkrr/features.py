@@ -19,6 +19,9 @@ unweighted pool every row of Z has unit norm exactly.
 """
 
 import enum
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +206,16 @@ def feature_map(X, pool):
     sqrt(weights[i] / s).  Z is filled one block of rows at a time, with
     cos and sin written straight into its columns, so the memory used
     beyond Z itself is one block of projections (about 2^17 entries, at
-    least two rows), not an n x s array.
+    least two rows) per core, not an n x s array.
+
+    The blocks are filled in parallel, by the calling thread and a shared
+    pool of helper threads, one participant per CPU in the process's
+    affinity mask.  Each block is computed whole by one participant, with
+    the same partition of rows whatever the core count, so Z is bit for
+    bit the same on one core or many; there is no option to set.  A
+    one-block map, or any map on a one-CPU mask, runs in the caller and
+    starts no thread.  BLAS threading inside each block's projection is
+    left to the environment (e.g. ``OPENBLAS_NUM_THREADS``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != pool.dim:
@@ -216,19 +228,106 @@ def feature_map(X, pool):
     W = pool.frequencies.T
     scale = np.repeat(np.sqrt(pool.weights / s), 2)
     Z = np.empty((n, 2 * s))
-    rows = max(2, _BLOCK_ENTRIES // s)
-    start = 0
-    while start < n:
-        # Fewer than two blocks left go in one: BLAS rounds a one-row or
-        # small product differently from the same rows of a larger one.
-        stop = start + rows if n - start >= 2 * rows else n
+    bounds = _row_blocks(n, max(2, _BLOCK_ENTRIES // s))
+
+    def fill(start, stop):
         projections = X[start:stop] @ W
         block = Z[start:stop]
         np.cos(projections, out=block[:, 0::2])
         np.sin(projections, out=block[:, 1::2])
         block *= scale
-        start = stop
+
+    _run_blocks(fill, bounds)
     return FeatureMatrix(Z)
+
+
+def _row_blocks(n, rows):
+    """(start, stop) row ranges of ``rows`` rows each.  Fewer than two
+    blocks left go in one: BLAS rounds a one-row or small product
+    differently from the same rows of a larger one."""
+    bounds = []
+    start = 0
+    while start < n:
+        stop = start + rows if n - start >= 2 * rows else n
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+# Helper threads shared by every feature map in the process, created on
+# first use.  Sharing one pool keeps concurrent maps (trials run with
+# threads > 1) from starting more threads than there are cores.  Helpers
+# only run block fills and never submit work, so they cannot deadlock.
+_helpers = None
+_helpers_lock = threading.Lock()
+
+
+def _forget_helpers():
+    # A forked child has none of the parent's threads: a pool inherited
+    # from the parent would accept work that no thread ever runs.
+    global _helpers, _helpers_lock
+    _helpers = None
+    _helpers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _cpu_count():
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper_pool(count):
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(
+                max_workers=count, thread_name_prefix="rffkrr-feature-map"
+            )
+        return _helpers
+
+
+def _run_blocks(fill, bounds):
+    """Call ``fill(start, stop)`` once for every block in ``bounds``.
+
+    The caller fills blocks itself and, with more than one block and more
+    than one CPU, so do up to ``cpus - 1`` helper threads; each
+    participant claims the next unfilled block until none are left.  A
+    helper's exception is raised here once every running helper is done.
+    """
+    cpus = _cpu_count()
+    participants = min(len(bounds), cpus)
+    if participants < 2:
+        for start, stop in bounds:
+            fill(start, stop)
+        return
+
+    claimed = iter(bounds)
+    claim_lock = threading.Lock()
+
+    def drain():
+        while True:
+            with claim_lock:
+                block = next(claimed, None)
+            if block is None:
+                return
+            fill(*block)
+
+    helpers = _helper_pool(cpus - 1)
+    futures = [helpers.submit(drain) for _ in range(participants - 1)]
+    try:
+        drain()
+    finally:
+        # A helper still queued behind another map has nothing left to
+        # claim: drop it rather than wait for it.
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for future in started:
+        future.result()
 
 
 def approx_kernel_entry(x, x_prime, pool):

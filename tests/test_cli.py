@@ -203,6 +203,19 @@ def test_non_finite_features_exit_2(blob_csv, tmp_path, fmt, row, capsys):
     assert ":6: non-finite feature" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["one.csv", "two.csv", "one.libsvm", "two.libsvm"])
+def test_nan_labels_exit_2(tmp_path, name, capsys):
+    from test_datasets import NAN_LABEL_FILES
+
+    fmt, text = NAN_LABEL_FILES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    argv = ["approx", "--data", str(path), "--format", fmt, "--method", "RFF",
+            "--trials", "1"]
+    assert cli.main(argv) == 2
+    assert ":2: non-finite label" in capsys.readouterr().err
+
+
 def test_numerical_failures_exit_3(blob_csv, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise NumericalError("synthetic breakdown")

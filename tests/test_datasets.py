@@ -110,6 +110,34 @@ def test_non_finite_features_rejected(tmp_path):
             load_dataset(_write(tmp_path, name, text), fmt=fmt)
 
 
+# Four-row files with one and with two nan labels among 1s.  float()
+# parses "nan": one nan row would become a class of its own, and two would
+# count as two distinct label values because nan equals nothing.
+NAN_LABEL_FILES = {
+    "one.csv": ("csv", "0.1,1\n0.2,nan\n0.3,1\n0.4,1\n"),
+    "two.csv": ("csv", "0.1,1\n0.2,nan\n0.3,nan\n0.4,1\n"),
+    "one.libsvm": ("libsvm", "1 1:0.1\nnan 1:0.2\n1 1:0.3\n1 1:0.4\n"),
+    "two.libsvm": ("libsvm", "1 1:0.1\nnan 1:0.2\nnan 1:0.3\n1 1:0.4\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_LABEL_FILES))
+def test_nan_labels_rejected(tmp_path, name):
+    fmt, text = NAN_LABEL_FILES[name]
+    with pytest.raises(DataError, match=r":2: non-finite label 'nan'"):
+        load_dataset(_write(tmp_path, name, text), fmt=fmt)
+
+
+@pytest.mark.parametrize("label", ["inf", "-inf"])
+def test_infinite_labels_rejected(tmp_path, label):
+    csv = _write(tmp_path, "a.csv", f"0.1,1\n0.2,-1\n0.3,{label}\n")
+    with pytest.raises(DataError, match=r":3: non-finite label"):
+        load_dataset(csv)
+    libsvm = _write(tmp_path, "a.libsvm", f"1 1:0.1\n-1 1:0.2\n{label} 1:0.3\n")
+    with pytest.raises(DataError, match=r":3: non-finite label"):
+        load_dataset(libsvm, fmt="libsvm")
+
+
 def test_csv_header_detection(tmp_path):
     with_header = _write(tmp_path, "h.csv", "f1,f2,label\n0,1,1\n1,0,2\n")
     ds = load_dataset(with_header, normalize=False)

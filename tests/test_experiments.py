@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import types
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import rffkrr.experiments as experiments
+import rffkrr.features as features
 from rffkrr import (
     Dataset,
     ExperimentConfig,
@@ -122,6 +124,28 @@ def test_threaded_resampled_run_matches_sequential():
         assert rs.accuracy == rp.accuracy
         assert rs.rel_error == rp.rel_error
         assert rs.lam == rp.lam
+
+
+def _untimed(record):
+    fields = dataclasses.asdict(record)
+    del fields["gen_time_s"], fields["solve_time_s"]
+    return fields
+
+
+def test_threaded_multi_block_maps_match_sequential_and_inline(monkeypatch):
+    # s = 256 frequencies from pools of 1024: the 1200-row training half,
+    # the CV folds and the pool maps all span several feature-map blocks,
+    # so helper threads fill blocks under both one and two trial threads.
+    methods = ("SurrogateRFF", "LeverageRFF")
+    ds = _blob_dataset(seed=7, n_pos=1700, n_neg=700)
+    config = dict(methods=methods, s_multipliers=(128,), trials=1, pool_multiplier=4)
+    seq = run_experiment(_config(**config), dataset=ds)
+    par = run_experiment(_config(threads=2, **config), dataset=ds)
+    monkeypatch.setattr(features, "_cpu_count", lambda: 1)
+    inline = run_experiment(_config(**config), dataset=ds)
+    assert len(seq) == 2
+    assert [_untimed(r) for r in par] == [_untimed(r) for r in seq]
+    assert [_untimed(r) for r in inline] == [_untimed(r) for r in seq]
 
 
 def test_timing_mode_skips_fit_and_error():

@@ -1,5 +1,14 @@
 """Frequency pools, the Halton sequence, and the paired cos/sin map."""
 
+import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -206,6 +215,168 @@ def test_feature_map_memory_is_output_plus_blocks(traced_peak):
     peak, Z = traced_peak(lambda: feature_map(X, pool).entries)
     block_bytes = features._BLOCK_ENTRIES * Z.itemsize
     assert peak <= Z.nbytes + 4 * block_bytes
+
+
+def _inline_blocks(X, pool):
+    # The single-participant fill, block by block: the reference that the
+    # threaded map must equal bit for bit.  Yielding blocks keeps only one
+    # Z in memory at the widest shapes.
+    s, n = pool.size, X.shape[0]
+    W = pool.frequencies.T
+    scale = np.repeat(np.sqrt(pool.weights / s), 2)
+    rows = max(2, features._BLOCK_ENTRIES // s)
+    start = 0
+    while start < n:
+        stop = start + rows if n - start >= 2 * rows else n
+        projections = X[start:stop] @ W
+        block = np.empty((stop - start, 2 * s))
+        np.cos(projections, out=block[:, 0::2])
+        np.sin(projections, out=block[:, 1::2])
+        block *= scale
+        yield start, stop, block
+        start = stop
+
+
+@pytest.fixture
+def four_participants(monkeypatch):
+    """Maps run on a fresh pool of three helpers plus the caller, more
+    participants than this machine may have cores, with a short switch
+    interval so that a block claimed twice or not at all would show."""
+    monkeypatch.setattr(features, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(features, "_helpers", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+        if features._helpers is not None:
+            features._helpers.shutdown()
+
+
+def _row_counts(s):
+    rows = max(2, features._BLOCK_ENTRIES // s)
+    # 1 and 2 rows, exactly one block, one block + 1 (still one block: the
+    # last two merge), a ragged last block, and a training half of EEG
+    # (1000 rows at the widest pool, where 7490 would make Z 430 MB).
+    return [1, 2, rows, rows + 1, 3 * rows + rows // 2 + 1, 7490 if s <= 1792 else 1000]
+
+
+@pytest.mark.parametrize(
+    "s, n",
+    [(s, n) for s in (1, 7, 14, 255, 951, 1792, 3584) for n in _row_counts(s)],
+)
+def test_threaded_map_equals_inline_fill(four_participants, s, n):
+    X, pool = _block_case(n, s, "resampled")
+    Z = feature_map(X, pool).entries
+    for start, stop, block in _inline_blocks(X, pool):
+        np.testing.assert_array_equal(Z[start:stop], block)
+
+
+def test_single_participant_path_equals_inline_fill(monkeypatch):
+    monkeypatch.setattr(features, "_cpu_count", lambda: 1)
+    X, pool = _block_case(3 * _ROWS_64 + 777, 64, "resampled")
+    Z = feature_map(X, pool).entries
+    for start, stop, block in _inline_blocks(X, pool):
+        np.testing.assert_array_equal(Z[start:stop], block)
+
+
+def test_helper_exception_reaches_caller(four_participants):
+    caller = threading.get_ident()
+
+    def fill(start, stop):
+        time.sleep(0.01)  # lets every helper claim a block
+        if threading.get_ident() != caller:
+            raise MemoryError("helper failed")
+
+    with pytest.raises(MemoryError, match="helper failed"):
+        features._run_blocks(fill, [(i, i + 1) for i in range(20)])
+
+
+def test_one_block_map_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(features, "_helpers", None)
+    before = threading.active_count()
+    X, pool = _block_case(_ROWS_64, 64, "mc")
+    feature_map(X, pool)
+    assert features._helpers is None
+    assert threading.active_count() == before
+
+
+def _digest(Z):
+    return hashlib.sha256(np.ascontiguousarray(Z).tobytes()).hexdigest()
+
+
+def _filling_threads(blocks):
+    # Threads that took part in a run of ``blocks`` slow blocks.
+    seen = set()
+
+    def fill(start, stop):
+        seen.add(threading.get_ident())
+        time.sleep(0.01)
+
+    features._run_blocks(fill, [(i, i + 1) for i in range(blocks)])
+    return len(seen)
+
+
+def _map_in_child(conn, n, s):
+    X, pool = _block_case(n, s, "resampled")
+    conn.send((_digest(feature_map(X, pool).entries), _filling_threads(20)))
+    conn.close()
+
+
+def test_map_in_forked_child_after_parent_map(monkeypatch):
+    # The parent's helper threads do not exist in a forked child.  A pool
+    # inherited as it stands queues the child's blocks where no thread
+    # runs them: waiting for them hangs, and dropping them leaves the
+    # caller filling every block alone.
+    monkeypatch.setattr(features, "_cpu_count", lambda: 2)
+    X, pool = _block_case(3 * _ROWS_64 + 777, 64, "resampled")
+    expected = _digest(feature_map(X, pool).entries)
+    assert features._helpers is not None
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(
+        target=_map_in_child, args=(sender, 3 * _ROWS_64 + 777, 64)
+    )
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(60), "feature_map hung in a forked child"
+        assert receiver.recv() == (expected, 2)
+    finally:
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert child.exitcode == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask"
+)
+def test_single_cpu_affinity_map_runs_inline():
+    n, s = 3 * _ROWS_64 + 777, 64
+    code = (
+        "import os, sys, threading\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_features import _block_case, _digest\n"
+        "from rffkrr import feature_map, features\n"
+        f"X, pool = _block_case({n}, {s}, 'resampled')\n"
+        "Z = feature_map(X, pool).entries\n"
+        "assert features._helpers is None\n"
+        "assert threading.active_count() == 1\n"
+        "print(_digest(Z))\n"
+    )
+    env = dict(os.environ)
+    src = Path(features.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    X, pool = _block_case(n, s, "resampled")
+    assert result.stdout.strip() == _digest(feature_map(X, pool).entries)
 
 
 def test_feature_map_dimension_mismatch():
