@@ -254,10 +254,11 @@ def _row_blocks(n, rows):
     return bounds
 
 
-# Helper threads shared by every feature map in the process, created on
-# first use.  Sharing one pool keeps concurrent maps (trials run with
-# threads > 1) from starting more threads than there are cores.  Helpers
-# only run block fills and never submit work, so they cannot deadlock.
+# Helper threads shared by every feature map and tiled Gram in the
+# process, created on first use.  Sharing one pool keeps concurrent calls
+# (trials run with threads > 1) from starting more threads than there are
+# cores.  Helpers only run block or tile fills and never submit work, so
+# they cannot deadlock.
 _helpers = None
 _helpers_lock = threading.Lock()
 
@@ -291,41 +292,48 @@ def _helper_pool(count):
         return _helpers
 
 
-def _run_blocks(fill, bounds):
-    """Call ``fill(start, stop)`` once for every block in ``bounds``.
+def _run_blocks(fill, tasks):
+    """Call ``fill(*task)`` once for every task in ``tasks``: the row
+    blocks of a feature map, or the tiles of :func:`rffkrr.linalg.gram`.
 
-    The caller fills blocks itself and, with more than one block and more
+    The caller runs tasks itself and, with more than one task and more
     than one CPU, so do up to ``cpus - 1`` helper threads; each
-    participant claims the next unfilled block until none are left.  A
+    participant claims the next unclaimed task until none are left.  A
     helper's exception is raised here once every running helper is done.
     """
     cpus = _cpu_count()
-    participants = min(len(bounds), cpus)
+    participants = min(len(tasks), cpus)
     if participants < 2:
-        for start, stop in bounds:
-            fill(start, stop)
+        for task in tasks:
+            fill(*task)
         return
 
-    claimed = iter(bounds)
+    claimed = iter(tasks)
     claim_lock = threading.Lock()
+    # ``fill`` holds the caller's arrays.  A helper cancelled while queued
+    # behind another caller's work stays in the executor's queue until a
+    # thread takes it, so it must not keep them alive: it reaches ``fill``
+    # only through this slot, emptied before returning.
+    work = [fill]
 
     def drain():
         while True:
             with claim_lock:
-                block = next(claimed, None)
-            if block is None:
+                task = next(claimed, None)
+            if task is None:
                 return
-            fill(*block)
+            work[0](*task)
 
     helpers = _helper_pool(cpus - 1)
     futures = [helpers.submit(drain) for _ in range(participants - 1)]
     try:
         drain()
     finally:
-        # A helper still queued behind another map has nothing left to
+        # A helper still queued behind another caller has nothing left to
         # claim: drop it rather than wait for it.
         started = [f for f in futures if not f.cancel()]
         wait(started)
+        work.clear()
     for future in started:
         future.result()
 

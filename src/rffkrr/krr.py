@@ -78,7 +78,7 @@ def fit(Z, y, lam, pool=None):
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     n = y.shape[0]
-    beta = _ridge_coefficients(Zm.T @ Zm, Zm.T @ y, n * lam)
+    beta = _ridge_coefficients(linalg.gram(Zm), Zm.T @ y, n * lam)
     return KrrModel(beta=beta, pool=pool, lam=float(lam))
 
 
@@ -142,7 +142,7 @@ def _fold_accuracy(X, y, block, sampler, grid, seed):
         if pair is not previous:
             pool, Z_tr = pair
             Z_val = feature_map(X_val, pool).entries
-            gram = Z_tr.T @ Z_tr
+            gram = linalg.gram(Z_tr)
             rhs = Z_tr.T @ y_tr
             previous = pair
         beta = _ridge_coefficients(gram, rhs, n_tr * lam)

@@ -138,7 +138,7 @@ def approx_ridge_leverage(Z, lam):
         raise ValueError(f"lambda must be positive, got {lam}")
     Z, size = _pool_arrays(Z)
     n = Z.shape[0]
-    gram = Z.T @ Z
+    gram = linalg.gram(Z)
     scores = np.empty((lams.size, size))
     for k, value in enumerate(lams):
         shift = n * value

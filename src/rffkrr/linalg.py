@@ -1,5 +1,12 @@
-"""Dense linear-algebra helpers: counted SPD solves, the diagonal of a
-regularized SPD inverse, and a Lanczos spectral norm.
+"""Dense linear-algebra helpers: the feature Gram, counted SPD solves,
+the diagonal of a regularized SPD inverse, and a Lanczos spectral norm.
+
+:func:`gram` forms Z^T Z, the O(n m^2) product that ridge fitting,
+cross-validation and the leverage baseline share.  With BLAS pinned to
+one thread per call (``OPENBLAS_NUM_THREADS=1``, or ``OMP_NUM_THREADS=1``;
+``MKL_NUM_THREADS`` for MKL), its column tiles are filled on every core
+by the feature map's participants; otherwise it is the one product
+``Z.T @ Z``, which a threaded BLAS spreads over the cores itself.
 
 Every Cholesky factorization, triangular solve and triangular inverse in
 the package goes through this module so that tests can count how many
@@ -9,11 +16,14 @@ pipeline is that it runs without any solves at all, and the counter is
 how that claim is checked rather than merely asserted.
 """
 
+import os
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import NumericalError
+from .features import _run_blocks
 
 _solve_count = 0
 
@@ -25,6 +35,33 @@ EXACT_MODE_CAP = 2000
 # spectral-norm results reproducible bit-for-bit across runs and worker
 # counts.
 _START_SEED = 0x5EED
+
+# Width of the Gram's column tiles.  The partition depends on the width of
+# Z alone, never on the core count.  Tiles of 384 to 640 columns timed
+# alike at 5992 x 1792 and 7490 x 3584.
+_GRAM_TILE = 512
+
+
+def _blas_one_thread():
+    # Whether the environment pins BLAS to one thread per call.  These are
+    # the variables BLAS reads when it loads, in the order it reads them;
+    # the first one holding a positive count decides.
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+    first = "MKL_NUM_THREADS" if "mkl" in str(blas).lower() else "OPENBLAS_NUM_THREADS"
+    for name in (first, "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count == 1
+    return False
+
+
+# Read once, like BLAS itself: a tiled Gram on threaded BLAS runs every
+# tile on every core at once and is slower than the single product.
+_BLAS_ONE_THREAD = _blas_one_thread()
 
 
 def check_exact_cap(n):
@@ -48,6 +85,39 @@ def reset_solve_count():
 def _bump():
     global _solve_count
     _solve_count += 1
+
+
+def gram(Z):
+    """The Gram matrix Z^T Z of an (n, m) array, exactly symmetric.  Not
+    counted: it is a product, not a solve.
+
+    When BLAS runs one thread per call and Z spans at least two tiles of
+    ``_GRAM_TILE`` columns, the upper-triangle tiles of G are filled by
+    the calling thread and the feature map's helper threads (see
+    :func:`rffkrr.features.feature_map`).  A diagonal tile is one syrk
+    product of its columns; an off-diagonal tile is a gemm product,
+    mirrored into the lower triangle.  Every tile is written straight
+    into G, so nothing but G is allocated, and each tile is computed whole
+    by one thread, so G is bit for bit the same on any number of cores.
+    It differs from the single product only in the last bits of the
+    off-diagonal tiles.  Otherwise G is the single product ``Z.T @ Z``.
+    """
+    Z = np.asarray(Z, dtype=float)
+    m = Z.shape[1]
+    tiles = [slice(start, start + _GRAM_TILE) for start in range(0, m, _GRAM_TILE)]
+    if len(tiles) < 2 or not _BLAS_ONE_THREAD:
+        return Z.T @ Z
+    G = np.empty((m, m))
+
+    def fill(i, j):
+        a, b = tiles[i], tiles[j]
+        # Z[:, a].T and Z[:, a] share one buffer, so numpy takes syrk.
+        np.matmul(Z[:, a].T, Z[:, b], out=G[a, b])
+        if i != j:
+            G[b, a] = G[a, b].T
+
+    _run_blocks(fill, [(i, j) for i in range(len(tiles)) for j in range(i, len(tiles))])
+    return G
 
 
 def psd_factor(mat):

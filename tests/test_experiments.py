@@ -9,6 +9,7 @@ import pytest
 
 import rffkrr.experiments as experiments
 import rffkrr.features as features
+import rffkrr.linalg as linalg
 from rffkrr import (
     Dataset,
     ExperimentConfig,
@@ -132,7 +133,7 @@ def _untimed(record):
     return fields
 
 
-def test_threaded_multi_block_maps_match_sequential_and_inline(monkeypatch):
+def _assert_threaded_runs_match(monkeypatch):
     # s = 256 frequencies from pools of 1024: the 1200-row training half,
     # the CV folds and the pool maps all span several feature-map blocks,
     # so helper threads fill blocks under both one and two trial threads.
@@ -146,6 +147,29 @@ def test_threaded_multi_block_maps_match_sequential_and_inline(monkeypatch):
     assert len(seq) == 2
     assert [_untimed(r) for r in par] == [_untimed(r) for r in seq]
     assert [_untimed(r) for r in inline] == [_untimed(r) for r in seq]
+
+
+def test_threaded_multi_block_maps_match_sequential_and_inline(monkeypatch):
+    _assert_threaded_runs_match(monkeypatch)
+
+
+def test_threaded_tiled_grams_match_sequential_and_inline(monkeypatch):
+    # BLAS taken as pinned to one thread and tiles narrowed to 128 columns,
+    # so that the fold Grams (2u <= 512 columns) and LeverageRFF's pool
+    # Gram (2048) are filled by tiles on the helper threads too.
+    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(linalg, "_GRAM_TILE", 128)
+    widths = []
+    real_gram = linalg.gram
+
+    def recording_gram(Z):
+        widths.append(Z.shape[1])
+        return real_gram(Z)
+
+    monkeypatch.setattr(linalg, "gram", recording_gram)
+    _assert_threaded_runs_match(monkeypatch)
+    assert 2048 in widths
+    assert any(256 < m <= 512 for m in widths)
 
 
 def test_timing_mode_skips_fit_and_error():

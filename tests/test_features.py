@@ -25,6 +25,7 @@ from rffkrr import (
     sample_mc,
     sample_qmc,
     spectral_density,
+    surrogate_pipeline,
 )
 
 DENSITY = spectral_density(KernelSpec(1.0), 2)
@@ -300,6 +301,28 @@ def test_one_block_map_starts_no_thread(monkeypatch):
     feature_map(X, pool)
     assert features._helpers is None
     assert threading.active_count() == before
+
+
+def test_cancelled_helper_does_not_hold_the_map(monkeypatch):
+    # The one helper is busy with another caller's task, so this map's
+    # helper task is still queued when the caller has filled every block
+    # itself, and is cancelled.  A cancelled task stays in the executor's
+    # queue until a thread takes it; it must not keep the map's Z alive,
+    # or the pipeline's in-place shrink of Z (ndarray.resize) fails.
+    monkeypatch.setattr(features, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(features, "_helpers", None)
+    release = threading.Event()
+    busy = features._helper_pool(1).submit(release.wait)
+    try:
+        X = np.random.default_rng(2).uniform(size=(3000, 14))
+        y = np.where(X[:, 0] > 0.5, 1.0, -1.0)
+        _, Z = surrogate_pipeline(X, y, KernelSpec(1.0), 64, 0.1, pool_size=256, seed=4)
+        assert not busy.done()
+        assert sys.getrefcount(Z) <= 2
+    finally:
+        release.set()
+        busy.result()
+        features._helpers.shutdown()
 
 
 def _digest(Z):

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from rffkrr import NumericalError
-from rffkrr import linalg
+from rffkrr import features, linalg
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +150,103 @@ def test_spectral_norm_lanczos_failure_is_numerical_error(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(NumericalError):
         linalg.spectral_norm_sym(np.eye(4))
+
+
+# The narrowest Gram that spans two tiles.
+_TILED = linalg._GRAM_TILE + 1
+# 1792 (three tiles and a half) and 1101 end in ragged tiles; 1024 does not.
+_GRAM_WIDTHS = [1, 7, _TILED - 1, _TILED, _TILED + 1, 1024, 1101, 1792]
+
+
+def _feature_like(n, m, seed):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(m)
+
+
+@pytest.fixture
+def participants(monkeypatch):
+    """``participants(count)`` makes Grams run on the caller and
+    ``count - 1`` helpers of a fresh pool, with BLAS taken as pinned to
+    one thread, so that wide Grams are tiled whatever the environment.  A
+    short switch interval makes a tile claimed twice or not at all show."""
+    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", True)
+
+    def use(count):
+        if features._helpers is not None:
+            features._helpers.shutdown()
+        monkeypatch.setattr(features, "_cpu_count", lambda: count)
+        monkeypatch.setattr(features, "_helpers", None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+        if features._helpers is not None:
+            features._helpers.shutdown()
+
+
+@pytest.mark.parametrize("m", _GRAM_WIDTHS)
+def test_gram_matches_single_product(participants, m):
+    participants(2)
+    n = 257
+    Z = _feature_like(n, m, m)
+    G = linalg.gram(Z)
+    product = Z.T @ Z
+    assert G.shape == (m, m)
+    np.testing.assert_array_equal(G, G.T)
+    if m < _TILED:
+        np.testing.assert_array_equal(G, product)
+    # The dot-product rounding bound, entry by entry.
+    bound = n * np.finfo(float).eps * (np.abs(Z).T @ np.abs(Z))
+    assert np.all(np.abs(G - product) <= bound)
+    assert linalg.solve_count() == 0
+
+
+@pytest.mark.parametrize("m", _GRAM_WIDTHS)
+def test_gram_without_pinned_blas_is_single_product(monkeypatch, m):
+    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", False)
+    Z = _feature_like(131, m, m)
+    np.testing.assert_array_equal(linalg.gram(Z), Z.T @ Z)
+
+
+@pytest.mark.parametrize("m", [_TILED, 1101, 1792])
+def test_gram_is_the_same_on_any_participant_count(participants, m):
+    Z = _feature_like(300, m, 2 * m)
+    grams = []
+    for count in (1, 2, 4):
+        participants(count)
+        grams.append(linalg.gram(Z))
+    np.testing.assert_array_equal(grams[1], grams[0])
+    np.testing.assert_array_equal(grams[2], grams[0])
+
+
+def test_gram_memory_is_the_gram(participants, traced_peak):
+    participants(4)
+    Z = _feature_like(600, 1792, 3)
+    peak, G = traced_peak(lambda: linalg.gram(Z))
+    assert peak <= 1.05 * G.nbytes
+
+
+@pytest.mark.parametrize(
+    "env, pinned",
+    [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "4"}, False),
+    ],
+)
+def test_blas_one_thread_reads_the_blas_variables(monkeypatch, env, pinned):
+    # numpy here links OpenBLAS, which reads OPENBLAS_NUM_THREADS first.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert linalg._blas_one_thread() is pinned
 
 
 def test_exact_mode_cap_boundary():
