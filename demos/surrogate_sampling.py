@@ -13,7 +13,6 @@ import numpy as np
 from rffkrr import (
     FrequencyPool,
     KernelSpec,
-    PoolSource,
     build_resample_plan,
     exact_leverage,
     feature_map,
@@ -37,7 +36,7 @@ base = sample_mc(spectral_density(spec, 2), 12, seed=1)
 planted = 4
 frequencies = base.frequencies.copy()
 frequencies[planted] = (12.0, -9.0)
-pool = FrequencyPool(frequencies, np.ones(12), PoolSource.MONTE_CARLO)
+pool = FrequencyPool(frequencies, np.ones(12))
 y = np.where(np.cos(X @ pool.frequencies[planted]) > 0.0, 1.0, -1.0)
 
 Z = feature_map(X, pool).entries
@@ -63,11 +62,7 @@ probabilities = build_resample_plan(scores)
 picked = resample(pool, scores, draws, seed=2)
 print()
 print("resampling probabilities:", np.round(probabilities, 3))
-print(
-    f"resampled pool: {picked.size} distinct frequencies out of {draws} draws,",
-    "source:",
-    picked.source,
-)
+print(f"resampled pool: {picked.size} distinct frequencies out of {draws} draws")
 print("importance weights (repeats merged):", np.round(picked.weights, 3))
 
 # a frequency drawn c times has weight c / (l q) * (u / s); invert for c

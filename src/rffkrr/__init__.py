@@ -9,15 +9,7 @@ leverage baselines, sample-complexity diagnostics, and a benchmark
 harness with a CLI.
 """
 
-from .datasets import (
-    GIVEN_PARTITION,
-    RANDOM_HALF,
-    Dataset,
-    MinMaxNormalizer,
-    load_dataset,
-    load_dataset_pair,
-    split,
-)
+from .datasets import Dataset, MinMaxNormalizer, load_dataset, load_dataset_pair, split
 from .errors import DataError, NumericalError, UsageError
 from .experiments import (
     METHODS,
@@ -33,7 +25,6 @@ from .experiments import (
 from .features import (
     FeatureMatrix,
     FrequencyPool,
-    PoolSource,
     approx_kernel_entry,
     feature_map,
     halton,
@@ -89,14 +80,11 @@ __all__ = [
     "ExperimentConfig",
     "FeatureMatrix",
     "FrequencyPool",
-    "GIVEN_PARTITION",
     "KernelSpec",
     "KrrModel",
     "METHODS",
     "MinMaxNormalizer",
     "NumericalError",
-    "PoolSource",
-    "RANDOM_HALF",
     "SpectralDensity",
     "TrialRecord",
     "UsageError",

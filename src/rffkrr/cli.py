@@ -5,7 +5,8 @@ Subcommands:
   bench    feature-generation timing vs feature count (single-threaded)
   krr      full accuracy benchmark (CV, fit, test accuracy, error)
   bounds   feature-count bound report for each lambda in the grid
-  cv       standalone lambda selection on the training half
+  cv       the lambda selection of krr's trial 0: the same split, inner CV
+           and seed, for the first method and s multiplier
 
 Flag values may also come from a config file of flat key=value lines
 ('#' starts a comment; keys match the long flag names); explicit flags
@@ -20,17 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import GIVEN_PARTITION, RANDOM_HALF, split
+from . import linalg
 from .errors import DataError, NumericalError, UsageError
 from .experiments import (
     ExperimentConfig,
     _load_for_config,
-    make_sampler,
+    _split_and_cv,
     render_report,
     run_experiment,
 )
 from .kernels import KernelSpec, kernel_matrix
-from .krr import cross_validate
 from .theory import format_bound_report, required_features
 
 _MODES = {"approx": "error", "bench": "timing", "krr": "full"}
@@ -57,7 +57,7 @@ def _build_parser():
         ("bench", "feature-generation timing vs feature count"),
         ("krr", "accuracy benchmark with inner cross-validation"),
         ("bounds", "feature-count bound report"),
-        ("cv", "standalone lambda selection"),
+        ("cv", "lambda selection of krr's trial 0"),
     ):
         _add_common_flags(commands.add_parser(name, help=help_text))
     return parser
@@ -184,6 +184,11 @@ def _cmd_experiment(command, config):
 def _cmd_bounds(config, delta):
     dataset = _load_for_config(config)
     count = min(config.err_subsample, dataset.n)
+    if count > linalg.EXACT_MODE_CAP:
+        raise UsageError(
+            f"--err-subsample {count} exceeds the exact-mode cap of "
+            f"{linalg.EXACT_MODE_CAP} points"
+        )
     rng = np.random.default_rng(config.seed)
     subset = rng.choice(dataset.n, size=count, replace=False)
     X, y = dataset.X[subset], dataset.y[subset]
@@ -198,18 +203,10 @@ def _cmd_bounds(config, delta):
 
 def _cmd_cv(config):
     dataset = _load_for_config(config)
-    if dataset.given_test is not None:
-        train, _ = split(dataset, GIVEN_PARTITION)
-    else:
-        train, _ = split(dataset, RANDOM_HALF, np.random.SeedSequence(config.seed))
     method = config.methods[0]
-    s = config.s_multipliers[0] * train.dim
-    sampler = make_sampler(
-        method, KernelSpec(config.sigma), s, config.pool_multiplier * s, config.variant
-    )
-    report = cross_validate(
-        train.X, train.y, sampler, config.lambda_grid,
-        folds=config.folds, seed=config.seed,
+    s = config.s_multipliers[0] * dataset.dim
+    _, _, report = _split_and_cv(
+        config, dataset, KernelSpec(config.sigma), method, s, 0, "full"
     )
     lines = [f"method={method} s={s} folds={config.folds}"]
     for lam, accuracy in zip(report.lambda_grid, report.mean_accuracy):

@@ -7,7 +7,9 @@ dataset ships as a given train/test pair, :func:`load_dataset_pair`
 normalizes the test file with the training file's statistics instead.
 Labels must take exactly two distinct values and are mapped to {-1, +1}
 by sorted order (numerically when both parse as numbers, lexically
-otherwise).
+otherwise).  A test file's labels are mapped the same way as the
+training file's and must be among its two values.  :func:`split` halves
+a single file at random, and returns the given partition of a pair.
 """
 
 import math
@@ -17,12 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-
-RANDOM_HALF = "random-half"
-GIVEN_PARTITION = "given"
-
-_SPLIT_POLICIES = (RANDOM_HALF, GIVEN_PARTITION)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -80,15 +76,31 @@ def _read_lines(path):
     return text.splitlines()
 
 
-def _map_labels(raw, path):
-    distinct = sorted(set(raw))
+def _label_mapping(keys, path):
+    # The file's two label keys, in sorted order, to -1 and +1.
+    distinct = sorted(set(keys))
     if len(distinct) != 2:
         raise DataError(
             f"{path}: expected exactly 2 label values, found {len(distinct)}: "
             f"{distinct[:5]}"
         )
-    mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
-    return np.array([mapping[value] for value in raw])
+    return {distinct[0]: -1.0, distinct[1]: 1.0}
+
+
+def _map_labels(keys, mapping, path):
+    unknown = sorted(set(keys) - mapping.keys())
+    if unknown:
+        low, high = (_label_text(key) for key in mapping)
+        raise DataError(
+            f"{path}: label {_label_text(unknown[0])} is not one of the "
+            f"training labels {low} and {high}"
+        )
+    return np.array([mapping[key] for key in keys])
+
+
+def _label_text(key):
+    kind, value, token = key
+    return token if kind else f"{value:g}"
 
 
 def _label_key(token, path, lineno):
@@ -141,7 +153,7 @@ def _parse_libsvm(lines, path):
     for i, pairs in enumerate(rows):
         for index, value in pairs:
             X[i, index - 1] = value
-    return X, _map_labels(labels, path)
+    return X, labels
 
 
 def _parse_csv(lines, path):
@@ -176,10 +188,18 @@ def _parse_csv(lines, path):
         labels.append(_label_key(tokens[-1], path, lineno))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows), _map_labels(labels, path)
+    return np.array(rows), labels
 
 
 _PARSERS = {"libsvm": _parse_libsvm, "csv": _parse_csv}
+
+
+def _parse(path, fmt):
+    # (X, label keys) of one file; the keys are mapped by the caller.
+    parser = _PARSERS.get(fmt)
+    if parser is None:
+        raise DataError(f"unknown dataset format {fmt!r}")
+    return parser(_read_lines(path), Path(path))
 
 
 def load_dataset(path, fmt="csv", normalize=True):
@@ -190,13 +210,10 @@ def load_dataset(path, fmt="csv", normalize=True):
     non-finite feature value or label (nan, inf) is a DataError naming
     its line.
     """
-    parser = _PARSERS.get(fmt)
-    if parser is None:
-        raise DataError(f"unknown dataset format {fmt!r}")
-    X, y = parser(_read_lines(path), Path(path))
+    X, keys = _parse(path, fmt)
     if normalize:
         X = MinMaxNormalizer.fit(X).apply(X)
-    return Dataset(X, y)
+    return Dataset(X, _map_labels(keys, _label_mapping(keys, path), path))
 
 
 def load_dataset_pair(train_path, test_path, fmt="csv"):
@@ -204,36 +221,37 @@ def load_dataset_pair(train_path, test_path, fmt="csv"):
 
     Both files are normalized with the training file's min/max statistics,
     so test features may fall outside [0,1] where the test range is wider.
+    Test labels are mapped to {-1, +1} as the training file's are, so the
+    test file may hold one class; a test label that the training file
+    lacks is a DataError.
     """
-    parser = _PARSERS.get(fmt)
-    if parser is None:
-        raise DataError(f"unknown dataset format {fmt!r}")
-    X_train, y_train = parser(_read_lines(train_path), Path(train_path))
-    X_test, y_test = parser(_read_lines(test_path), Path(test_path))
+    X_train, train_keys = _parse(train_path, fmt)
+    X_test, test_keys = _parse(test_path, fmt)
     if X_train.shape[1] != X_test.shape[1]:
         raise DataError(
             f"train file has {X_train.shape[1]} features, "
             f"test file has {X_test.shape[1]}"
         )
+    mapping = _label_mapping(train_keys, train_path)
     normalizer = MinMaxNormalizer.fit(X_train)
-    test = Dataset(normalizer.apply(X_test), y_test)
-    return Dataset(normalizer.apply(X_train), y_train, given_test=test)
+    test = Dataset(
+        normalizer.apply(X_test), _map_labels(test_keys, mapping, test_path)
+    )
+    return Dataset(
+        normalizer.apply(X_train),
+        _map_labels(train_keys, mapping, train_path),
+        given_test=test,
+    )
 
 
-def split(dataset, policy=RANDOM_HALF, seed=0):
+def split(dataset, seed=0):
     """Partition a dataset into (train, test).
 
-    RandomHalf permutes with the given seed and takes the first floor(n/2)
-    rows for training; GivenPartition returns the dataset's attached test
-    part and ignores the seed.
+    A dataset loaded as a train/test pair returns its given partition and
+    ignores the seed.  Any other dataset is permuted with the seed, and the
+    first floor(n/2) rows are the training half.
     """
-    if policy not in _SPLIT_POLICIES:
-        raise ValueError(f"unknown split policy {policy!r}")
-    if policy == GIVEN_PARTITION:
-        if dataset.given_test is None:
-            raise DataError(
-                "split policy 'given' needs a dataset loaded as a train/test pair"
-            )
+    if dataset.given_test is not None:
         return Dataset(dataset.X, dataset.y), dataset.given_test
     if dataset.n < 2:
         raise ValueError("cannot split fewer than 2 points")

@@ -18,13 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import (
-    GIVEN_PARTITION,
-    RANDOM_HALF,
-    load_dataset,
-    load_dataset_pair,
-    split,
-)
+from .datasets import load_dataset, load_dataset_pair, split
 from .features import feature_map, sample_mc, sample_qmc
 from .kernels import KernelSpec, kernel_matrix, relative_approx_error, spectral_density
 from .krr import classify_accuracy, cross_validate, fit, predict
@@ -57,7 +51,8 @@ class ExperimentConfig:
 
     ``s_multipliers`` are multiples of the data dimension (s = mult * d);
     ``pool_multiplier`` sizes the resampling pool as l = mult * s.
-    ``test_data`` switches the split policy to the given partition.
+    With ``test_data`` every trial uses the given train/test partition
+    instead of a random half split.
     """
 
     data: str
@@ -148,7 +143,7 @@ def generate_features(method, X, y, spec, s, pool_size, variant, lam, seed):
         )
     if method == "LeverageRFF":
         return erls_baseline_pipeline(
-            X, y, spec, s, lam, pool_size=pool_size, seed=seed
+            X, spec, s, lam, pool_size=pool_size, seed=seed
         )
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
@@ -196,24 +191,29 @@ def _load_for_config(config):
     return load_dataset(config.data, config.format)
 
 
-def _run_one(config, dataset, spec, method, s, trial, mode):
-    policy = GIVEN_PARTITION if dataset.given_test is not None else RANDOM_HALF
-    train, test = split(dataset, policy, _child_seed(config.seed, trial, _TAG_SPLIT))
-    pool_size = config.pool_multiplier * s
+def _split_and_cv(config, dataset, spec, method, s, trial, mode):
+    """A trial's (train, test) split and, in "full" mode, the CvReport of
+    its inner cross-validation on the training half (else None).  This is
+    the one place the split and CV seeds of a trial are derived; ``rffkrr
+    cv`` runs it for trial 0."""
+    train, test = split(dataset, _child_seed(config.seed, trial, _TAG_SPLIT))
+    if mode != "full":
+        return train, test, None
+    sampler = make_sampler(method, spec, s, config.pool_multiplier * s, config.variant)
+    report = cross_validate(
+        train.X,
+        train.y,
+        sampler,
+        config.lambda_grid,
+        folds=config.folds,
+        seed=_child_seed(config.seed, trial, _TAG_CV),
+    )
+    return train, test, report
 
-    if mode == "full":
-        sampler = make_sampler(method, spec, s, pool_size, config.variant)
-        report = cross_validate(
-            train.X,
-            train.y,
-            sampler,
-            config.lambda_grid,
-            folds=config.folds,
-            seed=_child_seed(config.seed, trial, _TAG_CV),
-        )
-        lam = report.chosen_lambda
-    else:
-        lam = float(sorted(config.lambda_grid)[0])
+
+def _run_one(config, dataset, spec, method, s, trial, mode):
+    train, test, report = _split_and_cv(config, dataset, spec, method, s, trial, mode)
+    lam = min(config.lambda_grid) if report is None else report.chosen_lambda
 
     start = time.perf_counter()
     pool, Z = generate_features(
@@ -222,7 +222,7 @@ def _run_one(config, dataset, spec, method, s, trial, mode):
         train.y,
         spec,
         s,
-        pool_size,
+        config.pool_multiplier * s,
         config.variant,
         lam,
         _child_seed(config.seed, trial, _TAG_GEN),

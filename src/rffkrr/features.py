@@ -4,10 +4,12 @@ A frequency pool holds l frequencies w_1..w_l together with importance
 weights r_i = p(w_i) / q(w_i), the ratio of the kernel's spectral density
 to the density the pool was actually drawn from.  Plain Monte Carlo and
 quasi-Monte Carlo pools have all ratios equal to 1; resampled pools carry
-the correction that keeps the kernel estimate unbiased.  A resampled pool
-holds the u <= s distinct frequencies of s draws, and its weights fold in
-each frequency's draw count c_i and the factor u/s, so that the 1/u
-scaling below gives the same Z Z^T as the s draws kept apart.
+the correction that keeps the kernel estimate unbiased.  The estimator
+needs nothing else, so a pool records no tag of how it was drawn.  A
+resampled pool holds the u <= s distinct frequencies of s draws, and its
+weights fold in each frequency's draw count c_i and the factor u/s, so
+that the 1/u scaling below gives the same Z Z^T as the s draws kept
+apart.
 
 For a pool of size s the feature map sends a point x to the row
 
@@ -18,7 +20,6 @@ so Z has shape (n, 2s), Z Z^T estimates the kernel matrix, and for an
 unweighted pool every row of Z has unit norm exactly.
 """
 
-import enum
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -40,17 +41,9 @@ _PRIMES = (
 _BLOCK_ENTRIES = 2**17
 
 
-class PoolSource(enum.Enum):
-    """How a frequency pool was produced."""
-
-    MONTE_CARLO = "mc"
-    QMC = "qmc"
-    RESAMPLED = "resampled"
-
-
 @dataclass(frozen=True)
 class FrequencyPool:
-    """A set of frequencies with importance ratios and provenance.
+    """A set of frequencies with their importance ratios.
 
     frequencies : (l, d) array, one frequency per row.
     weights     : (l,) array of ratios p(w_i)/q(w_i); all 1 for direct
@@ -58,14 +51,10 @@ class FrequencyPool:
                   row per distinct draw (l = u <= s) and the weight
                   c_i r_i / (l_0 q_i) (u / s) for a frequency drawn c_i
                   times with probability q_i from a pool of size l_0.
-    source      : PoolSource tag: MONTE_CARLO or QMC for direct draws,
-                  RESAMPLED for the output of a resampling step, whatever
-                  scores drove it.
     """
 
     frequencies: np.ndarray
     weights: np.ndarray
-    source: PoolSource
 
     def __post_init__(self):
         freq = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
@@ -80,10 +69,6 @@ class FrequencyPool:
             raise ValueError("frequencies contain NaN or Inf")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and nonnegative")
-        if self.source in (PoolSource.MONTE_CARLO, PoolSource.QMC) and np.any(
-            weights != 1.0
-        ):
-            raise ValueError(f"{self.source.value} pools must have unit weights")
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "weights", weights)
 
@@ -152,7 +137,7 @@ def sample_mc(density, count, seed):
     if count < 1:
         raise ValueError(f"need at least one frequency, got {count}")
     freq = density.sample(count, make_rng(seed))
-    return FrequencyPool(freq, np.ones(count), PoolSource.MONTE_CARLO)
+    return FrequencyPool(freq, np.ones(count))
 
 
 def halton(count, dim):
@@ -195,7 +180,7 @@ def sample_qmc(density, count):
         raise ValueError(f"need at least one frequency, got {count}")
     uniforms = halton(count, density.dim)
     freq = density.icdf(uniforms)
-    return FrequencyPool(freq, np.ones(count), PoolSource.QMC)
+    return FrequencyPool(freq, np.ones(count))
 
 
 def feature_map(X, pool):

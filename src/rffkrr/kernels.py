@@ -57,15 +57,6 @@ class SpectralDensity:
         if not (np.isfinite(self.variance) and self.variance > 0):
             raise ValueError(f"variance must be positive, got {self.variance}")
 
-    def pdf(self, frequencies):
-        """Density value at each row of ``frequencies`` (shape (m, dim))."""
-        w = np.atleast_2d(np.asarray(frequencies, dtype=float))
-        if w.shape[1] != self.dim:
-            raise ValueError(f"frequencies have dimension {w.shape[1]}, expected {self.dim}")
-        quad = (w * w).sum(axis=1) / self.variance
-        norm = (2.0 * np.pi * self.variance) ** (-0.5 * self.dim)
-        return norm * np.exp(-0.5 * quad)
-
     def sample(self, count, rng):
         """Draw ``count`` iid frequencies using the given numpy Generator."""
         return rng.normal(0.0, np.sqrt(self.variance), size=(count, self.dim))

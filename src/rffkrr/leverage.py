@@ -39,7 +39,6 @@ from .errors import NumericalError
 from .features import (
     _BLOCK_ENTRIES,
     FrequencyPool,
-    PoolSource,
     feature_map,
     make_rng,
     sample_mc,
@@ -224,7 +223,7 @@ def _draw(pool, scores, s, seed):
         / (size * probabilities[indices])
         * (indices.size / s)
     )
-    out = FrequencyPool(pool.frequencies[indices], weights, PoolSource.RESAMPLED)
+    out = FrequencyPool(pool.frequencies[indices], weights)
     return indices, out
 
 
@@ -239,8 +238,7 @@ def resample(pool, scores, s, seed):
     c_i r_i / (l q_i) (u / s) for c_i draws, so the output pool of size u
     has the same feature-space kernel as the s draws kept apart.
     Frequencies whose probability underflowed to zero are never drawn.
-    The output pool is tagged ``PoolSource.RESAMPLED``.  Raises
-    ValueError unless there is one score per pool frequency and
+    Raises ValueError unless there is one score per pool frequency and
     1 <= s <= l.
     """
     return _draw(pool, scores, s, seed)[1]
@@ -347,15 +345,14 @@ def erls_baseline_grid(X, spec, s, lambda_grid, pool_size=None, seed=0):
     )
 
 
-def erls_baseline_pipeline(X, y, spec, s, lam, pool_size=None, seed=0):
+def erls_baseline_pipeline(X, spec, s, lam, pool_size=None, seed=0):
     """Pool-and-resample pipeline scored by approximate ridge leverage.
 
     Identical flow and return value (merged pool of u <= s frequencies,
     (n, 2u) feature array) to :func:`surrogate_pipeline`, but the scoring
     step factors the pooled feature Gram matrix, so it pays the
     O(n l^2 + l^3) cost the surrogate exists to avoid.  It is the
-    one-value case of :func:`erls_baseline_grid`.  Labels are ignored by
-    the scores and accepted only for signature parity with the surrogate
-    pipeline.
+    one-value case of :func:`erls_baseline_grid`.  Its scores do not use
+    the labels, so it takes none.
     """
     return erls_baseline_grid(X, spec, s, (lam,), pool_size, seed)[0]

@@ -7,8 +7,10 @@ The central quantity is the bound
 
 where d is the effective degrees of freedom of the regularized kernel and
 D its label-driven surrogate; the classical leverage-sampling bound takes
-the same shape with d in place of D.  Everything here is desk-scale by
-design: dense eigendecompositions refuse n beyond the exact-mode cap.
+the same shape with d in place of D.  A report evaluates the bound at
+the one lambda it is given.  Everything here is desk-scale by design:
+dense eigendecompositions refuse n beyond the exact-mode cap, which
+``rffkrr bounds`` reports as a usage error naming the cap.
 """
 
 import warnings
@@ -62,7 +64,6 @@ class BoundReport:
     s_required_erls: float
     delta: float
     lam: float
-    lam_star: float
     decay: DecayRegime
     s_asymptotic_surrogate: float
     s_asymptotic_erls: float
@@ -134,9 +135,7 @@ def _asymptotic_orders(regime, n):
     return None, None
 
 
-def required_features(
-    K, y, lam, delta, exact_scores=None, surrogate_scores=None, lam_star=None
-):
+def required_features(K, y, lam, delta, exact_scores=None, surrogate_scores=None):
     """Evaluate the feature-count bounds and their constants on one instance.
 
     Returns a BoundReport with s_required_surrogate = 5 D log(16 d) /
@@ -146,7 +145,6 @@ def required_features(
     the (l,) arrays that ``exact_leverage`` and the full-variant
     ``surrogate_leverage`` return for one pool, l_sup = D * max(exact_i /
     surrogate_i) realizes sup l(w)/q(w) for the surrogate sampling density.
-    ``lam_star`` is carried for two-stage refits and defaults to lam.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -200,7 +198,6 @@ def required_features(
         s_required_erls=float(s_erls),
         delta=float(delta),
         lam=float(lam),
-        lam_star=float(lam if lam_star is None else lam_star),
         decay=regime,
         s_asymptotic_surrogate=asym_surrogate,
         s_asymptotic_erls=asym_erls,
@@ -217,7 +214,6 @@ def format_bound_report(report):
     rows = [
         ("n", f"{report.n}"),
         ("lambda", f"{report.lam:.9g}"),
-        ("lambda_star", f"{report.lam_star:.9g}"),
         ("delta", f"{report.delta:.9g}"),
         ("dof", f"{report.dof:.9g}"),
         ("surrogate_dof", f"{report.surrogate_dof:.9g}"),

@@ -16,7 +16,6 @@ from rffkrr import (
     ExperimentConfig,
     FrequencyPool,
     KernelSpec,
-    PoolSource,
     approx_kernel_entry,
     build_resample_plan,
     degrees_of_freedom,
@@ -159,7 +158,6 @@ def test_criterion_3_unbiasedness(acceptance):
         single = FrequencyPool(
             pool.frequencies[i : i + 1],
             np.array([pool.weights[i] / (6 * prob)]),
-            PoolSource.RESAMPLED,
         )
         entries = feature_map(X, single).entries
         expected += prob * (entries @ entries.T)

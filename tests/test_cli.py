@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import rffkrr
 import rffkrr.cli as cli
+import rffkrr.experiments as experiments
 from rffkrr import NumericalError, linalg
 from rffkrr.experiments import REPORT_HEADER, ExperimentConfig
 
@@ -98,6 +100,52 @@ def test_cv_subcommand_reports_chosen_lambda(blob_csv, capsys):
     assert captured.out.count("mean_accuracy=") == 2
 
 
+@pytest.fixture()
+def noisy_csv(tmp_path):
+    # Overlapping classes, so every split and fold scores differently.
+    rng = np.random.default_rng(3)
+    X = rng.uniform(size=(160, 3))
+    score = np.sin(6.0 * X[:, 0]) + X[:, 1] + rng.normal(0.0, 0.4, size=160)
+    path = tmp_path / "noisy.csv"
+    path.write_text(
+        "".join(f"{a:.6f},{b:.6f},{c:.6f},{int(v > 0.6)}\n" for (a, b, c), v
+                in zip(X, score))
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cv_reports_the_selection_of_krr_trial_0(noisy_csv, seed, capsys, monkeypatch):
+    flags = ["--data", noisy_csv, "--method", "RFF", "--s-mult", "4", "--folds", "3",
+             "--lambda-grid", "0.001,0.01,0.1,1", "--seed", str(seed)]
+    assert cli.main(["cv", *flags]) == 0
+    printed = capsys.readouterr().out.splitlines()
+
+    # The report that run_experiment's trial 0 computes on its own
+    # training half with its own CV seed.
+    reports = []
+
+    def recording_cross_validate(*args, **kwargs):
+        reports.append(cross_validate(*args, **kwargs))
+        return reports[-1]
+
+    cross_validate = experiments.cross_validate
+    monkeypatch.setattr(experiments, "cross_validate", recording_cross_validate)
+    assert cli.main(["krr", *flags, "--trials", "1", "--emit", "jsonl"]) == 0
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (report,) = reports
+
+    assert printed == [
+        "method=RFF s=12 folds=3",
+        *(
+            f"lambda={lam:.9g} mean_accuracy={accuracy:.9g}"
+            for lam, accuracy in zip(report.lambda_grid, report.mean_accuracy)
+        ),
+        f"chosen_lambda={report.chosen_lambda:.9g}",
+    ]
+    assert record["lambda"] == report.chosen_lambda
+
+
 def test_out_flag_writes_file(blob_csv, tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = cli.main(
@@ -172,9 +220,31 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_bounds_subsample_beyond_the_exact_cap_exits_1(tmp_path, capsys):
+    cap = linalg.EXACT_MODE_CAP
+    X = np.random.default_rng(0).uniform(size=(cap + 100, 2))
+    path = tmp_path / "big.csv"
+    path.write_text("".join(f"{a:.6f},{b:.6f},{int(a > b)}\n" for a, b in X))
+    argv = ["bounds", "--data", str(path), "--err-subsample", str(cap + 50)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert f"--err-subsample {cap + 50} exceeds the exact-mode cap of {cap}" in err
+
+
 def test_missing_data_file_exits_2(capsys):
     assert cli.main(["krr", "--data", "/no/such/file.csv", "--trials", "1"]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_test_label_outside_the_training_pair_exits_2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    train.write_text("0.1,0\n0.2,1\n0.3,0\n0.4,1\n")
+    test = tmp_path / "test.csv"
+    test.write_text("0.15,1\n0.25,2\n")
+    argv = ["krr", "--data", str(train), "--test-data", str(test), "--trials", "1"]
+    assert cli.main(argv) == 2
+    assert "not one of the training labels" in capsys.readouterr().err
 
 
 def test_non_binary_labels_exit_2(tmp_path, capsys):

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from rffkrr import (
-    GIVEN_PARTITION,
-    RANDOM_HALF,
     DataError,
     Dataset,
     MinMaxNormalizer,
@@ -170,7 +168,7 @@ def test_unknown_format_rejected(tmp_path):
 def test_random_half_split_partitions_rows():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.uniform(size=(9, 2)), np.where(rng.uniform(size=9) > 0.5, 1.0, -1.0))
-    train, test = split(ds, RANDOM_HALF, seed=5)
+    train, test = split(ds, seed=5)
     assert train.n == 4 and test.n == 5
     combined = np.concatenate([train.X, test.X])
     # every original row appears exactly once across the two parts
@@ -181,11 +179,11 @@ def test_random_half_split_partitions_rows():
 def test_random_half_split_deterministic():
     rng = np.random.default_rng(1)
     ds = Dataset(rng.uniform(size=(8, 3)), np.where(rng.uniform(size=8) > 0.5, 1.0, -1.0))
-    a_train, a_test = split(ds, RANDOM_HALF, seed=7)
-    b_train, b_test = split(ds, RANDOM_HALF, seed=7)
+    a_train, a_test = split(ds, seed=7)
+    b_train, b_test = split(ds, seed=7)
     np.testing.assert_array_equal(a_train.X, b_train.X)
     np.testing.assert_array_equal(a_test.y, b_test.y)
-    c_train, _ = split(ds, RANDOM_HALF, seed=8)
+    c_train, _ = split(ds, seed=8)
     assert not np.array_equal(a_train.X, c_train.X)
 
 
@@ -193,26 +191,36 @@ def test_given_partition_round_trip(tmp_path):
     train_file = _write(tmp_path, "train.csv", "0.0,1\n2.0,2\n")
     test_file = _write(tmp_path, "test.csv", "1.0,1\n4.0,2\n")
     ds = load_dataset_pair(train_file, test_file)
-    train, test = split(ds, GIVEN_PARTITION)
+    train, test = split(ds, seed=3)  # a given partition ignores the seed
     np.testing.assert_array_equal(train.X, [[0.0], [1.0]])
     # test features use the training min/max, so they can exceed 1
     np.testing.assert_array_equal(test.X, [[0.5], [2.0]])
     np.testing.assert_array_equal(test.y, [-1.0, 1.0])
 
 
-def test_given_partition_needs_pair():
-    ds = Dataset(np.zeros((3, 1)), np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(DataError, match="train/test pair"):
-        split(ds, GIVEN_PARTITION)
-
-
 def test_split_validation():
-    ds = Dataset(np.zeros((3, 1)), np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError, match="unknown split policy"):
-        split(ds, "thirds")
     tiny = Dataset(np.zeros((1, 1)), np.array([1.0]))
     with pytest.raises(ValueError, match="fewer than 2"):
-        split(tiny, RANDOM_HALF)
+        split(tiny)
+
+
+def test_pair_maps_test_labels_by_the_training_pair(tmp_path):
+    # The test file holds one class, and that class is the training file's
+    # larger label: it maps to +1 as in training, not by its own sort.
+    train_file = _write(tmp_path, "train.csv", "0.0,0\n1.0,1\n2.0,0\n")
+    test_file = _write(tmp_path, "test.csv", "0.5,1\n1.5,1\n")
+    ds = load_dataset_pair(train_file, test_file)
+    np.testing.assert_array_equal(ds.y, [-1.0, 1.0, -1.0])
+    np.testing.assert_array_equal(ds.given_test.y, [1.0, 1.0])
+
+
+def test_pair_rejects_test_label_outside_the_training_pair(tmp_path):
+    train_file = _write(tmp_path, "train.csv", "0.0,0\n1.0,1\n")
+    test_file = _write(tmp_path, "test.csv", "0.5,1\n1.5,2\n")
+    with pytest.raises(
+        DataError, match="test.csv: label 2 is not one of the training labels 0 and 1"
+    ):
+        load_dataset_pair(train_file, test_file)
 
 
 def test_pair_width_mismatch(tmp_path):

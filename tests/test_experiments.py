@@ -14,7 +14,6 @@ from rffkrr import (
     Dataset,
     ExperimentConfig,
     KernelSpec,
-    PoolSource,
     emit_report,
     erls_baseline_grid,
     feature_map,
@@ -306,7 +305,6 @@ def test_leverage_sampler_pairs_equal_generation_at_each_lambda(pool_size):
         want_pool, want_Z = generate_features(
             "LeverageRFF", ds.X, ds.y, spec, 8, pool_size, "simplified", lam, seed
         )
-        assert pool.source is want_pool.source
         np.testing.assert_array_equal(pool.frequencies, want_pool.frequencies)
         np.testing.assert_array_equal(pool.weights, want_pool.weights)
         np.testing.assert_array_equal(Z, want_Z)
@@ -315,17 +313,10 @@ def test_leverage_sampler_pairs_equal_generation_at_each_lambda(pool_size):
 def test_generate_features_pool_provenance():
     ds = _blob_dataset()
     spec = KernelSpec(1.0)
-    expected = {
-        "RFF": PoolSource.MONTE_CARLO,
-        "QMC": PoolSource.QMC,
-        "SurrogateRFF": PoolSource.RESAMPLED,
-        "LeverageRFF": PoolSource.RESAMPLED,
-    }
-    for method, source in expected.items():
+    for method in experiments.METHODS:
         pool, Z = generate_features(
             method, ds.X, ds.y, spec, 4, 8, "simplified", 0.1, 3
         )
-        assert pool.source == source
         assert pool.frequencies.shape == (4, 2)
         assert Z.shape == (ds.n, 8)
     with pytest.raises(ValueError, match="unknown method"):
@@ -340,7 +331,7 @@ def test_features_after_feature_map_are_plain_arrays():
     for method in experiments.METHODS:
         pool, Z = generate_features(method, ds.X, ds.y, spec, 4, 8, "full", 0.1, 3)
         assert type(Z) is np.ndarray
-        if pool.source is PoolSource.RESAMPLED:
+        if method in ("SurrogateRFF", "LeverageRFF"):
             assert Z.base is None
     for pool, Z in erls_baseline_grid(ds.X, spec, 4, (0.01, 0.1, 1.0), 8, seed=3):
         assert type(Z) is np.ndarray and Z.base is None

@@ -16,7 +16,6 @@ from rffkrr import (
     FeatureMatrix,
     FrequencyPool,
     KernelSpec,
-    PoolSource,
     approx_kernel_entry,
     eval_kernel,
     feature_map,
@@ -36,7 +35,6 @@ def test_sample_mc_is_deterministic():
     b = sample_mc(DENSITY, 3, 42)
     np.testing.assert_array_equal(a.frequencies, b.frequencies)
     assert a.frequencies.shape == (3, 2)
-    assert a.source is PoolSource.MONTE_CARLO
     np.testing.assert_array_equal(a.weights, np.ones(3))
 
 
@@ -68,7 +66,6 @@ def test_sample_qmc_deterministic_without_seed():
     a = sample_qmc(DENSITY, 16)
     b = sample_qmc(DENSITY, 16)
     np.testing.assert_array_equal(a.frequencies, b.frequencies)
-    assert a.source is PoolSource.QMC
     assert np.all(np.isfinite(a.frequencies))
 
 
@@ -90,15 +87,13 @@ def test_qmc_beats_mc_median_error():
 
 def test_pool_validation():
     with pytest.raises(ValueError):
-        FrequencyPool(np.empty((0, 2)), np.empty(0), PoolSource.MONTE_CARLO)
+        FrequencyPool(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError):
-        FrequencyPool(np.ones((2, 1)), np.ones(3), PoolSource.MONTE_CARLO)
-    with pytest.raises(ValueError):  # mc pools must be unweighted
-        FrequencyPool(np.ones((2, 1)), np.array([1.0, 2.0]), PoolSource.MONTE_CARLO)
+        FrequencyPool(np.ones((2, 1)), np.ones(3))
     with pytest.raises(ValueError):
-        FrequencyPool(np.ones((1, 1)), np.array([-0.5]), PoolSource.RESAMPLED)
-    # resampled pools may carry arbitrary nonnegative weights
-    pool = FrequencyPool(np.ones((2, 1)), np.array([0.0, 2.5]), PoolSource.RESAMPLED)
+        FrequencyPool(np.ones((1, 1)), np.array([-0.5]))
+    # any finite nonnegative weights are accepted
+    pool = FrequencyPool(np.ones((2, 1)), np.array([0.0, 2.5]))
     assert pool.size == 2 and pool.dim == 1
 
 
@@ -110,7 +105,7 @@ def test_feature_matrix_width_check():
 
 
 def test_zero_frequency_gives_constant_features():
-    pool = FrequencyPool(np.zeros((1, 2)), np.ones(1), PoolSource.MONTE_CARLO)
+    pool = FrequencyPool(np.zeros((1, 2)), np.ones(1))
     Z = feature_map(np.random.default_rng(0).uniform(size=(5, 2)), pool)
     np.testing.assert_allclose(Z.entries, np.tile([1.0, 0.0], (5, 1)))
     np.testing.assert_allclose(Z.entries @ Z.entries.T, np.ones((5, 5)))
@@ -125,11 +120,7 @@ def test_unweighted_rows_have_unit_norm():
 def test_feature_map_matches_scalar_loop():
     rng = np.random.default_rng(2)
     X = rng.uniform(size=(10, 2))
-    pool = FrequencyPool(
-        rng.standard_normal((3, 2)),
-        np.array([0.5, 1.0, 2.0]),
-        PoolSource.RESAMPLED,
-    )
+    pool = FrequencyPool(rng.standard_normal((3, 2)), np.array([0.5, 1.0, 2.0]))
     Z = feature_map(X, pool).entries
     gram = Z @ Z.T
     for j in range(10):
@@ -170,7 +161,7 @@ def _block_case(n, s, kind):
     pool = sample_mc(density, s, s)
     if kind == "resampled":
         weights = np.random.default_rng(s).uniform(0.0, 3.0, s)
-        pool = FrequencyPool(pool.frequencies, weights, PoolSource.RESAMPLED)
+        pool = FrequencyPool(pool.frequencies, weights)
     return X, pool
 
 
@@ -411,7 +402,7 @@ def test_approx_kernel_entry_trivials():
     pool = sample_mc(DENSITY, 6, 11)
     x = np.array([0.2, 0.9])
     assert approx_kernel_entry(x, x, pool) == pytest.approx(1.0, abs=1e-12)
-    dead = FrequencyPool(pool.frequencies, np.zeros(6), PoolSource.RESAMPLED)
+    dead = FrequencyPool(pool.frequencies, np.zeros(6))
     assert approx_kernel_entry(x, np.zeros(2), dead) == 0.0
 
 

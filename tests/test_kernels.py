@@ -77,17 +77,6 @@ def test_spectral_density_variance_convention():
     assert density.dim == 3
 
 
-def test_spectral_density_pdf_formula():
-    density = SpectralDensity(dim=2, variance=2.0)
-    w = np.array([[0.5, -1.0]])
-    expected = (2 * np.pi * 2.0) ** -1.0 * np.exp(-(0.25 + 1.0) / (2 * 2.0))
-    assert density.pdf(w)[0] == pytest.approx(expected, rel=1e-12)
-    # 1-d pdf integrates to ~1 on a wide grid
-    grid = np.linspace(-20, 20, 4001).reshape(-1, 1)
-    mass = np.trapezoid(SpectralDensity(1, 2.0).pdf(grid), dx=grid[1, 0] - grid[0, 0])
-    assert mass == pytest.approx(1.0, abs=1e-6)
-
-
 def test_spectral_density_icdf():
     density = SpectralDensity(dim=1, variance=2.0)
     assert density.icdf(np.array([0.5]))[0] == 0.0

@@ -7,6 +7,8 @@ feature matrices carry a 1/sqrt(l) column normalization, so the scoring
 functions multiply their quadratic forms by the pool size to undo it.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from rffkrr import (
     FrequencyPool,
     KernelSpec,
     NumericalError,
-    PoolSource,
     build_resample_plan,
     cross_validate,
     degrees_of_freedom,
@@ -74,7 +75,7 @@ def _per_draw_reference(method, X, y, s, lam, pool_size, variant, seed):
         pool_size, size=s, replace=True, p=plan
     )
     weights = pool.weights[draws] / (pool_size * plan[draws])
-    return draws, FrequencyPool(pool.frequencies[draws], weights, PoolSource.RESAMPLED)
+    return draws, FrequencyPool(pool.frequencies[draws], weights)
 
 
 def test_exact_leverage_matches_explicit_inverse():
@@ -95,7 +96,7 @@ def test_surrogate_closed_form_small_case():
     # (1, -1), sine column (0, sin pi ~ 1e-16), y = (1, -1).  Simplified
     # (y.c)^2 / (n^2 lam) = 4 / 2; full adds n (|c|^2+|s|^2) / (n^2 lam)
     # = 4 / 2.
-    pool = FrequencyPool(np.ones((1, 1)), np.ones(1), PoolSource.MONTE_CARLO)
+    pool = FrequencyPool(np.ones((1, 1)), np.ones(1))
     Z = feature_map(np.array([[0.0], [np.pi]]), pool).entries
     y = np.array([1.0, -1.0])
     full = surrogate_leverage(y, Z, 0.5)
@@ -224,13 +225,11 @@ def test_resample_weight_trivials():
     pool = sample_mc(spectral_density(KernelSpec(1.0), 1), 4, 1)
     out = resample(pool, np.ones(4), 3, 9)
     np.testing.assert_array_equal(out.weights, np.ones(3))
-    assert out.source is PoolSource.RESAMPLED
 
     two = sample_mc(spectral_density(KernelSpec(1.0), 1), 2, 1)
     out = resample(two, np.array([1.0, 0.0]), 1, 9)
     np.testing.assert_array_equal(out.frequencies, two.frequencies[:1])
     np.testing.assert_array_equal(out.weights, [0.5])  # 1 / (l * prob) = 1/2
-    assert out.source is PoolSource.RESAMPLED
 
 
 def test_resample_determinism_and_validation():
@@ -269,18 +268,14 @@ def test_surrogate_pipeline_runs_without_solves():
     assert out.size == np.unique(draws).size <= 4
     ref = feature_map(X, reference).entries
     np.testing.assert_allclose(feats @ feats.T, ref @ ref.T, rtol=1e-12, atol=1e-12)
-    assert out.source is PoolSource.RESAMPLED
 
 
 def test_erls_baseline_pipeline_pays_for_solves():
     X, y, pool, Z = _instance(3, n=40, l=8)
     linalg.reset_solve_count()
-    out, _ = erls_baseline_pipeline(
-        X, y, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2
-    )
+    erls_baseline_pipeline(X, KernelSpec(1.0), 4, 0.1, pool_size=8, seed=2)
     # One factor and one triangular inverse of the regularized pool Gram.
     assert linalg.solve_count() == 2
-    assert out.source is PoolSource.RESAMPLED
 
 
 def test_pipeline_determinism():
@@ -293,11 +288,14 @@ def test_pipeline_determinism():
     assert not np.array_equal(a.frequencies, c.frequencies)
     # One SeedSequence object passed twice draws the same pool both times,
     # and the same pool as its integer seed.
-    for pipeline in (surrogate_pipeline, erls_baseline_pipeline):
+    for pipeline in (
+        partial(surrogate_pipeline, X, y),
+        partial(erls_baseline_pipeline, X),
+    ):
         seq = np.random.SeedSequence(7)
-        d, _ = pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=seq)
-        e, _ = pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=seq)
-        f, _ = pipeline(X, y, KernelSpec(1.0), 4, 0.1, pool_size=12, seed=7)
+        d, _ = pipeline(KernelSpec(1.0), 4, 0.1, pool_size=12, seed=seq)
+        e, _ = pipeline(KernelSpec(1.0), 4, 0.1, pool_size=12, seed=seq)
+        f, _ = pipeline(KernelSpec(1.0), 4, 0.1, pool_size=12, seed=7)
         np.testing.assert_array_equal(d.frequencies, e.frequencies)
         np.testing.assert_array_equal(d.weights, e.weights)
         np.testing.assert_array_equal(d.frequencies, f.frequencies)
@@ -526,7 +524,7 @@ def test_pipelines_equal_copy_gather_oracle(pool_mult):
         _copy_gather_oracle("SurrogateRFF", X, y, s, (0.1,), l, 5)[0],
     )
     _assert_pairs_equal(
-        erls_baseline_pipeline(X, y, spec, s, 0.05, pool_size=l, seed=5),
+        erls_baseline_pipeline(X, spec, s, 0.05, pool_size=l, seed=5),
         _copy_gather_oracle("LeverageRFF", X, y, s, (0.05,), l, 5)[0],
     )
     oracle = _copy_gather_oracle("LeverageRFF", X, y, s, grid, l, 5)

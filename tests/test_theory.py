@@ -35,17 +35,10 @@ def test_required_features_closed_form_instance():
     assert report.s_required_surrogate == pytest.approx(83.17766166719343, abs=1e-9)
     assert report.s_required_erls == pytest.approx(27.725887222397812, abs=1e-9)
     assert report.n == 2
-    assert report.lam_star == 0.5
     assert report.l_sup is None
     assert report.decay.kind == DECAY_UNCLASSIFIED
     assert report.s_asymptotic_surrogate is None
     assert report.s_asymptotic_erls is None
-
-
-def test_required_features_carries_lam_star():
-    report = required_features(**TRIVIAL, lam_star=0.123)
-    assert report.lam_star == 0.123
-    assert report.lam == 0.5
 
 
 def test_bound_scales_inversely_with_delta():
