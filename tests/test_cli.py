@@ -107,10 +107,8 @@ def noisy_csv(tmp_path):
     X = rng.uniform(size=(160, 3))
     score = np.sin(6.0 * X[:, 0]) + X[:, 1] + rng.normal(0.0, 0.4, size=160)
     path = tmp_path / "noisy.csv"
-    path.write_text(
-        "".join(f"{a:.6f},{b:.6f},{c:.6f},{int(v > 0.6)}\n" for (a, b, c), v
-                in zip(X, score))
-    )
+    table = np.column_stack([X, score > 0.6])
+    np.savetxt(path, table, fmt=["%.6f"] * 3 + ["%d"], delimiter=",")
     return str(path)
 
 
@@ -124,12 +122,12 @@ def test_cv_reports_the_selection_of_krr_trial_0(noisy_csv, seed, capsys, monkey
     # The report that run_experiment's trial 0 computes on its own
     # training half with its own CV seed.
     reports = []
+    real_cross_validate = experiments.cross_validate
 
     def recording_cross_validate(*args, **kwargs):
-        reports.append(cross_validate(*args, **kwargs))
+        reports.append(real_cross_validate(*args, **kwargs))
         return reports[-1]
 
-    cross_validate = experiments.cross_validate
     monkeypatch.setattr(experiments, "cross_validate", recording_cross_validate)
     assert cli.main(["krr", *flags, "--trials", "1", "--emit", "jsonl"]) == 0
     (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
