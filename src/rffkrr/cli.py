@@ -25,6 +25,7 @@ from . import linalg
 from .errors import DataError, NumericalError, UsageError
 from .experiments import (
     ExperimentConfig,
+    _check_qmc_dimension,
     _load_for_config,
     _split_and_cv,
     render_report,
@@ -205,6 +206,7 @@ def _cmd_cv(config):
     dataset = _load_for_config(config)
     method = config.methods[0]
     s = config.s_multipliers[0] * dataset.dim
+    _check_qmc_dimension((method,), dataset.dim)
     _, _, report = _split_and_cv(
         config, dataset, KernelSpec(config.sigma), method, s, 0, "full"
     )

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import load_dataset, load_dataset_pair, split
-from .features import feature_map, sample_mc, sample_qmc
+from .errors import DataError, UsageError
+from .features import _PRIMES, feature_map, sample_mc, sample_qmc
 from .kernels import KernelSpec, kernel_matrix, relative_approx_error, spectral_density
 from .krr import classify_accuracy, cross_validate, fit, predict
 from .leverage import erls_baseline_grid, erls_baseline_pipeline, surrogate_pipeline
@@ -191,6 +192,14 @@ def _load_for_config(config):
     return load_dataset(config.data, config.format)
 
 
+def _check_qmc_dimension(methods, dim):
+    if "QMC" in methods and dim > len(_PRIMES):
+        raise UsageError(
+            f"QMC supports at most {len(_PRIMES)} data columns (one Halton "
+            f"prime base each); the data has {dim}"
+        )
+
+
 def _split_and_cv(config, dataset, spec, method, s, trial, mode):
     """A trial's (train, test) split and, in "full" mode, the CvReport of
     its inner cross-validation on the training half (else None).  This is
@@ -199,6 +208,11 @@ def _split_and_cv(config, dataset, spec, method, s, trial, mode):
     train, test = split(dataset, _child_seed(config.seed, trial, _TAG_SPLIT))
     if mode != "full":
         return train, test, None
+    if train.n < config.folds:
+        raise DataError(
+            f"the training half has {train.n} rows, fewer than the "
+            f"{config.folds} cross-validation folds"
+        )
     sampler = make_sampler(method, spec, s, config.pool_multiplier * s, config.variant)
     report = cross_validate(
         train.X,
@@ -274,6 +288,7 @@ def run_experiment(config, dataset=None, mode="full", on_record=None):
         raise ValueError(f"unknown mode {mode!r}")
     if dataset is None:
         dataset = _load_for_config(config)
+    _check_qmc_dimension(config.methods, dataset.dim)
     spec = KernelSpec(config.sigma)
     tasks = [
         (method, mult * dataset.dim, trial)

@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .errors import NumericalError
 from .features import feature_map, make_rng, spawn_seeds
-from .kernels import matrix_entries
+from .leverage import regularized_factor
 
 _RESIDUAL_TOL = 1e-8
 
@@ -46,14 +46,13 @@ class CvReport:
 
 def _ridge_coefficients(gram, rhs, ridge):
     """Solve (gram + ridge I) beta = rhs with one refinement step."""
-    system = linalg.add_diagonal(gram, ridge)
-    factor = linalg.psd_factor(system)
+    factor = linalg.psd_factor(gram, ridge)
     beta = linalg.factor_solve(factor, rhs)
     rhs_norm = float(np.linalg.norm(rhs))
-    residual = rhs - system @ beta
+    residual = rhs - (gram @ beta + ridge * beta)
     if np.linalg.norm(residual) > 1e-10 * rhs_norm:
         beta = beta + linalg.factor_solve(factor, residual)
-        residual = rhs - system @ beta
+        residual = rhs - (gram @ beta + ridge * beta)
     if np.linalg.norm(residual) > _RESIDUAL_TOL * rhs_norm:
         raise NumericalError(
             "normal-equations solve did not reach the residual tolerance"
@@ -88,15 +87,11 @@ def fit_exact(K, y, lam):
     Used as the full-kernel oracle at test scale; refuses n beyond the
     exact-mode cap.
     """
-    Km = matrix_entries(K)
+    factor = regularized_factor(K, lam)
     y = np.asarray(y, dtype=float).ravel()
-    n = Km.shape[0]
-    linalg.check_exact_cap(n)
-    if y.shape[0] != n:
-        raise ValueError(f"{y.shape[0]} labels for {n} points")
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return linalg.psd_solve(linalg.add_diagonal(Km, n * lam), y)
+    if y.shape[0] != factor[0].shape[0]:
+        raise ValueError(f"{y.shape[0]} labels for {factor[0].shape[0]} points")
+    return linalg.factor_solve(factor, y)
 
 
 def predict(model, X):

@@ -72,7 +72,7 @@ def regularized_factor(K, lam):
     linalg.check_exact_cap(n)
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    return linalg.psd_factor(linalg.add_diagonal(Km, n * lam))
+    return linalg.psd_factor(Km, n * lam)
 
 
 def exact_leverage(kreg_factor, Z):
@@ -141,12 +141,8 @@ def approx_ridge_leverage(Z, lam):
     scores = np.empty((lams.size, size))
     for k, value in enumerate(lams):
         shift = n * value
-        if k < lams.size - 1:
-            inverse_diagonal = linalg.psd_inverse_diagonal(gram, shift)
-        else:
-            # G is needed no more: shift, factor and invert it in place.
-            inverse_diagonal = linalg._inverse_diagonal_in_place(gram, shift)
-        diagonal = 1.0 - shift * inverse_diagonal
+        buffer = gram if k == lams.size - 1 else gram.copy()
+        diagonal = 1.0 - shift * linalg._inverse_diagonal_in_place(buffer, shift)
         scores[k] = np.clip(_pair_sums(diagonal), 0.0, None)
     return scores if np.ndim(lam) else scores[0]
 

@@ -13,7 +13,9 @@ the package goes through this module so that tests can count how many
 linear solves a code path performs; :func:`psd_inverse_diagonal` counts
 as two, its factor and its inverse.  The point of the surrogate sampling
 pipeline is that it runs without any solves at all, and the counter is
-how that claim is checked rather than merely asserted.
+how that claim is checked rather than merely asserted.  Each factor is
+one in-place ``potrf`` on a shifted private C-order copy of a symmetric
+input, of which only the upper triangle is read.
 """
 
 import os
@@ -120,38 +122,22 @@ def gram(Z):
     return G
 
 
-def psd_factor(mat):
-    """Cholesky-factor a symmetric positive definite matrix.  Counted.
+def psd_factor(mat, shift=0.0):
+    """Cholesky-factor the symmetric positive definite mat + shift I.
+    Counted.
 
-    Returns an opaque factor object accepted by :func:`factor_solve`.
-    Raises NumericalError if the matrix holds NaN or Inf or is not
-    positive definite.
+    One private C-order copy of ``mat`` is shifted and factored in place;
+    only its upper triangle is read.  Returns an opaque factor object
+    accepted by :func:`factor_solve`.  Raises NumericalError if the
+    shifted matrix holds NaN or Inf or is not positive definite.
     """
-    a = np.asarray(mat, dtype=float)
-    if not np.isfinite(a).all():
-        raise NumericalError("matrix contains NaN or Inf")
-    _bump()
-    try:
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"matrix is not positive definite: {exc}") from exc
+    return _factor_in_place(np.array(mat, dtype=float, order="C"), shift), True
 
 
 def factor_solve(factor, rhs):
     """Solve A x = rhs given a factor from :func:`psd_factor`.  Counted."""
     _bump()
     return scipy.linalg.cho_solve(factor, np.asarray(rhs, dtype=float))
-
-
-def add_diagonal(mat, value):
-    """Copy of a square matrix with ``value`` added to its diagonal.
-
-    Equal entry for entry to ``mat + value * np.eye(m)``, without the two
-    m x m temporaries that form allocates.  The input is left unchanged.
-    """
-    out = np.array(mat, dtype=float)
-    out[np.diag_indices_from(out)] += value
-    return out
 
 
 def psd_solve(mat, rhs):
@@ -168,31 +154,33 @@ def psd_inverse_diagonal(mat, shift=0.0):
     diagonal is the squared column norms of L^{-1}.  One private copy of
     ``mat`` is shifted, factored (``potrf``) and inverted (``trtri``) in
     place: about (2/3) m^3 flops, and no other m x m float array.
-    Only one triangle of ``mat`` is read; the input is left unchanged.
-    Raises NumericalError if the shifted matrix holds NaN or Inf or is not
-    positive definite.
+    Only the upper triangle of ``mat`` is read.  Raises NumericalError if
+    the shifted matrix holds NaN or Inf or is not positive definite.
     """
-    return _inverse_diagonal_in_place(np.array(mat, dtype=float), shift)
+    return _inverse_diagonal_in_place(np.array(mat, dtype=float, order="C"), shift)
 
 
-def _inverse_diagonal_in_place(a, shift):
-    # The core of psd_inverse_diagonal, for a caller that owns the float
-    # matrix ``a`` and has no further use for it: ``a`` is shifted and
-    # overwritten by the factor and then by the inverse.  For a C-order
-    # ``a`` no m x m copy is made.
+def _factor_in_place(a, shift):
+    # Shift and overwrite the caller's float matrix ``a`` by its factor.
+    # A symmetric matrix is its own transpose, and for a C-order ``a`` the
+    # transpose is in the Fortran order potrf overwrites in place.  The
+    # returned view holds L, with its unused triangle zeroed (clean=1) so
+    # that trtri and the column norms of L^{-1} see only L.
     a[np.diag_indices_from(a)] += shift
-    # A symmetric matrix is its own transpose, so the transpose is the same
-    # matrix; for a C-order array it is in the Fortran order that LAPACK
-    # overwrites in place.
     a = a.T
     if not np.isfinite(a).all():
         raise NumericalError("matrix contains NaN or Inf")
     _bump()
-    # clean=1 zeroes the unused upper triangle, which trtri leaves alone, so
-    # the full column norms below see only L^{-1}.
     factor, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise NumericalError(f"matrix is not positive definite (potrf info {info})")
+    return factor
+
+
+def _inverse_diagonal_in_place(a, shift):
+    # The core of psd_inverse_diagonal, for a caller that owns the float
+    # matrix ``a`` and has no further use for it.
+    factor = _factor_in_place(a, shift)
     _bump()
     inverse, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
     if info != 0:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -282,6 +283,71 @@ def test_nan_labels_exit_2(tmp_path, name, capsys):
             "--trials", "1"]
     assert cli.main(argv) == 2
     assert ":2: non-finite label" in capsys.readouterr().err
+
+
+def _rows(count, width):
+    # Deterministic rows of ``width`` features in [0, 1) and 0/1 labels.
+    return "".join(
+        ",".join(f"{(i * 7 + j * 13) % 29 / 29:.4f}" for j in range(width))
+        + f",{i % 2}\n"
+        for i in range(count)
+    )
+
+
+# Files that the bad-input table names as {name}, written as name.csv.
+_BAD_FILES = {
+    "tiny": _rows(6, 2),
+    "wide": _rows(12, 70),
+    "big": _rows(linalg.EXACT_MODE_CAP + 100, 2),
+    "three": "0,1\n1,2\n2,3\n",
+    "train": "0.1,0\n0.2,1\n0.3,0\n0.4,1\n",
+    "test": "0.15,1\n0.25,2\n",
+    "nan": "0.1,0\nnan,1\n0.3,0\n0.4,1\n",
+}
+
+_FEW_ROWS = "the training half has 3 rows, fewer than the 5 cross-validation folds"
+_WIDE_QMC = "QMC supports at most 64 data columns (one Halton prime base each); the data has 70"
+
+# (argv, exit code, message): every bad input ends in its documented exit
+# code and a one-line message, never a traceback.
+_BAD_INPUTS = [
+    pytest.param(["krr", "--data", "{tiny}", "--method", "RFF", "--trials", "1"],
+                 2, _FEW_ROWS, id="krr-fewer-rows-than-folds"),
+    pytest.param(["cv", "--data", "{tiny}"], 2, _FEW_ROWS, id="cv-fewer-rows-than-folds"),
+    pytest.param(["krr", "--data", "{wide}", "--method", "QMC", "--trials", "1"],
+                 1, _WIDE_QMC, id="krr-qmc-beyond-halton"),
+    pytest.param(["cv", "--data", "{wide}", "--method", "QMC"],
+                 1, _WIDE_QMC, id="cv-qmc-beyond-halton"),
+    pytest.param(["krr"], 1, "--data is required", id="no-data"),
+    pytest.param(["krr", "--data", "x.csv", "--folds", "1"], 1, "need at least 2 folds",
+                 id="one-fold"),
+    pytest.param(["krr", "--data", "x.csv", "--method", "SVM"], 1, "unknown methods",
+                 id="unknown-method"),
+    pytest.param(["bounds", "--data", "x.csv", "--delta", "1.5"], 1,
+                 "--delta must be in (0, 1)", id="delta-out-of-range"),
+    pytest.param(["bounds", "--data", "{big}", "--err-subsample", "2050"], 1,
+                 "exceeds the exact-mode cap", id="bounds-beyond-exact-cap"),
+    pytest.param(["krr", "--data", "/no/such/file.csv", "--trials", "1"], 2, "cannot read",
+                 id="missing-file"),
+    pytest.param(["krr", "--data", "{three}", "--trials", "1"], 2, "2 label values",
+                 id="three-labels"),
+    pytest.param(["krr", "--data", "{train}", "--test-data", "{test}", "--trials", "1"],
+                 2, "not one of the training labels", id="test-label-outside-pair"),
+    pytest.param(["approx", "--data", "{nan}", "--method", "RFF", "--trials", "1"],
+                 2, ":2: non-finite feature", id="nan-feature"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", _BAD_INPUTS)
+def test_bad_inputs_exit_with_their_code(tmp_path, capsys, argv, code, message):
+    paths = {name: str(tmp_path / f"{name}.csv") for name in _BAD_FILES}
+    for name in re.findall(r"\{(\w+)\}", " ".join(argv)):
+        Path(paths[name]).write_text(_BAD_FILES[name])
+    assert cli.main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({1: "usage error: ", 2: "data error: "}[code])
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_numerical_failures_exit_3(blob_csv, monkeypatch, capsys):

@@ -20,7 +20,7 @@ from rffkrr import (
     sample_mc,
     spectral_density,
 )
-from rffkrr import linalg
+from rffkrr import krr, linalg
 
 DENSITY = spectral_density(KernelSpec(1.0), 2)
 
@@ -57,6 +57,39 @@ def test_fit_residual_contract():
         rhs = Z.T @ y
         residual = rhs - (Z.T @ Z + 30 * 0.05 * np.eye(8)) @ model.beta
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("perturb", ["first", "every"])
+def test_fit_refines_a_perturbed_first_solve(monkeypatch, perturb):
+    # The refinement branch runs only when the first solve leaves a residual
+    # above 1e-10 of the right-hand side, which a Cholesky solve at these
+    # sizes never does.  A first solve off by 1e-6 is repaired by one
+    # refinement step; solves that all come back doubled are not.
+    rng = np.random.default_rng(8)
+    Z = rng.standard_normal((40, 10))
+    y = rng.standard_normal(40)
+    lam = 0.05
+    exact_solve = linalg.factor_solve
+    solves = []
+
+    def perturbed(factor, rhs):
+        solves.append(rhs)
+        x = exact_solve(factor, rhs)
+        if perturb == "every":
+            return 2.0 * x
+        return x * (1.0 + 1e-6) if len(solves) == 1 else x
+
+    monkeypatch.setattr(linalg, "factor_solve", perturbed)
+    linalg.reset_solve_count()
+    if perturb == "every":
+        with pytest.raises(NumericalError):
+            fit(Z, y, lam)
+        return
+    beta = fit(Z, y, lam).beta
+    assert linalg.solve_count() == 3  # one factor, two solves
+    rhs = Z.T @ y
+    residual = rhs - (Z.T @ Z + 40 * lam * np.eye(10)) @ beta
+    assert np.linalg.norm(residual) <= krr._RESIDUAL_TOL * np.linalg.norm(rhs)
 
 
 def test_fit_input_validation():

@@ -422,7 +422,7 @@ def _solved_ridge_leverage(Z, lam):
     (G + n lam I)^{-1} G, pair-summed and clipped.  Returns the scores and
     cond(G + n lam I)."""
     gram = Z.T @ Z
-    shifted = linalg.add_diagonal(gram, Z.shape[0] * lam)
+    shifted = gram + Z.shape[0] * lam * np.eye(gram.shape[0])
     solved = linalg.psd_solve(shifted, gram)
     scores = np.clip(np.diag(solved).reshape(-1, 2).sum(axis=1), 0.0, None)
     return scores, np.linalg.cond(shifted)

@@ -1,7 +1,10 @@
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from rffkrr import NumericalError
@@ -38,13 +41,48 @@ def test_solve_counter_counts_factor_and_solve():
     assert linalg.solve_count() == 0
 
 
-@pytest.mark.parametrize("m", [1, 5, 64])
-def test_add_diagonal_matches_identity_form(m):
-    mat = np.random.default_rng(m).standard_normal((m, m))
-    before = mat.copy()
-    shifted = linalg.add_diagonal(mat, 0.37)
-    np.testing.assert_array_equal(shifted, mat + 0.37 * np.eye(m))
-    np.testing.assert_array_equal(mat, before)
+@pytest.mark.parametrize("m", [1, 7, 64, 513])
+def test_psd_factor_shift_matches_scipy_on_the_shifted_matrix(m):
+    # An exactly symmetric G: both triangles hold the same numbers, so the
+    # factor of its upper triangle is scipy's factor of the lower one.
+    A = np.random.default_rng(m).standard_normal((m, m + 3))
+    G = A @ A.T
+    np.testing.assert_array_equal(G, G.T)
+    before = G.copy()
+    rhs = np.random.default_rng(m + 1).standard_normal((m, 2))
+    x = linalg.factor_solve(linalg.psd_factor(G, 0.37), rhs)
+    np.testing.assert_array_equal(G, before)
+    shifted = scipy.linalg.cho_factor(G + 0.37 * np.eye(m), lower=True)
+    assert np.array_equal(x, scipy.linalg.cho_solve(shifted, rhs))
+
+
+def test_psd_factor_memory_is_one_buffer(traced_peak):
+    m = 1024
+    G = _dense_spd(m, 5)
+    peak, _ = traced_peak(lambda: linalg.psd_factor(G, 0.5))
+    assert peak <= 1.2 * m * m * 8
+
+
+# Factorizations and inverses outside linalg would escape its solve
+# counter, which is how a pipeline is shown to run without solves.
+_FACTOR_CALLS = (
+    "cho_factor",
+    "cho_solve",
+    "dpotrf",
+    "dtrtri",
+    "np.linalg.solve",
+    "np.linalg.inv",
+    "np.linalg.cholesky",
+)
+
+
+def test_every_factorization_goes_through_linalg():
+    package = Path(linalg.__file__).parent
+    for path in package.glob("*.py"):
+        if path.name != "linalg.py":
+            text = path.read_text()
+            assert [name for name in _FACTOR_CALLS if name in text] == [], path.name
+    assert len(re.findall(r"\bdpotrf\(", (package / "linalg.py").read_text())) == 1
 
 
 def test_psd_factor_rejects_indefinite_matrix():
