@@ -306,14 +306,18 @@ _BAD_FILES = {
 }
 
 _FEW_ROWS = "the training half has 3 rows, fewer than the 5 cross-validation folds"
-_WIDE_QMC = "QMC supports at most 64 data columns (one Halton prime base each); the data has 70"
+_WIDE_QMC = (
+    "QMC supports at most 64 data columns (one Halton prime base each); "
+    "the data has 70"
+)
 
 # (argv, exit code, message): every bad input ends in its documented exit
 # code and a one-line message, never a traceback.
 _BAD_INPUTS = [
     pytest.param(["krr", "--data", "{tiny}", "--method", "RFF", "--trials", "1"],
                  2, _FEW_ROWS, id="krr-fewer-rows-than-folds"),
-    pytest.param(["cv", "--data", "{tiny}"], 2, _FEW_ROWS, id="cv-fewer-rows-than-folds"),
+    pytest.param(["cv", "--data", "{tiny}"],
+                 2, _FEW_ROWS, id="cv-fewer-rows-than-folds"),
     pytest.param(["krr", "--data", "{wide}", "--method", "QMC", "--trials", "1"],
                  1, _WIDE_QMC, id="krr-qmc-beyond-halton"),
     pytest.param(["cv", "--data", "{wide}", "--method", "QMC"],
@@ -327,8 +331,8 @@ _BAD_INPUTS = [
                  "--delta must be in (0, 1)", id="delta-out-of-range"),
     pytest.param(["bounds", "--data", "{big}", "--err-subsample", "2050"], 1,
                  "exceeds the exact-mode cap", id="bounds-beyond-exact-cap"),
-    pytest.param(["krr", "--data", "/no/such/file.csv", "--trials", "1"], 2, "cannot read",
-                 id="missing-file"),
+    pytest.param(["krr", "--data", "/no/such/file.csv", "--trials", "1"],
+                 2, "cannot read", id="missing-file"),
     pytest.param(["krr", "--data", "{three}", "--trials", "1"], 2, "2 label values",
                  id="three-labels"),
     pytest.param(["krr", "--data", "{train}", "--test-data", "{test}", "--trials", "1"],
