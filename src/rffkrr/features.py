@@ -239,11 +239,11 @@ def _row_blocks(n, rows):
     return bounds
 
 
-# Helper threads shared by every feature map and tiled Gram in the
-# process, created on first use.  Sharing one pool keeps concurrent calls
-# (trials run with threads > 1) from starting more threads than there are
-# cores.  Helpers only run block or tile fills and never submit work, so
-# they cannot deadlock.
+# Helper threads shared by every feature map, tiled Gram and CV fold's
+# ridge solves in the process, created on first use.  Sharing one pool
+# keeps concurrent calls (trials run with threads > 1) from starting more
+# threads than there are cores.  Helpers only run block fills, tile fills
+# and ridge solves, and never submit work, so they cannot deadlock.
 _helpers = None
 _helpers_lock = threading.Lock()
 
@@ -267,6 +267,12 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
+def _participants(tasks):
+    """Threads that :func:`_run_blocks` puts on ``tasks`` tasks: the
+    caller and up to ``cpus - 1`` helpers, no more than one per task."""
+    return max(1, min(tasks, _cpu_count()))
+
+
 def _helper_pool(count):
     global _helpers
     with _helpers_lock:
@@ -279,15 +285,15 @@ def _helper_pool(count):
 
 def _run_blocks(fill, tasks):
     """Call ``fill(*task)`` once for every task in ``tasks``: the row
-    blocks of a feature map, or the tiles of :func:`rffkrr.linalg.gram`.
+    blocks of a feature map, the tiles of :func:`rffkrr.linalg.gram`, or
+    the lambda values of a cross-validation fold.
 
     The caller runs tasks itself and, with more than one task and more
     than one CPU, so do up to ``cpus - 1`` helper threads; each
     participant claims the next unclaimed task until none are left.  A
     helper's exception is raised here once every running helper is done.
     """
-    cpus = _cpu_count()
-    participants = min(len(tasks), cpus)
+    participants = _participants(len(tasks))
     if participants < 2:
         for task in tasks:
             fill(*task)
@@ -309,7 +315,7 @@ def _run_blocks(fill, tasks):
                 return
             work[0](*task)
 
-    helpers = _helper_pool(cpus - 1)
+    helpers = _helper_pool(_cpu_count() - 1)
     futures = [helpers.submit(drain) for _ in range(participants - 1)]
     try:
         drain()

@@ -8,13 +8,14 @@ kept apart.  ``fit_exact`` provides the kernel-space reference alpha =
 (K + n lam I)^{-1} y used by tests at small n.
 """
 
+import queue
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import NumericalError
-from .features import feature_map, make_rng, spawn_seeds
+from .features import _participants, _run_blocks, feature_map, make_rng, spawn_seeds
 from .leverage import regularized_factor
 
 _RESIDUAL_TOL = 1e-8
@@ -44,9 +45,11 @@ class CvReport:
     chosen_lambda: float
 
 
-def _ridge_coefficients(gram, rhs, ridge):
-    """Solve (gram + ridge I) beta = rhs with one refinement step."""
-    factor = linalg.psd_factor(gram, ridge)
+def _ridge_coefficients(gram, rhs, ridge, factor=None):
+    """Solve (gram + ridge I) beta = rhs with one refinement step, given
+    that matrix's factor or else making it with :func:`linalg.psd_factor`."""
+    if factor is None:
+        factor = linalg.psd_factor(gram, ridge)
     beta = linalg.factor_solve(factor, rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     residual = rhs - (gram @ beta + ridge * beta)
@@ -131,17 +134,53 @@ def _fold_accuracy(X, y, block, sampler, grid, seed):
         raise ValueError(
             f"sampler returned {len(pairs)} pairs for {len(grid)} lambda values"
         )
-    accuracy = np.empty(len(grid))
+    # Phase 1, on the caller: the training Gram, Z^T y and the validation
+    # map of each distinct pair, with the Gram checked finite once for all
+    # of its shifts.  The training features are not needed after this.
+    systems = []
     previous = None
-    for j, (lam, pair) in enumerate(zip(grid, pairs)):
+    for pair in pairs:
         if pair is not previous:
             pool, Z_tr = pair
             Z_val = feature_map(X_val, pool).entries
             gram = linalg.gram(Z_tr)
-            rhs = Z_tr.T @ y_tr
+            linalg._require_finite(gram)
+            system = (gram, Z_tr.T @ y_tr, Z_val)
             previous = pair
-        beta = _ridge_coefficients(gram, rhs, n_tr * lam)
+        systems.append(system)
+    del pairs, previous, pair, pool, Z_tr
+
+    # Phase 2: one task per lambda (factor, solve, refinement, accuracy),
+    # concurrent on the feature map's participants when BLAS runs one
+    # thread per call.  Each running task factors in a buffer of its own,
+    # taken from buffers made here, so no m x m array is allocated on a
+    # helper thread.
+    tasks = [(j,) for j in range(len(grid))]
+    concurrent = linalg._BLAS_ONE_THREAD
+    size = max(system[0].size for system in systems)
+    free = queue.SimpleQueue()
+    for buffer in np.empty((_participants(len(tasks)) if concurrent else 1, size)):
+        free.put(buffer)
+    accuracy = np.empty(len(grid))
+
+    def solve(j):
+        gram, rhs, Z_val = systems[j]
+        ridge = n_tr * grid[j]
+        buffer = free.get()
+        try:
+            a = buffer[: gram.size].reshape(gram.shape)
+            np.copyto(a, gram)
+            factor = linalg._factor_in_place(a, ridge, finite=True), True
+            beta = _ridge_coefficients(gram, rhs, ridge, factor)
+        finally:
+            free.put(buffer)
         accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
+
+    if concurrent:
+        _run_blocks(solve, tasks)
+    else:
+        for task in tasks:
+            solve(*task)
     return accuracy
 
 
@@ -157,11 +196,27 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     the pair differs from the previous value's, and only the ridge solve
     repeats across the grid.
 
+    A fold works in two phases.  First, on the calling thread, it forms
+    the training Gram, Z^T y and the validation map of each distinct pair,
+    checks each Gram finite once, and lets go of the training features.
+    Then one task per lambda factors G + n lam I, solves, refines and
+    scores the validation rows.  When BLAS runs one thread per call (as
+    for :func:`rffkrr.linalg.gram`'s tiles) these tasks run concurrently
+    on the feature map's participants, the calling thread and its helper
+    threads: the factor releases the interpreter lock, so each core
+    factors a different lambda.  Otherwise they run one after another.
+    Each task is computed whole by one thread, so the report is bit for
+    bit the same on any number of cores, and so is the solve count.
+
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.
-    Each fold runs in a helper call, so nothing of one fold (its pairs,
-    training and validation features, Gram) is still held when the next
-    fold's sampler runs: the peak is one fold's working set.
+    Each fold runs in a function call of its own, so nothing of one fold
+    (its pairs, training and validation features, Grams) is still held
+    when the next fold's sampler runs: the peak is one fold's working
+    set.  Its first phase holds the sampler's pairs, and the Gram, Z^T y
+    and validation map of each distinct pair.  Its second phase holds
+    those Grams and validation maps, plus one m x m factor buffer per
+    participant, made on the calling thread and reused across the grid.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

@@ -13,21 +13,34 @@ the package goes through this module so that tests can count how many
 linear solves a code path performs; :func:`psd_inverse_diagonal` counts
 as two, its factor and its inverse.  The point of the surrogate sampling
 pipeline is that it runs without any solves at all, and the counter is
-how that claim is checked rather than merely asserted.  Each factor is
-one in-place ``potrf`` on a shifted private C-order copy of a symmetric
-input, of which only the upper triangle is read.
+how that claim is checked rather than merely asserted.  The counter is
+bumped under a lock, so factors running on several threads at once are
+all counted.
+
+Each factor is one in-place ``potrf`` on a shifted C-order buffer that
+holds a symmetric matrix, of which only the upper triangle is read.  It
+calls scipy's own LAPACK ``dpotrf``, the routine behind
+``scipy.linalg.lapack.dpotrf``, through the function pointer that
+``scipy.linalg.cython_lapack`` exports, by ``ctypes``.  A ``ctypes`` call
+releases the interpreter lock for the factor's duration, where the
+``scipy.linalg.lapack`` wrapper holds it; so cross-validation can factor
+the ridge systems of several lambda values at once, one per core.
 """
 
+import ctypes
 import os
+import threading
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.sparse.linalg
 
 from .errors import NumericalError
 from .features import _run_blocks
 
 _solve_count = 0
+_solve_count_lock = threading.Lock()
 
 # Dense O(n^3) routines (exact leverage, exact KRR, eigendecompositions)
 # refuse matrices beyond this order; larger problems should be subsampled.
@@ -42,6 +55,9 @@ _START_SEED = 0x5EED
 # Z alone, never on the core count.  Tiles of 384 to 640 columns timed
 # alike at 5992 x 1792 and 7490 x 3584.
 _GRAM_TILE = 512
+
+# Rows of the factor cleared at a time by _inverse_diagonal_in_place.
+_CLEAR_ROWS = 64
 
 
 def _blas_one_thread():
@@ -74,6 +90,11 @@ def check_exact_cap(n):
         )
 
 
+def _require_finite(a):
+    if not np.isfinite(a).all():
+        raise NumericalError("matrix contains NaN or Inf")
+
+
 def solve_count():
     """Number of counted factorizations/solves since the last reset."""
     return _solve_count
@@ -86,7 +107,29 @@ def reset_solve_count():
 
 def _bump():
     global _solve_count
-    _solve_count += 1
+    with _solve_count_lock:
+        _solve_count += 1
+
+
+def _lapack_routine(name, *argtypes):
+    # A LAPACK routine of scipy's, by the function pointer in the capsule
+    # that scipy.linalg.cython_lapack exports under its name (the capsule's
+    # own name is the C signature).
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype = ctypes.c_char_p
+    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    pointer = api.PyCapsule_GetPointer(capsule, api.PyCapsule_GetName(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer)
+
+
+# The arguments of dpotrf: uplo, n, a, lda and info, all by reference.
+_INT = ctypes.POINTER(ctypes.c_int)
+_dpotrf = _lapack_routine(
+    "dpotrf", ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT
+)
 
 
 def gram(Z):
@@ -135,9 +178,16 @@ def psd_factor(mat, shift=0.0):
 
 
 def factor_solve(factor, rhs):
-    """Solve A x = rhs given a factor from :func:`psd_factor`.  Counted."""
+    """Solve A x = rhs given a factor from :func:`psd_factor`.  Counted.
+
+    The factor was checked finite when it was made, so only ``rhs`` is
+    checked here; ValueError if it holds NaN or Inf.
+    """
     _bump()
-    return scipy.linalg.cho_solve(factor, np.asarray(rhs, dtype=float))
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side contains NaN or Inf")
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def psd_solve(mat, rhs):
@@ -160,27 +210,43 @@ def psd_inverse_diagonal(mat, shift=0.0):
     return _inverse_diagonal_in_place(np.array(mat, dtype=float, order="C"), shift)
 
 
-def _factor_in_place(a, shift):
-    # Shift and overwrite the caller's float matrix ``a`` by its factor.
-    # A symmetric matrix is its own transpose, and for a C-order ``a`` the
-    # transpose is in the Fortran order potrf overwrites in place.  The
-    # returned view holds L, with its unused triangle zeroed (clean=1) so
-    # that trtri and the column norms of L^{-1} see only L.
+def _factor_in_place(a, shift, finite=False):
+    # Shift and overwrite the caller's C-order float matrix ``a`` by its
+    # factor.  A symmetric matrix is its own transpose, and for a C-order
+    # ``a`` the transpose is in the Fortran order potrf overwrites in
+    # place.  The returned view ``a.T`` holds L in its lower triangle; its
+    # strict upper triangle keeps input entries, which potrs never reads.
+    # ``finite`` says the caller has already found ``a`` finite (one check
+    # for a Gram factored at many shifts), so only the shifted diagonal is
+    # checked here.
+    m = a.shape[0]
+    if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
+        raise ValueError(f"expected a square C-order float64 buffer, got {a.shape}")
     a[np.diag_indices_from(a)] += shift
-    a = a.T
-    if not np.isfinite(a).all():
-        raise NumericalError("matrix contains NaN or Inf")
+    _require_finite(a.diagonal() if finite else a)
     _bump()
-    factor, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        raise NumericalError(f"matrix is not positive definite (potrf info {info})")
-    return factor
+    n, info = ctypes.c_int(m), ctypes.c_int(0)
+    _dpotrf(b"L", n, a.ctypes.data, n, info)
+    if info.value != 0:
+        raise NumericalError(
+            f"matrix is not positive definite (potrf info {info.value})"
+        )
+    return a.T
 
 
 def _inverse_diagonal_in_place(a, shift):
     # The core of psd_inverse_diagonal, for a caller that owns the float
     # matrix ``a`` and has no further use for it.
     factor = _factor_in_place(a, shift)
+    # trtri reads only L, but the column norms of L^{-1} below read whole
+    # columns: zero the rest, which is the strict lower triangle of the
+    # C-order ``a``, a block of rows at a time.
+    below = np.tri(_CLEAR_ROWS, k=-1, dtype=bool)
+    for start in range(0, a.shape[0], _CLEAR_ROWS):
+        rows = a[start : start + _CLEAR_ROWS]
+        k = rows.shape[0]
+        rows[:, :start] = 0.0
+        np.copyto(rows[:, start : start + k], 0.0, where=below[:k, :k])
     _bump()
     inverse, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
     if info != 0:
@@ -205,8 +271,7 @@ def spectral_norm_sym(mat):
     n = a.shape[0]
     if n == 0:
         raise ValueError("empty matrix has no spectral norm")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("matrix contains NaN or Inf")
+    _require_finite(a)
     if n == 1 or not a.any():
         return float(np.abs(np.linalg.eigvalsh(a)).max())
 

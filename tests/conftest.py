@@ -1,5 +1,6 @@
 """Shared fixtures: the acceptance-line recorder, benchmark dataset
-discovery, and the traced-peak helper for memory bounds.
+discovery, the traced-peak helper for memory bounds, and the helper-pool
+participants of feature maps, Grams and cross-validation folds.
 
 The acceptance tests in test_acceptance.py print one PASS/FAIL line per
 criterion; those lines are also replayed in the terminal summary so they
@@ -21,12 +22,13 @@ can be used as distributed.
 """
 
 import os
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from rffkrr import load_dataset
+from rffkrr import features, linalg, load_dataset
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,6 +66,35 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def participants(monkeypatch):
+    """``participants(count)`` makes block, tile and lambda tasks run on
+    the caller and ``count - 1`` helpers of a fresh pool, with BLAS taken
+    as pinned to one thread, so that wide Grams are tiled and a fold's
+    lambda values run concurrently whatever the environment.  A short
+    switch interval makes a task claimed twice or not at all show.
+
+    Only pools made under the fixture are shut down: the process-wide
+    pool live before it is put back as it was, still running."""
+    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(features, "_helpers", None)
+
+    def use(count):
+        if features._helpers is not None:
+            features._helpers.shutdown()
+        features._helpers = None
+        monkeypatch.setattr(features, "_cpu_count", lambda: count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+        if features._helpers is not None:
+            features._helpers.shutdown()
 
 
 def pytest_terminal_summary(terminalreporter):

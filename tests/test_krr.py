@@ -1,3 +1,5 @@
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -379,6 +381,64 @@ def test_leverage_cv_solve_count_matches_per_lambda_flow():
     # 3 folds x 4 values x (pool-Gram factor and inverse + ridge factor and
     # solve); no refinement step fires on this instance.
     assert counts == [48, 48]
+
+
+@pytest.mark.parametrize("method", ["RFF", "SurrogateRFF", "LeverageRFF"])
+def test_cv_concurrent_lambda_tasks_equal_the_sequential_loop(
+    participants, monkeypatch, method
+):
+    # LeverageRFF hands back a different pool, of a different width, for
+    # every lambda; the others share one pair across the grid.
+    X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=7)
+    grid = (0.0001, 0.001, 0.01, 0.1)
+    sampler = make_sampler(method, KernelSpec(1.0), 40, 80)
+    runs = []
+    for count, concurrent in ((4, False), (1, True), (2, True), (4, True)):
+        participants(count)
+        monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", concurrent)
+        linalg.reset_solve_count()
+        report = cross_validate(X, y, sampler, grid, folds=4, seed=5)
+        runs.append((report, linalg.solve_count()))
+    (sequential, solves), *others = runs
+    assert len(set(sequential.fold_accuracy.ravel())) > 1
+    for report, count in others:
+        np.testing.assert_array_equal(report.fold_accuracy, sequential.fold_accuracy)
+        assert report.chosen_lambda == sequential.chosen_lambda
+        assert count == solves
+
+
+@pytest.mark.parametrize("case", ["non-finite shift", "indefinite Gram"])
+def test_cv_numerical_error_in_a_helper_reaches_the_caller(
+    participants, monkeypatch, case
+):
+    participants(2)
+    X, y = _blob(seed=2)
+    grid = (0.01, 0.1, 1.0)
+    if case == "non-finite shift":
+        grid = grid + (1e308,)  # n_tr * 1e308 overflows to inf
+    else:
+        gram = linalg.gram
+        monkeypatch.setattr(
+            linalg, "gram", lambda Z: -gram(Z) - 1e6 * np.eye(Z.shape[1])
+        )
+    factor = linalg._factor_in_place
+    failed = []
+
+    def factor_in_helpers_first(a, shift, finite=False):
+        # The caller's first task waits, so the helper claims the rest.
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.2)
+        try:
+            return factor(a, shift, finite)
+        except NumericalError:
+            failed.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(linalg, "_factor_in_place", factor_in_helpers_first)
+    sampler = make_sampler("RFF", KernelSpec(1.0), 4, 4)
+    with pytest.raises(NumericalError):
+        cross_validate(X, y, sampler, grid, folds=3, seed=0)
+    assert any(thread is not threading.main_thread() for thread in failed)
 
 
 def test_cv_rejects_sampler_with_wrong_pair_count():

@@ -1,5 +1,8 @@
+import ctypes
 import re
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from rffkrr import NumericalError
-from rffkrr import features, linalg
+from rffkrr import linalg
+from rffkrr.leverage import approx_ridge_leverage
 
 
 @pytest.fixture(autouse=True)
@@ -56,6 +60,135 @@ def test_psd_factor_shift_matches_scipy_on_the_shifted_matrix(m):
     assert np.array_equal(x, scipy.linalg.cho_solve(shifted, rhs))
 
 
+@pytest.mark.parametrize("m", [1, 7, 513, 1792])
+def test_ctypes_factor_equals_scipy_wrapper_bit_for_bit(m):
+    # Both calls reach scipy's one LAPACK dpotrf: by its function pointer,
+    # and through the scipy.linalg.lapack wrapper.
+    G = _dense_spd(m, m + 2)
+    np.testing.assert_array_equal(G, G.T)
+    factor = linalg._factor_in_place(G.copy(), 0.25)
+    expected, info = scipy.linalg.lapack.dpotrf(
+        G + 0.25 * np.eye(m), lower=1, clean=1
+    )
+    assert info == 0
+    assert np.array_equal(np.tril(factor), expected)
+
+
+def test_factor_releases_the_interpreter_lock():
+    # While one thread is inside dpotrf, another keeps running Python code;
+    # under a held lock it would count nothing.  The long switch interval
+    # keeps the counter out between reading ``before`` and the call: it
+    # gets the lock only when the factoring thread gives it up.
+    m = 1792
+    G = _dense_spd(m, 9)
+    started, done = threading.Event(), threading.Event()
+    ticks = []
+
+    def count():
+        started.set()
+        while not done.is_set():
+            ticks.append(None)
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.5)
+    counter = threading.Thread(target=count)
+    counter.start()
+    try:
+        started.wait(timeout=10)
+        for _ in range(3):
+            a = G.copy()
+            n, info = ctypes.c_int(m), ctypes.c_int(0)
+            before = len(ticks)
+            linalg._dpotrf(b"L", n, a.ctypes.data, n, info)
+            assert len(ticks) > before
+            assert info.value == 0
+    finally:
+        done.set()
+        counter.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not counter.is_alive()
+
+
+def test_factor_with_finite_input_checks_the_shifted_diagonal():
+    G = _dense_spd(5, 1)
+    with pytest.raises(NumericalError):
+        linalg._factor_in_place(G.copy(), np.inf, finite=True)
+    factor = linalg._factor_in_place(G.copy(), 0.5, finite=True)
+    np.testing.assert_array_equal(factor, linalg._factor_in_place(G.copy(), 0.5))
+
+
+def test_factor_refuses_a_buffer_it_cannot_pass_to_lapack():
+    G = _dense_spd(6, 2)
+    for bad in (np.asfortranarray(G)[:, :5], G[::2, ::2], G.astype(np.float32)):
+        with pytest.raises(ValueError):
+            linalg._factor_in_place(bad, 0.0)
+    assert linalg.solve_count() == 0
+
+
+def test_solve_counter_counts_every_thread():
+    threads = [
+        threading.Thread(target=lambda: [linalg._bump() for _ in range(2000)])
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert linalg.solve_count() == 8 * 2000
+
+
+def test_factor_solve_rejects_non_finite_rhs():
+    factor = linalg.psd_factor(_dense_spd(4, 3))
+    for bad in (np.nan, np.inf):
+        rhs = np.ones(4)
+        rhs[2] = bad
+        with pytest.raises(ValueError):
+            linalg.factor_solve(factor, rhs)
+
+
+def _wrapper_inverse_diagonal(mat, shift):
+    # The diagonal of (mat + shift I)^{-1} as it was computed through
+    # scipy.linalg.lapack's dpotrf wrapper, which zeroes the unused
+    # triangle itself (clean=1).
+    a = np.array(mat, dtype=float, order="C")
+    a[np.diag_indices_from(a)] += shift
+    factor, info = scipy.linalg.lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
+    assert info == 0
+    inverse, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
+    assert info == 0
+    rows = inverse.T
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 200, 513])
+def test_psd_inverse_diagonal_equals_the_wrapper_path(m):
+    # Widths around the 64-row blocks in which the unused triangle is
+    # cleared.
+    G = _dense_spd(m, 3 * m)
+    for shift in (0.0, 0.7):
+        assert np.array_equal(
+            linalg.psd_inverse_diagonal(G, shift), _wrapper_inverse_diagonal(G, shift)
+        )
+
+
+def test_approx_ridge_leverage_equals_the_wrapper_path():
+    Z = np.random.default_rng(4).uniform(-1.0, 1.0, size=(300, 2 * 70)) / np.sqrt(70)
+    grid = (0.001, 0.01, 0.1)
+    G = Z.T @ Z
+    n = Z.shape[0]
+    for lam, row in zip(grid, approx_ridge_leverage(Z, grid)):
+        diagonal = 1.0 - n * lam * _wrapper_inverse_diagonal(G, n * lam)
+        expected = np.clip(diagonal[0::2] + diagonal[1::2], 0.0, None)
+        assert np.array_equal(row, expected)
+
+
 def test_psd_factor_memory_is_one_buffer(traced_peak):
     m = 1024
     G = _dense_spd(m, 5)
@@ -82,7 +215,8 @@ def test_every_factorization_goes_through_linalg():
         if path.name != "linalg.py":
             text = path.read_text()
             assert [name for name in _FACTOR_CALLS if name in text] == [], path.name
-    assert len(re.findall(r"\bdpotrf\(", (package / "linalg.py").read_text())) == 1
+    # One call of the LAPACK routine, scipy's wrapper or the ctypes handle.
+    assert len(re.findall(r"\b_?dpotrf\(", (package / "linalg.py").read_text())) == 1
 
 
 def test_psd_factor_rejects_indefinite_matrix():
@@ -198,30 +332,6 @@ _GRAM_WIDTHS = [1, 7, _TILED - 1, _TILED, _TILED + 1, 1024, 1101, 1792]
 
 def _feature_like(n, m, seed):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(m)
-
-
-@pytest.fixture
-def participants(monkeypatch):
-    """``participants(count)`` makes Grams run on the caller and
-    ``count - 1`` helpers of a fresh pool, with BLAS taken as pinned to
-    one thread, so that wide Grams are tiled whatever the environment.  A
-    short switch interval makes a tile claimed twice or not at all show."""
-    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", True)
-
-    def use(count):
-        if features._helpers is not None:
-            features._helpers.shutdown()
-        monkeypatch.setattr(features, "_cpu_count", lambda: count)
-        monkeypatch.setattr(features, "_helpers", None)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield use
-    finally:
-        sys.setswitchinterval(interval)
-        if features._helpers is not None:
-            features._helpers.shutdown()
 
 
 @pytest.mark.parametrize("m", _GRAM_WIDTHS)
