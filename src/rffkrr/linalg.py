@@ -114,14 +114,16 @@ def _bump():
 def _lapack_routine(name, *argtypes):
     # A LAPACK routine of scipy's, by the function pointer in the capsule
     # that scipy.linalg.cython_lapack exports under its name (the capsule's
-    # own name is the C signature).
+    # own name is the C signature).  The capsule calls use prototypes of
+    # their own, leaving ctypes.pythonapi's shared entries as they are.
     capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    api.PyCapsule_GetName.restype = ctypes.c_char_p
-    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
-    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
-    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    pointer = api.PyCapsule_GetPointer(capsule, api.PyCapsule_GetName(capsule))
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    pointer = get_pointer(capsule, get_name(capsule))
     return ctypes.CFUNCTYPE(None, *argtypes)(pointer)
 
 
