@@ -270,7 +270,7 @@ def _cpu_count():
 def _participants(tasks):
     """Threads that :func:`_run_blocks` puts on ``tasks`` tasks: the
     caller and up to ``cpus - 1`` helpers, no more than one per task."""
-    return max(1, min(tasks, _cpu_count()))
+    return min(tasks, _cpu_count())
 
 
 def _helper_pool(count):
