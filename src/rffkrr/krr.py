@@ -8,14 +8,13 @@ kept apart.  ``fit_exact`` provides the kernel-space reference alpha =
 (K + n lam I)^{-1} y used by tests at small n.
 """
 
-import queue
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import NumericalError
-from .features import _participants, _run_blocks, feature_map, make_rng, spawn_seeds
+from .features import feature_map, make_rng, spawn_seeds
 from .leverage import regularized_factor
 
 _RESIDUAL_TOL = 1e-8
@@ -129,58 +128,36 @@ def _fold_accuracy(X, y, block, sampler, grid, seed):
     X_tr, y_tr = X[mask], y[mask]
     X_val, y_val = X[block], y[block]
     n_tr = X_tr.shape[0]
-    pairs = sampler(X_tr, y_tr, grid, seed)
+    pairs = list(sampler(X_tr, y_tr, grid, seed))
     if len(pairs) != len(grid):
         raise ValueError(
             f"sampler returned {len(pairs)} pairs for {len(grid)} lambda values"
         )
     # Phase 1, on the caller: the training Gram, Z^T y and the validation
-    # map of each distinct pair, with the Gram checked finite once for all
-    # of its shifts.  The training features are not needed after this.
+    # map of each distinct pair.  Each pair is let go as soon as its system
+    # is formed, so its training features are gone before the next pair's
+    # Gram is allocated.
+    distinct = [i == 0 or pairs[i] is not pairs[i - 1] for i in range(len(pairs))]
     systems = []
-    previous = None
-    for pair in pairs:
-        if pair is not previous:
-            pool, Z_tr = pair
+    for i, new in enumerate(distinct):
+        if new:
+            pool, Z_tr = pairs[i]
             Z_val = feature_map(X_val, pool).entries
-            gram = linalg.gram(Z_tr)
-            linalg._require_finite(gram)
-            system = (gram, Z_tr.T @ y_tr, Z_val)
-            previous = pair
+            system = (linalg.gram(Z_tr), Z_tr.T @ y_tr, Z_val)
+            del pool, Z_tr
+        pairs[i] = None
         systems.append(system)
-    del pairs, previous, pair, pool, Z_tr
 
-    # Phase 2: one task per lambda (factor, solve, refinement, accuracy),
-    # concurrent on the feature map's participants when BLAS runs one
-    # thread per call.  Each running task factors in a buffer of its own,
-    # taken from buffers made here, so no m x m array is allocated on a
-    # helper thread.
-    tasks = [(j,) for j in range(len(grid))]
-    concurrent = linalg._BLAS_ONE_THREAD
-    size = max(system[0].size for system in systems)
-    free = queue.SimpleQueue()
-    for buffer in np.empty((_participants(len(tasks)) if concurrent else 1, size)):
-        free.put(buffer)
+    # Phase 2: one task per lambda (factor, solve, refinement, accuracy).
+    shifts = [n_tr * lam for lam in grid]
     accuracy = np.empty(len(grid))
 
-    def solve(j):
+    def score(j, factor):
         gram, rhs, Z_val = systems[j]
-        ridge = n_tr * grid[j]
-        buffer = free.get()
-        try:
-            a = buffer[: gram.size].reshape(gram.shape)
-            np.copyto(a, gram)
-            factor = linalg._factor_in_place(a, ridge, finite=True), True
-            beta = _ridge_coefficients(gram, rhs, ridge, factor)
-        finally:
-            free.put(buffer)
+        beta = _ridge_coefficients(gram, rhs, shifts[j], factor)
         accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
 
-    if concurrent:
-        _run_blocks(solve, tasks)
-    else:
-        for task in tasks:
-            solve(*task)
+    linalg.shifted_factors([system[0] for system in systems], shifts, score)
     return accuracy
 
 
@@ -198,25 +175,30 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
 
     A fold works in two phases.  First, on the calling thread, it forms
     the training Gram, Z^T y and the validation map of each distinct pair,
-    checks each Gram finite once, and lets go of the training features.
-    Then one task per lambda factors G + n lam I, solves, refines and
-    scores the validation rows.  When BLAS runs one thread per call (as
-    for :func:`rffkrr.linalg.gram`'s tiles) these tasks run concurrently
-    on the feature map's participants, the calling thread and its helper
-    threads: the factor releases the interpreter lock, so each core
-    factors a different lambda.  Otherwise they run one after another.
-    Each task is computed whole by one thread, so the report is bit for
-    bit the same on any number of cores, and so is the solve count.
+    letting go of each pair's training features once its system is
+    formed.  Then one task per lambda factors G + n lam I, solves, refines
+    and scores the validation rows, through
+    :func:`rffkrr.linalg.shifted_factors`: when BLAS runs one thread per
+    call the tasks run concurrently on the feature map's participants,
+    otherwise one after another.  Each task is computed whole by one
+    thread, so the report is bit for bit the same on any number of cores,
+    and so is the solve count.
 
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.
     Each fold runs in a function call of its own, so nothing of one fold
     (its pairs, training and validation features, Grams) is still held
     when the next fold's sampler runs: the peak is one fold's working
-    set.  Its first phase holds the sampler's pairs, and the Gram, Z^T y
-    and validation map of each distinct pair.  Its second phase holds
-    those Grams and validation maps, plus one m x m factor buffer per
-    participant, made on the calling thread and reused across the grid.
+    set.  Its first phase starts from the sampler's pairs; while the
+    system of pair i is formed it holds the training features of pairs
+    i onward and the Grams, Z^T y and validation maps of pairs up to i.
+    For a sampler whose pairs differ per lambda (LeverageRFF), that is
+    never more than the pairs themselves plus one Gram and one validation
+    map as long as a Gram and a validation map together are smaller than
+    one pair's training features (m + n_val <= n_train for m features).
+    Its second phase holds the Grams and validation maps, plus one m x m
+    factor buffer per running task, made on the calling thread and
+    reused across the grid.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

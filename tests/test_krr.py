@@ -364,6 +364,32 @@ def test_cv_frees_each_fold_before_the_next_sampler_call(method):
     assert alive == [0, 0, 0]
 
 
+def test_cv_lets_go_of_each_pair_once_its_gram_is_formed(monkeypatch):
+    # A sampler whose pairs differ per lambda: when the fold forms the
+    # Gram of pair i, the training features of pairs before i are gone.
+    X, y = _blob(seed=4)
+    inner = make_sampler("LeverageRFF", KernelSpec(1.0), 4, 8)
+    refs, alive = [], []
+
+    def sampler(X_tr, y_tr, grid, seed):
+        refs.clear()
+        pairs = inner(X_tr, y_tr, grid, seed)
+        refs.extend(weakref.ref(features) for _, features in pairs)
+        return pairs
+
+    gram = linalg.gram
+
+    def counting_gram(Z):
+        # The sampler's own pool Grams come before its pairs exist.
+        if refs:
+            alive.append(sum(ref() is not None for ref in refs))
+        return gram(Z)
+
+    monkeypatch.setattr(linalg, "gram", counting_gram)
+    cross_validate(X, y, sampler, (0.01, 0.1, 1.0), folds=3, seed=0)
+    assert alive == [3, 2, 1] * 3
+
+
 def test_leverage_cv_solve_count_matches_per_lambda_flow():
     # Sharing the pool, its map and its Gram across the grid saves no
     # solve: each lambda still factors its own regularized pool Gram.

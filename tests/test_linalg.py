@@ -118,6 +118,47 @@ def test_factor_with_finite_input_checks_the_shifted_diagonal():
     np.testing.assert_array_equal(factor, linalg._factor_in_place(G.copy(), 0.5))
 
 
+def test_psd_factor_into_a_buffer_equals_its_own_copy():
+    G = _dense_spd(6, 3)
+    out = np.full(50, np.nan)
+    factor = linalg.psd_factor(G, 0.5, out=out, finite=True)
+    np.testing.assert_array_equal(np.tril(factor[0]), np.tril(linalg.psd_factor(G, 0.5)[0]))
+    assert np.shares_memory(factor[0], out)
+    assert np.isnan(out[36:]).all()
+    assert linalg.solve_count() == 2
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_shifted_factors_equal_psd_factor_for_every_shift(
+    participants, monkeypatch, concurrent
+):
+    participants(2)
+    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", concurrent)
+    G, H = _dense_spd(40, 4), _dense_spd(30, 5)
+    grams, shifts = [G, G, H, H, G], [0.1, 1.0, 0.1, 2.0, 3.0]
+    solved = {}
+    rhs = np.arange(40.0)
+
+    def use(j, factor):
+        solved[j] = linalg.factor_solve(factor, rhs[: grams[j].shape[0]])
+
+    linalg.shifted_factors(grams, shifts, use)
+    assert linalg.solve_count() == 2 * len(grams)
+    for j, (gram, shift) in enumerate(zip(grams, shifts)):
+        expected = linalg.factor_solve(linalg.psd_factor(gram, shift), rhs[: gram.shape[0]])
+        np.testing.assert_array_equal(solved[j], expected)
+
+
+def test_shifted_factors_check_each_gram_before_any_factor():
+    bad = _dense_spd(5, 6)
+    bad[1, 3] = np.nan
+    used = []
+    with pytest.raises(NumericalError):
+        linalg.shifted_factors([_dense_spd(5, 7), bad], [1.0, 1.0], lambda j, f: used.append(j))
+    assert used == []
+    assert linalg.solve_count() == 0
+
+
 def test_factor_refuses_a_buffer_it_cannot_pass_to_lapack():
     G = _dense_spd(6, 2)
     for bad in (np.asfortranarray(G)[:, :5], G[::2, ::2], G.astype(np.float32)):
