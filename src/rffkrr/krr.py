@@ -189,15 +189,13 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     Each fold runs in a function call of its own, so nothing of one fold
     (its pairs, training and validation features, Grams) is still held
     when the next fold's sampler runs: the peak is one fold's working
-    set.  Its first phase starts from the sampler's pairs; while the
-    system of pair i is formed it holds the training features of pairs
-    i onward and the Grams, Z^T y and validation maps of pairs up to i.
-    For a sampler whose pairs differ per lambda (LeverageRFF), that is
-    never more than the pairs themselves plus one Gram and one validation
-    map as long as a Gram and a validation map together are smaller than
-    one pair's training features (m + n_val <= n_train for m features).
-    Its second phase holds the Grams and validation maps, plus one m x m
-    factor buffer per running task, made on the calling thread and
+    set.  Its first phase starts from the sampler's pairs.  For a sampler
+    whose pairs differ per lambda (LeverageRFF), each pair's Gram and
+    validation map replace its training features rather than add to
+    them, so the phase peaks at the pairs plus one Gram and one
+    validation map while m + n_val <= n_train for m features.  Its
+    second phase holds the Grams and validation maps, plus one m x m
+    factor buffer per concurrent task, made on the calling thread and
     reused across the grid.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
