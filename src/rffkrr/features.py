@@ -17,10 +17,29 @@ For a pool of size s the feature map sends a point x to the row
              sqrt(r_s/s) cos(w_s.x), sqrt(r_s/s) sin(w_s.x) ],
 
 so Z has shape (n, 2s), Z Z^T estimates the kernel matrix, and for an
-unweighted pool every row of Z has unit norm exactly.
+unweighted pool every row of Z has unit norm up to rounding.
+
+Both entries of a pair come from one half-angle tangent t = tan(w.x / 2):
+
+    cos(w.x) = (1 - t^2) / (1 + t^2),    sin(w.x) = 2t / (1 + t^2),
+
+with sqrt(r/s) folded into the one division.  numpy sends float64
+``np.tan`` to a vector path on CPUs with AVX-512, where ``np.cos`` and
+``np.sin`` call scalar libm: a 7490 x 14 map at s = 896 took 0.07 s
+against 0.22 s on a 2-vCPU Xeon VM.  Without AVX-512 numpy falls back to
+libm ``tan``, and the same map took 0.15 s against 0.24 s.  Either way,
+on angles |w.x| from 1e-6 to 1e8 and next to odd multiples of pi, each
+entry measured within 4 * 2^-53 * sqrt(r/s) of the ``np.cos``/``np.sin``
+value.  The half angles come from one product with 0.5 W (exactly half
+of X W) padded with zero columns to a multiple of 8, so each row of Z is
+the same bit for bit whatever rows are mapped with it.
+
+:func:`label_correlations` forms y^T Z from the same tangents, block by
+block, without holding Z: it is how the surrogate scores a pool.
 """
 
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -189,9 +208,9 @@ def feature_map(X, pool):
     Returns a FeatureMatrix whose ``entries`` has shape (n, 2s): frequency i
     contributes columns 2i (cosine) and 2i+1 (sine), both scaled by
     sqrt(weights[i] / s).  Z is filled one block of rows at a time, with
-    cos and sin written straight into its columns, so the memory used
-    beyond Z itself is one block of projections (about 2^17 entries, at
-    least two rows) per core, not an n x s array.
+    each block's cos and sin columns used as its scratch, so the memory
+    used beyond Z itself is one block of projections (about 2^17 entries,
+    at least two rows) per core, not an n x s array.
 
     The blocks are filled in parallel, by the calling thread and a shared
     pool of helper threads, one participant per CPU in the process's
@@ -202,6 +221,79 @@ def feature_map(X, pool):
     starts no thread.  BLAS threading inside each block's projection is
     left to the environment (e.g. ``OPENBLAS_NUM_THREADS``).
     """
+    X, half, scale = _map_operands(X, pool)
+    s = pool.size
+    Z = np.empty((X.shape[0], 2 * s))
+
+    def fill(start, stop):
+        t = _half_tangents(X, half, s, start, stop)
+        cos, sin = Z[start:stop, 0::2], Z[start:stop, 1::2]
+        np.multiply(t, t, out=cos)
+        np.add(cos, 1.0, out=sin)
+        np.divide(scale, sin, out=sin)  # sqrt(w/s) / (1 + t^2)
+        np.subtract(1.0, cos, out=cos)
+        cos *= sin
+        t += t
+        sin *= t
+
+    _run_blocks(fill, _map_blocks(X.shape[0], s))
+    return FeatureMatrix(Z)
+
+
+def label_correlations(X, pool, y):
+    """y^T Z for Z = ``feature_map(X, pool).entries``, as a (2s,) array,
+    without holding Z.  Equal to ``y @ Z`` up to rounding.
+
+    With f = 1 / (1 + t^2) for the half-angle tangents t, a column pair
+    of Z is sqrt(r/s) (2f - 1, 2tf), so its two entries of y^T Z are
+    sqrt(r/s) (2 y^T f - sum(y)) and sqrt(r/s) 2 y^T (tf): per row block,
+    f and tf (four passes after the tangent, against seven for the map's
+    pairs) times the block's labels.  The blocks run on the map's
+    participants, each forming f in a scratch block of its own, made on
+    the calling thread.  The per-block products are added in block order,
+    so the result is the same bit for bit on any number of cores.
+    """
+    X, half, scale = _map_operands(X, pool)
+    y = np.asarray(y, dtype=float).ravel()
+    n, s = X.shape[0], pool.size
+    if y.shape[0] != n:
+        raise ValueError(f"{y.shape[0]} labels for {n} points")
+    bounds = _map_blocks(n, s)
+    partials = np.empty((len(bounds), 2, s))
+    rows = max(stop - start for start, stop in bounds)
+    free = queue.SimpleQueue()
+    for buffer in np.empty((_participants(len(bounds)), rows * s)):
+        free.put(buffer)
+
+    def fill(k, start, stop):
+        buffer = free.get()
+        try:
+            t = _half_tangents(X, half, s, start, stop)
+            f = buffer[: t.size].reshape(t.shape)
+            np.multiply(t, t, out=f)
+            f += 1.0
+            np.divide(1.0, f, out=f)
+            t *= f
+            np.matmul(y[start:stop], f, out=partials[k, 0])
+            np.matmul(y[start:stop], t, out=partials[k, 1])
+        finally:
+            free.put(buffer)
+
+    _run_blocks(fill, [(k, start, stop) for k, (start, stop) in enumerate(bounds)])
+    sums = np.zeros((2, s))
+    for partial in partials:
+        sums += partial
+    correlations = np.empty(2 * s)
+    correlations[0::2] = (2.0 * sums[0] - y.sum()) * scale
+    correlations[1::2] = 2.0 * sums[1] * scale
+    return correlations
+
+
+def _map_operands(X, pool):
+    """The checked rows, the half-frequency matrix 0.5 W padded with zero
+    columns to a multiple of 8 (with such widths OpenBLAS computes each
+    row of a product of two or more rows the same, however many rows it
+    has), and the per-frequency scale sqrt(weights / s)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != pool.dim:
         raise ValueError(
@@ -209,21 +301,25 @@ def feature_map(X, pool):
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("data contains NaN or Inf")
-    n, s = X.shape[0], pool.size
-    W = pool.frequencies.T
-    scale = np.repeat(np.sqrt(pool.weights / s), 2)
-    Z = np.empty((n, 2 * s))
-    bounds = _row_blocks(n, max(2, _BLOCK_ENTRIES // s))
+    s = pool.size
+    half = np.zeros((pool.dim, -(-s // 8) * 8))
+    np.multiply(pool.frequencies.T, 0.5, out=half[:, :s])
+    return X, half, np.sqrt(pool.weights / s)
 
-    def fill(start, stop):
-        projections = X[start:stop] @ W
-        block = Z[start:stop]
-        np.cos(projections, out=block[:, 0::2])
-        np.sin(projections, out=block[:, 1::2])
-        block *= scale
 
-    _run_blocks(fill, bounds)
-    return FeatureMatrix(Z)
+def _map_blocks(n, s):
+    """The row blocks of an n-row map of s frequencies."""
+    return _row_blocks(n, max(2, _BLOCK_ENTRIES // s))
+
+
+def _half_tangents(X, half, s, start, stop):
+    # tan(w.x / 2) of rows [start, stop), computed in place in the block's
+    # projection.  A one-row block (a one-point map) is projected as a
+    # two-row product: a one-row product goes to gemv and rounds
+    # differently.
+    rows = X[start:stop] if stop - start > 1 else X[[start, start]]
+    t = (rows @ half)[: stop - start, :s]
+    return np.tan(t, out=t)
 
 
 def _row_blocks(n, rows):
@@ -330,10 +426,7 @@ def _run_blocks(fill, tasks):
 
 
 def approx_kernel_entry(x, x_prime, pool):
-    """Feature-space estimate of k(x, x') = z(x) . z(x').
-
-    Both points go through one two-row map: a one-row map goes to gemv
-    and rounds differently from the same rows of a larger map.
-    """
+    """Feature-space estimate of k(x, x') = z(x) . z(x'), from one
+    two-row map."""
     Z = feature_map(np.vstack([x, x_prime]), pool).entries
     return float(Z[0] @ Z[1])

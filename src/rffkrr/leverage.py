@@ -16,12 +16,16 @@ surrogate replaces the inverse with a label-driven upper bound,
 which dominates l(w) pointwise and integrates to the surrogate degrees of
 freedom (y^T K y + n Tr K) / (n^2 lam).  The simplified variant keeps only
 the label term.  Neither needs a linear solve, which is the entire point:
-scoring a pool of l frequencies costs one pass over the (n, 2l) feature
-matrix.
+scoring a pool of l frequencies costs one pass over its (n, 2l) feature
+matrix, for the label correlations y^T Z.
 
 Resampling is three steps on plain arrays: a scoring function returns
 one score per pool frequency, :func:`build_resample_plan` normalizes the
-scores into probabilities, and :func:`resample` draws from them.
+scores into probabilities, and :func:`resample` draws from them.  The
+pipelines then map the drawn pool afresh.  The surrogate pipeline never
+holds its pool's map: :func:`rffkrr.features.label_correlations` streams
+y^T Z block by block.  The leverage baseline needs the pool map for its
+Gram, and lets go of it before mapping its draws.
 
 Pools scored here must be unweighted draws from the spectral density p
 (plain Monte Carlo pools), passed as the plain (n, 2l) array of their
@@ -37,9 +41,9 @@ import numpy as np
 from . import linalg
 from .errors import NumericalError
 from .features import (
-    _BLOCK_ENTRIES,
     FrequencyPool,
     feature_map,
+    label_correlations,
     make_rng,
     sample_mc,
     spawn_seeds,
@@ -102,14 +106,24 @@ def surrogate_leverage(y, Z, lam, simplified=False):
     the label correlations y^T Z are computed.  A weighted (resampled) map
     breaks that identity and is not a valid input.
     """
+    y = _checked_labels(y, lam)
+    n = y.shape[0]
+    Z, _ = _pool_arrays(Z, n)
+    return _surrogate_scores(y @ Z, n, lam, simplified)
+
+
+def _checked_labels(y, lam):
     y = np.asarray(y, dtype=float).ravel()
     if not np.all(np.isfinite(y)):
         raise ValueError("labels contain NaN or Inf")
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    n = y.shape[0]
-    Z, size = _pool_arrays(Z, n)
-    raw = size * _pair_sums((y @ Z) ** 2)
+    return y
+
+
+def _surrogate_scores(correlations, n, lam, simplified):
+    # The surrogate of each frequency from its cos/sin pair of y^T Z.
+    raw = correlations.size // 2 * _pair_sums(correlations**2)
     if not simplified:
         raw = raw + n**2
     return raw / (n**2 * lam)
@@ -240,64 +254,25 @@ def resample(pool, scores, s, seed):
     return _draw(pool, scores, s, seed)[1]
 
 
-def _gather_features(z_entries, indices, weights, out):
-    # Reuse the pooled cos/sin columns instead of re-evaluating the map:
-    # column pair 2i, 2i+1 of the (n, 2l) pool map, rescaled from sqrt(1/l)
-    # to sqrt(w/u), gives the resampled feature pair, written to the
-    # (n, 2u) array ``out``.  Rows go by block, and each block is read
-    # whole before it is written.  Block rows [a, b) of ``out`` end at flat
-    # offset 2ub <= 2lb, where row b of the pool map begins, so ``out`` may
-    # be the front of the pool map's own buffer: no unread row is
-    # overwritten.
-    pool_size = z_entries.shape[1] // 2
-    unique = indices.size
-    column_index = np.empty(2 * unique, dtype=np.int64)
-    column_index[0::2] = 2 * indices
-    column_index[1::2] = 2 * indices + 1
-    scale = np.repeat(np.sqrt(pool_size * weights / unique), 2)
-    rows = max(1, _BLOCK_ENTRIES // (2 * unique))
-    for start in range(0, out.shape[0], rows):
-        block = np.take(z_entries[start : start + rows], column_index, axis=1)
-        np.multiply(block, scale, out=out[start : start + rows])
-
-
 def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):
-    """Draw and map one pool, then resample it once per score vector.
+    """Draw one pool, then resample it once per score vector and map the
+    draws.
 
-    ``score_fn(Z)`` returns one row of scores per lambda value for the
-    (n, 2l) pool map Z.  Every row is drawn with the same draw seed, so
-    row k gives the pair a one-value call with that row's scores gives.
-    Returns one (pool, Z) pair per row, Z the plain (n, 2u) array.
-
-    Each row's features are gathered from the pool map's columns.  Rows
-    before the last get fresh (n, 2u) arrays, because later rows still
-    need the pool map.  The last row, the only one of a one-value call, is
-    gathered into the front of the pool map's own buffer, which then
-    shrinks to (n, 2u) in place: the pool map and a copy of its chosen
-    columns are never held at once.
+    ``score_fn(X, pool)`` returns one row of scores per lambda value for
+    the pool.  Every row is drawn with the same draw seed, so row k gives
+    the pair a one-value call with that row's scores gives.  Returns one
+    (pool, Z) pair per row: the resampled pool and its (n, 2u) feature
+    array ``feature_map(X, pool).entries``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     pool_size = int(s) if pool_size is None else int(pool_size)
     seed_pool, seed_draw = spawn_seeds(seed, 2)
     density = spectral_density(spec, X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
-    # ndarray.resize refuses an array with other references, so Z must be
-    # the pool map's only one when it shrinks.
-    Z = feature_map(X, pool).entries
-    draws = [_draw(pool, scores, s, seed_draw) for scores in score_fn(Z)]
-    n = Z.shape[0]
     pairs = []
-    for indices, out in draws[:-1]:
-        entries = np.empty((n, 2 * indices.size))
-        _gather_features(Z, indices, out.weights, entries)
-        pairs.append((out, entries))
-    indices, out = draws[-1]
-    width = 2 * indices.size
-    front = Z.reshape(-1)[: n * width].reshape(n, width)
-    _gather_features(Z, indices, out.weights, front)
-    del front
-    Z.resize((n, width))
-    pairs.append((out, Z))
+    for scores in score_fn(X, pool):
+        drawn = resample(pool, scores, s, seed_draw)
+        pairs.append((drawn, feature_map(X, drawn).entries))
     return pairs
 
 
@@ -310,35 +285,38 @@ def surrogate_pipeline(
     larger pools give the resampler more to choose from.  Returns the
     resampled pool of the u <= s distinct draws, with repeats merged into
     their weights as in :func:`resample`, and its (n, 2u) feature array
-    on X, assembled by gathering pooled columns rather than re-evaluating
-    the map.
+    on X.  The pool is scored by
+    :func:`rffkrr.features.label_correlations`, so its (n, 2l) map is
+    never held: the memory used is the (n, 2u) result plus row blocks.
     """
     if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}")
     simplified = variant == "simplified"
-    return _resample_pipeline(
-        X,
-        spec,
-        s,
-        pool_size,
-        seed,
-        lambda Z: [surrogate_leverage(y, Z, lam, simplified=simplified)],
-    )[0]
+    y = _checked_labels(y, lam)
+
+    def score(X, pool):
+        correlations = label_correlations(X, pool, y)
+        return [_surrogate_scores(correlations, y.shape[0], lam, simplified)]
+
+    return _resample_pipeline(X, spec, s, pool_size, seed, score)[0]
 
 
 def erls_baseline_grid(X, spec, s, lambda_grid, pool_size=None, seed=0):
     """Approximate-leverage resampling for every value of a lambda grid.
 
     Draws and maps one pool and forms its feature Gram once; per value
-    it factors the regularized Gram, scores, draws from the same draw
-    seed and gathers.  Returns one (pool, Z) pair per grid
+    it factors the regularized Gram and scores.  The pool map is let go
+    of before any draw is mapped; then per value it draws from the same
+    draw seed and maps the draws.  Returns one (pool, Z) pair per grid
     value, each equal bit for bit to :func:`erls_baseline_pipeline` at
     that value.  This is the cross-validation sampler of the baseline.
     """
     grid = tuple(lambda_grid)
-    return _resample_pipeline(
-        X, spec, s, pool_size, seed, lambda Z: approx_ridge_leverage(Z, grid)
-    )
+
+    def score(X, pool):
+        return approx_ridge_leverage(feature_map(X, pool).entries, grid)
+
+    return _resample_pipeline(X, spec, s, pool_size, seed, score)
 
 
 def erls_baseline_pipeline(X, spec, s, lam, pool_size=None, seed=0):

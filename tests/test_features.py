@@ -142,14 +142,21 @@ def test_feature_map_row_equivariance():
 
 
 def _one_shot_map(X, pool):
-    # The whole n x s projection at once: the reference the blocked map
-    # must reproduce.
-    s = pool.size
-    projections = X @ pool.frequencies.T
-    scale = np.sqrt(pool.weights / s)
-    Z = np.empty((X.shape[0], 2 * s))
-    Z[:, 0::2] = np.cos(projections) * scale
-    Z[:, 1::2] = np.sin(projections) * scale
+    # The whole n x s projection at once, with 0.5 W padded to a multiple
+    # of 8 columns (a one-point map projects its point twice, as the map
+    # does), then cos = (1 - t^2) f and sin = 2t f with
+    # f = sqrt(w/s) / (1 + t^2) for t = tan(w.x / 2), one operation at a
+    # time: the reference the blocked map must reproduce.
+    n, s = X.shape[0], pool.size
+    half = np.zeros((pool.dim, -(-s // 8) * 8))
+    half[:, :s] = 0.5 * pool.frequencies.T
+    rows = np.vstack([X, X]) if n == 1 else X
+    t = np.tan((rows @ half)[:n, :s])
+    t2 = t * t
+    f = np.sqrt(pool.weights / s) / (1.0 + t2)
+    Z = np.empty((n, 2 * s))
+    Z[:, 0::2] = (1.0 - t2) * f
+    Z[:, 1::2] = (t + t) * f
     return Z
 
 
@@ -190,15 +197,85 @@ def test_feature_map_block_boundaries_are_exact(n, s, kind):
 
 @pytest.mark.parametrize("s", [255, 951])
 def test_feature_map_ragged_width_within_rounding(s):
-    # For other widths the BLAS may round the last s mod 8 projection
-    # columns differently in a block than in the one-shot product.
+    # Other widths are exact too: the map pads the projection matrix with
+    # zero columns to a multiple of 8.
     X, pool = _block_case(3000, s, "resampled")
-    np.testing.assert_allclose(
-        feature_map(X, pool).entries,
-        _one_shot_map(X, pool),
-        rtol=0,
-        atol=100 * np.finfo(float).eps,
+    np.testing.assert_array_equal(feature_map(X, pool).entries, _one_shot_map(X, pool))
+
+
+@pytest.mark.parametrize("s", [1, 7, 14, 255, 951])
+def test_rows_of_a_subset_map_equal_the_full_map(s):
+    # A row's features do not depend on the rows mapped with it, one-point
+    # maps included, at widths that are not multiples of 8.
+    X, pool = _block_case(3000, s, "resampled")
+    Z = feature_map(X, pool).entries
+    for start, count in ((0, 1), (1234, 1), (2999, 1), (5, 2), (701, 514)):
+        rows = slice(start, start + count)
+        np.testing.assert_array_equal(feature_map(X[rows], pool).entries, Z[rows])
+
+
+def _accuracy_case():
+    """One-feature points whose angles w.x run from 1e-6 to 1e8 in size,
+    and sit within a few ulps of odd multiples of pi, for frequencies of
+    several sizes with zero and nonzero weights.  With d = 1 each angle is
+    one rounded product, and the half angle is exactly half of it."""
+    rng = np.random.default_rng(19)
+    sizes = 10.0 ** np.linspace(-6, 8, 3000)
+    k = np.concatenate([np.arange(10), np.arange(10, 1.5e7, 5e4)])
+    odd_pi = np.pi * (2 * k + 1)
+    steps = np.arange(-3, 4)
+    near = (odd_pi[:, None] + steps * np.spacing(odd_pi)[:, None]).ravel()
+    x = np.concatenate([sizes, -sizes * rng.uniform(0.5, 1.0, sizes.size), near, -near])
+    frequencies = np.array([[1.0], [-1.0], [0.5], [3.0], [1e-3], [7.25], [-0.3], [1.0]])
+    weights = np.array([1.0, 0.0, 2.5, 0.3, 1.0, 0.0, 4.0, 0.7])
+    return x[:, None], FrequencyPool(frequencies, weights)
+
+
+def _accuracy_excess():
+    """Largest |Z - ref| / (2^-53 sqrt(w/s)) over the nonzero-weight
+    columns of the accuracy case, ref from ``np.cos``/``np.sin``, and the
+    zero-weight columns' largest entry."""
+    X, pool = _accuracy_case()
+    Z = feature_map(X, pool).entries
+    angles = X @ pool.frequencies.T
+    scale = np.sqrt(pool.weights / pool.size)
+    ref = np.empty_like(Z)
+    ref[:, 0::2] = np.cos(angles) * scale
+    ref[:, 1::2] = np.sin(angles) * scale
+    live = np.repeat(pool.weights > 0, 2)
+    units = np.abs(Z - ref)[:, live] / (2.0**-53 * np.repeat(scale, 2)[live])
+    return float(units.max()), float(np.abs(Z[:, ~live]).max())
+
+
+def test_half_angle_map_is_within_4_units_of_cos_and_sin():
+    worst, dead = _accuracy_excess()
+    assert worst <= 4.0
+    assert dead == 0.0
+
+
+def test_half_angle_map_accuracy_without_avx512():
+    # numpy's vector tan needs AVX-512; with those CPU features disabled
+    # float64 tan falls back to libm, and the bound must still hold.
+    code = (
+        "import sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "assert not __cpu_features__['X86_V4'], 'AVX-512 dispatch still on'\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_features import _accuracy_excess\n"
+        "print(*_accuracy_excess())\n"
     )
+    env = dict(os.environ)
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    src = Path(features.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    worst, dead = map(float, result.stdout.split())
+    assert worst <= 4.0
+    assert dead == 0.0
 
 
 def test_feature_map_memory_is_output_plus_blocks(traced_peak):
@@ -214,18 +291,11 @@ def _inline_blocks(X, pool):
     # threaded map must equal bit for bit.  Yielding blocks keeps only one
     # Z in memory at the widest shapes.
     s, n = pool.size, X.shape[0]
-    W = pool.frequencies.T
-    scale = np.repeat(np.sqrt(pool.weights / s), 2)
     rows = max(2, features._BLOCK_ENTRIES // s)
     start = 0
     while start < n:
         stop = start + rows if n - start >= 2 * rows else n
-        projections = X[start:stop] @ W
-        block = np.empty((stop - start, 2 * s))
-        np.cos(projections, out=block[:, 0::2])
-        np.sin(projections, out=block[:, 1::2])
-        block *= scale
-        yield start, stop, block
+        yield start, stop, _one_shot_map(X[start:stop], pool)
         start = stop
 
 
@@ -298,8 +368,10 @@ def test_cancelled_helper_does_not_hold_the_map(monkeypatch):
     # The one helper is busy with another caller's task, so this map's
     # helper task is still queued when the caller has filled every block
     # itself, and is cancelled.  A cancelled task stays in the executor's
-    # queue until a thread takes it; it must not keep the map's Z alive,
-    # or the pipeline's in-place shrink of Z (ndarray.resize) fails.
+    # queue until a thread takes it; it must not keep the map's Z alive:
+    # a caller that drops Z expects its memory back at once (the leverage
+    # baseline drops its pool map before mapping its draws, and
+    # cross-validation each pair's features once its Gram is formed).
     monkeypatch.setattr(features, "_cpu_count", lambda: 2)
     monkeypatch.setattr(features, "_helpers", None)
     release = threading.Event()
@@ -314,6 +386,27 @@ def test_cancelled_helper_does_not_hold_the_map(monkeypatch):
         release.set()
         busy.result()
         features._helpers.shutdown()
+
+
+@pytest.mark.parametrize(
+    "n, s", [(1, 7), (3 * _ROWS_64 + 777, 64), (3000, 255), (7490, 896)]
+)
+def test_label_correlations_equal_on_any_core_count(participants, n, s):
+    # y^T Z streamed block by block: the same bits on 1, 2 and 4
+    # participants, and y @ Z up to the rounding of an n-term sum.
+    X, pool = _block_case(n, s, "mc")
+    y = np.where(np.random.default_rng(n).uniform(size=n) > 0.5, 1.0, -1.0)
+    results = []
+    for count in (1, 2, 4):
+        participants(count)
+        results.append(features.label_correlations(X, pool, y))
+    for result in results[1:]:
+        np.testing.assert_array_equal(result, results[0])
+    Z = feature_map(X, pool).entries
+    bound = n * np.finfo(float).eps * np.abs(Z).max()
+    np.testing.assert_allclose(results[0], y @ Z, rtol=0, atol=bound)
+    with pytest.raises(ValueError):
+        features.label_correlations(X, pool, np.append(y, 1.0))
 
 
 def _digest(Z):

@@ -321,13 +321,14 @@ def test_cv_reuses_sampler_features_without_changing_accuracy(method):
 
 
 @pytest.mark.parametrize(
-    "method, per_fold", [("RFF", 2), ("SurrogateRFF", 2), ("LeverageRFF", 1 + 3)]
+    "method, per_fold", [("RFF", 2), ("SurrogateRFF", 2), ("LeverageRFF", 1 + 3 + 3)]
 )
 def test_cv_maps_training_rows_once_per_draw(method, per_fold, monkeypatch):
-    # One map inside the sampler (its pool on the training rows) and one of
-    # the validation rows per distinct pool; the training rows are never
-    # mapped again.  LeverageRFF maps its pool once per fold and resamples
-    # it for each of the three lambdas.
+    # One map of the training rows per drawn pool inside the sampler and
+    # one of the validation rows per distinct pool; the training rows are
+    # never mapped again.  SurrogateRFF scores its pool without mapping
+    # it.  LeverageRFF maps its pool once per fold for its Gram, then
+    # resamples it for each of the three lambdas and maps each draw.
     import rffkrr.experiments
     import rffkrr.krr
     import rffkrr.leverage

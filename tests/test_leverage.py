@@ -7,6 +7,7 @@ feature matrices carry a 1/sqrt(l) column normalization, so the scoring
 functions multiply their quadratic forms by the pool size to undo it.
 """
 
+import sys
 from functools import partial
 
 import numpy as np
@@ -38,8 +39,8 @@ from rffkrr import (
     surrogate_pipeline,
 )
 from rffkrr.experiments import METHODS, generate_features
-from rffkrr.features import spawn_seeds
-from rffkrr.leverage import _draw, approx_ridge_leverage
+from rffkrr.features import label_correlations, spawn_seeds
+from rffkrr.leverage import _draw, _surrogate_scores, approx_ridge_leverage
 from rffkrr import features, linalg
 
 
@@ -54,15 +55,17 @@ def _instance(seed, n=30, d=2, l=8):
 
 def _scored_pool(method, X, y, lam, pool_size, variant, seed):
     """The resampling pipelines' pool and its scores, rebuilt from the same
-    seeds step by step.  Returns (pool, scores, draw seed)."""
+    seeds step by step: the surrogate from the streamed y^T Z, the
+    baseline from the pool map (one row per value when ``lam`` is a
+    sequence).  Returns (pool, scores, draw seed)."""
     seed_pool, seed_draw = spawn_seeds(seed, 2)
     density = spectral_density(KernelSpec(1.0), X.shape[1])
     pool = sample_mc(density, pool_size, seed_pool)
-    Z = feature_map(X, pool).entries
     if method == "SurrogateRFF":
-        scores = surrogate_leverage(y, Z, lam, simplified=variant == "simplified")
+        correlations = label_correlations(X, pool, y)
+        scores = _surrogate_scores(correlations, len(y), lam, variant == "simplified")
     else:
-        scores = approx_ridge_leverage(Z, lam)
+        scores = approx_ridge_leverage(feature_map(X, pool).entries, lam)
     return pool, scores, seed_draw
 
 
@@ -481,25 +484,15 @@ def test_approx_ridge_leverage_one_value_factors_its_gram_in_place(traced_peak):
     np.testing.assert_array_equal(Z, before)
 
 
-def _copy_gather_oracle(method, X, y, s, lams, pool_size, seed):
-    """The resampling pipelines rebuilt step by step, with the resampled
-    columns gathered into a fresh copy of the pool map's columns and then
-    rescaled.  Returns one (pool, entries) pair per lambda value."""
-    seed_pool, seed_draw = spawn_seeds(seed, 2)
-    density = spectral_density(KernelSpec(1.0), X.shape[1])
-    pool = sample_mc(density, pool_size, seed_pool)
-    z_pool = feature_map(X, pool).entries
-    if method == "SurrogateRFF":
-        rows = [surrogate_leverage(y, z_pool, lams[0], simplified=True)]
-    else:
-        rows = approx_ridge_leverage(z_pool, lams)
+def _drawn_pool_oracle(method, X, y, s, lam, pool_size, seed):
+    """The resampling pipelines rebuilt step by step: the pool scored,
+    drawn through the public resample, and the drawn pool mapped.
+    Returns one (pool, entries) pair per lambda value."""
+    pool, scores, seed_draw = _scored_pool(method, X, y, lam, pool_size, "simplified", seed)
     pairs = []
-    for scores in rows:
-        indices, out = _draw(pool, scores, s, seed_draw)
-        column_index = np.stack([2 * indices, 2 * indices + 1], axis=1).ravel()
-        entries = np.take(z_pool, column_index, axis=1)
-        entries *= np.repeat(np.sqrt(pool_size * out.weights / indices.size), 2)
-        pairs.append((out, entries))
+    for row in np.atleast_2d(scores):
+        drawn = resample(pool, row, s, seed_draw)
+        pairs.append((drawn, feature_map(X, drawn).entries))
     return pairs
 
 
@@ -512,8 +505,9 @@ def _assert_pairs_equal(pair, expected):
 
 
 @pytest.mark.parametrize("pool_mult", [1, 4])
-def test_pipelines_equal_copy_gather_oracle(pool_mult):
-    # 3000 rows of up to 2 x 64 columns span several gather blocks.
+def test_pipelines_equal_map_of_drawn_pool(pool_mult):
+    # 3000 rows of up to 2 x 256 columns span several row blocks, so the
+    # surrogate pipeline's streamed y^T Z sums several block products.
     s, spec, grid = 64, KernelSpec(1.0), (1e-3, 0.05, 1.0)
     rng = np.random.default_rng(pool_mult)
     X = rng.uniform(size=(3000, 3))
@@ -521,22 +515,24 @@ def test_pipelines_equal_copy_gather_oracle(pool_mult):
     l = pool_mult * s
     _assert_pairs_equal(
         surrogate_pipeline(X, y, spec, s, 0.1, pool_size=l, seed=5),
-        _copy_gather_oracle("SurrogateRFF", X, y, s, (0.1,), l, 5)[0],
+        _drawn_pool_oracle("SurrogateRFF", X, y, s, 0.1, l, 5)[0],
     )
     _assert_pairs_equal(
         erls_baseline_pipeline(X, spec, s, 0.05, pool_size=l, seed=5),
-        _copy_gather_oracle("LeverageRFF", X, y, s, (0.05,), l, 5)[0],
+        _drawn_pool_oracle("LeverageRFF", X, y, s, 0.05, l, 5)[0],
     )
-    oracle = _copy_gather_oracle("LeverageRFF", X, y, s, grid, l, 5)
+    oracle = _drawn_pool_oracle("LeverageRFF", X, y, s, grid, l, 5)
     rows = erls_baseline_grid(X, spec, s, grid, pool_size=l, seed=5)
     assert len(rows) == len(grid)
     for pair, expected in zip(rows, oracle):
         _assert_pairs_equal(pair, expected)
 
 
-def test_surrogate_pipeline_peak_is_pool_map_plus_blocks(traced_peak):
-    # The resampled columns are compacted into the pool map's own buffer,
-    # which then shrinks: never the pool map plus an (n, 2u) copy.
+def test_surrogate_pipeline_peak_is_pool_map_plus_blocks(traced_peak, participants):
+    # The pool is scored by streaming y^T Z, so its (n, 2l) map is never
+    # held.  The scoring pass holds only row blocks; the peak is the
+    # (n, 2u) result plus the projection blocks of its own map.
+    participants(2)
     n, l = 20000, 256
     rng = np.random.default_rng(6)
     X = rng.uniform(size=(n, 14))
@@ -545,11 +541,42 @@ def test_surrogate_pipeline_peak_is_pool_map_plus_blocks(traced_peak):
         lambda: surrogate_pipeline(X, y, KernelSpec(1.0), l, 0.1, seed=2)
     )
     block_bytes = features._BLOCK_ENTRIES * 8
-    assert peak <= n * 2 * l * 8 + 4 * block_bytes
+    assert peak <= Z.nbytes + 4 * block_bytes < n * 2 * l * 8
     # The returned Z owns exactly its n x 2u doubles.
     assert Z.base is None
     assert Z.flags.owndata and Z.flags.c_contiguous
     assert Z.nbytes == n * 2 * pool.size * 8
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_pipelines_run_under_a_tracer(hook):
+    # Tracers, profilers and debuggers (coverage, cProfile, pdb) hold a
+    # snapshot of each frame's locals, a second reference to every array
+    # the pipelines make.  The pipelines must not depend on holding the
+    # only reference to an array.
+    X, y, *_ = _instance(8, n=300, d=3)
+    expected = [
+        surrogate_pipeline(X, y, KernelSpec(1.0), 16, 0.1, pool_size=64, seed=3),
+        erls_baseline_pipeline(X, KernelSpec(1.0), 16, 0.1, pool_size=64, seed=3),
+    ]
+    snapshots = []
+
+    def tracer(frame, event, arg):
+        snapshots.append(len(frame.f_locals))
+        return tracer if hook == "settrace" else None
+
+    install = getattr(sys, hook)
+    install(tracer)
+    try:
+        got = [
+            surrogate_pipeline(X, y, KernelSpec(1.0), 16, 0.1, pool_size=64, seed=3),
+            erls_baseline_pipeline(X, KernelSpec(1.0), 16, 0.1, pool_size=64, seed=3),
+        ]
+    finally:
+        install(None)
+    assert snapshots
+    for pair, want in zip(got, expected):
+        _assert_pairs_equal(pair, want)
 
 
 def test_score_validation():
