@@ -157,7 +157,7 @@ def make_sampler(method, spec, s, pool_size, variant="simplified"):
 
     Only the approximate leverage baseline changes its pool with lambda;
     it draws, maps and forms the pool Gram once and redoes only the
-    factor, the draw and the gather per value
+    factor, the draw and the map of the draws per value
     (:func:`~rffkrr.leverage.erls_baseline_grid`).  Every other method is
     :func:`generate_features` at the first grid value, and the same pair
     object stands for every value: the surrogate scores scale by
