@@ -39,7 +39,6 @@ block, without holding Z: it is how the surrogate scores a pool.
 """
 
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -214,18 +213,19 @@ def feature_map(X, pool):
 
     The blocks are filled in parallel, by the calling thread and a shared
     pool of helper threads, one participant per CPU in the process's
-    affinity mask.  Each block is computed whole by one participant, with
-    the same partition of rows whatever the core count, so Z is bit for
-    bit the same on one core or many; there is no option to set.  A
-    one-block map, or any map on a one-CPU mask, runs in the caller and
-    starts no thread.  BLAS threading inside each block's projection is
+    affinity mask (see :func:`_run_blocks`).  Each block is computed whole
+    by one participant, with the same partition of rows whatever the core
+    count, so Z is bit for bit the same on one core or many; there is no
+    option to set.  A block needs no scratch beyond its projection, so
+    the fill ignores which participant runs it.  A one-block map, or any
+    map on a one-CPU mask, runs in the caller and starts no thread.  BLAS threading inside each block's projection is
     left to the environment (e.g. ``OPENBLAS_NUM_THREADS``).
     """
     X, half, scale = _map_operands(X, pool)
     s = pool.size
     Z = np.empty((X.shape[0], 2 * s))
 
-    def fill(start, stop):
+    def fill(_slot, start, stop):
         t = _half_tangents(X, half, s, start, stop)
         cos, sin = Z[start:stop, 0::2], Z[start:stop, 1::2]
         np.multiply(t, t, out=cos)
@@ -249,9 +249,10 @@ def label_correlations(X, pool, y):
     sqrt(r/s) (2 y^T f - sum(y)) and sqrt(r/s) 2 y^T (tf): per row block,
     f and tf (four passes after the tangent, against seven for the map's
     pairs) times the block's labels.  The blocks run on the map's
-    participants, each forming f in a scratch block of its own, made on
-    the calling thread.  The per-block products are added in block order,
-    so the result is the same bit for bit on any number of cores.
+    participants, each forming f in its own row of one scratch array made
+    on the calling thread, the row its slot indexes.  The per-block
+    products are added in block order, so the result is the same bit for
+    bit on any number of cores.  Zero rows give zeros, as ``y @ Z`` does.
     """
     X, half, scale = _map_operands(X, pool)
     y = np.asarray(y, dtype=float).ravel()
@@ -260,26 +261,22 @@ def label_correlations(X, pool, y):
         raise ValueError(f"{y.shape[0]} labels for {n} points")
     bounds = _map_blocks(n, s)
     partials = np.empty((len(bounds), 2, s))
-    rows = max(stop - start for start, stop in bounds)
-    free = queue.SimpleQueue()
-    for buffer in np.empty((_participants(len(bounds)), rows * s)):
-        free.put(buffer)
+    rows = max((stop - start for start, stop in bounds), default=0)
+    participants = _participants(len(bounds))
+    scratch = np.empty((participants, rows * s))
 
-    def fill(k, start, stop):
-        buffer = free.get()
-        try:
-            t = _half_tangents(X, half, s, start, stop)
-            f = buffer[: t.size].reshape(t.shape)
-            np.multiply(t, t, out=f)
-            f += 1.0
-            np.divide(1.0, f, out=f)
-            t *= f
-            np.matmul(y[start:stop], f, out=partials[k, 0])
-            np.matmul(y[start:stop], t, out=partials[k, 1])
-        finally:
-            free.put(buffer)
+    def fill(slot, k, start, stop):
+        t = _half_tangents(X, half, s, start, stop)
+        f = scratch[slot, : t.size].reshape(t.shape)
+        np.multiply(t, t, out=f)
+        f += 1.0
+        np.divide(1.0, f, out=f)
+        t *= f
+        np.matmul(y[start:stop], f, out=partials[k, 0])
+        np.matmul(y[start:stop], t, out=partials[k, 1])
 
-    _run_blocks(fill, [(k, start, stop) for k, (start, stop) in enumerate(bounds)])
+    tasks = [(k, start, stop) for k, (start, stop) in enumerate(bounds)]
+    _run_blocks(fill, tasks, participants)
     sums = np.zeros((2, s))
     for partial in partials:
         sums += partial
@@ -369,30 +366,35 @@ def _participants(tasks):
     return min(tasks, _cpu_count())
 
 
-def _helper_pool(count):
+def _helper_pool():
     global _helpers
     with _helpers_lock:
         if _helpers is None:
             _helpers = ThreadPoolExecutor(
-                max_workers=count, thread_name_prefix="rffkrr-feature-map"
+                max_workers=_cpu_count() - 1, thread_name_prefix="rffkrr-feature-map"
             )
         return _helpers
 
 
-def _run_blocks(fill, tasks):
-    """Call ``fill(*task)`` once for every task in ``tasks``: the row
-    blocks of a feature map, the tiles of :func:`rffkrr.linalg.gram`, or
-    the lambda values of a cross-validation fold.
+def _run_blocks(fill, tasks, participants=None):
+    """Call ``fill(slot, *task)`` once for every task in ``tasks``: the
+    row blocks of a feature map, the tiles of :func:`rffkrr.linalg.gram`,
+    or the lambda values of a cross-validation fold.
 
-    The caller runs tasks itself and, with more than one task and more
-    than one CPU, so do up to ``cpus - 1`` helper threads; each
-    participant claims the next unclaimed task until none are left.  A
-    helper's exception is raised here once every running helper is done.
+    ``participants`` threads run the tasks, by default
+    ``_participants(len(tasks))``: the caller, as slot 0, and helper
+    threads, as slots 1 to ``participants - 1``.  Each claims the next
+    unclaimed task until none are left, so no two running tasks share a
+    slot, and a caller gives each participant scratch of its own as one
+    array made on the calling thread and indexed by ``slot``.  Below two
+    participants every task runs in the caller, with slot 0.  A helper's
+    exception is raised here once every running helper is done.
     """
-    participants = _participants(len(tasks))
+    if participants is None:
+        participants = _participants(len(tasks))
     if participants < 2:
         for task in tasks:
-            fill(*task)
+            fill(0, *task)
         return
 
     claimed = iter(tasks)
@@ -403,18 +405,18 @@ def _run_blocks(fill, tasks):
     # only through this slot, emptied before returning.
     work = [fill]
 
-    def drain():
+    def drain(slot):
         while True:
             with claim_lock:
                 task = next(claimed, None)
             if task is None:
                 return
-            work[0](*task)
+            work[0](slot, *task)
 
-    helpers = _helper_pool(_cpu_count() - 1)
-    futures = [helpers.submit(drain) for _ in range(participants - 1)]
+    helpers = _helper_pool()
+    futures = [helpers.submit(drain, slot) for slot in range(1, participants)]
     try:
-        drain()
+        drain(0)
     finally:
         # A helper still queued behind another caller has nothing left to
         # claim: drop it rather than wait for it.

@@ -26,11 +26,15 @@ releases the interpreter lock for the factor's duration, where the
 ``scipy.linalg.lapack`` wrapper holds it; so :func:`shifted_factors`,
 which cross-validation uses for its lambda grid, can factor several
 shifts of a Gram at once, one per core.
+
+The Gram's tiles and the lambda values run through the feature map's
+block runner, ``rffkrr.features._run_blocks``, which tells each task the
+slot of the participant running it; :func:`shifted_factors` gives each
+slot one buffer of an array made on the calling thread.
 """
 
 import ctypes
 import os
-import queue
 import threading
 
 import numpy as np
@@ -158,7 +162,7 @@ def gram(Z):
         return Z.T @ Z
     G = np.empty((m, m))
 
-    def fill(i, j):
+    def fill(_slot, i, j):
         a, b = tiles[i], tiles[j]
         # Z[:, a].T and Z[:, a] share one buffer, so numpy takes syrk.
         np.matmul(Z[:, a].T, Z[:, b], out=G[a, b])
@@ -203,32 +207,23 @@ def shifted_factors(grams, shifts, use):
     factors a different shift.  Under a threaded BLAS they run one after
     another, which was faster: at m = 1792 on a 2-vCPU VM, four
     factor-solve-score tasks took 0.58 s in turn and 0.67 s concurrently
-    (medians of 20).  Each running j factors in a buffer of its own,
-    taken from buffers made on the calling thread and reused, so no
-    m x m array is allocated on a helper thread.  Each j is computed
-    whole by one thread, so the factors are bit for bit the same on any
-    number of cores.  An exception raised for any j reaches the caller.
+    (medians of 20).  Each participant factors in a buffer of its own,
+    the row of one array made on the calling thread that its slot
+    indexes, so no m x m array is allocated on a helper thread; in turn,
+    every j reuses the one buffer.  Each j is computed whole by one
+    thread, so the factors are bit for bit the same on any number of
+    cores.  An exception raised for any j reaches the caller.
     """
     for g in {id(g): g for g in grams}.values():
         _require_finite(g)
     tasks = [(j,) for j in range(len(grams))]
     count = _participants(len(tasks)) if _BLAS_ONE_THREAD else 1
-    free = queue.SimpleQueue()
-    for buffer in np.empty((count, max(np.size(g) for g in grams))):
-        free.put(buffer)
+    buffers = np.empty((count, max(np.size(g) for g in grams)))
 
-    def run(j):
-        buffer = free.get()
-        try:
-            use(j, psd_factor(grams[j], shifts[j], out=buffer, finite=True))
-        finally:
-            free.put(buffer)
+    def run(slot, j):
+        use(j, psd_factor(grams[j], shifts[j], out=buffers[slot], finite=True))
 
-    if count > 1:
-        _run_blocks(run, tasks)
-    else:
-        for task in tasks:
-            run(*task)
+    _run_blocks(run, tasks, count)
 
 
 def factor_solve(factor, rhs):

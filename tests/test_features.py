@@ -346,13 +346,41 @@ def test_single_participant_path_equals_inline_fill(monkeypatch):
 def test_helper_exception_reaches_caller(four_participants):
     caller = threading.get_ident()
 
-    def fill(start, stop):
+    def fill(slot, start, stop):
         time.sleep(0.01)  # lets every helper claim a block
         if threading.get_ident() != caller:
             raise MemoryError("helper failed")
 
     with pytest.raises(MemoryError, match="helper failed"):
         features._run_blocks(fill, [(i, i + 1) for i in range(20)])
+
+
+def test_each_running_task_holds_its_own_slot(four_participants):
+    # Per-participant scratch is indexed by slot, so two tasks running at
+    # once under one slot would write the same scratch.
+    lock = threading.Lock()
+    running, clashes, seen = set(), [], []
+
+    def fill(slot, k):
+        with lock:
+            if slot in running:
+                clashes.append((slot, k))
+            running.add(slot)
+            seen.append((slot, threading.get_ident()))
+        time.sleep(0.001)
+        with lock:
+            running.discard(slot)
+
+    features._run_blocks(fill, [(k,) for k in range(200)])
+    assert clashes == []
+    assert len(seen) == 200
+    assert all(0 <= slot < 4 for slot, _ in seen)
+    threads = {}
+    for slot, ident in seen:
+        threads.setdefault(slot, set()).add(ident)
+    assert threads[0] == {threading.get_ident()}
+    assert all(len(idents) == 1 for idents in threads.values())
+    assert len({ident for idents in threads.values() for ident in idents}) == len(threads)
 
 
 def test_one_block_map_starts_no_thread(monkeypatch):
@@ -375,7 +403,7 @@ def test_cancelled_helper_does_not_hold_the_map(monkeypatch):
     monkeypatch.setattr(features, "_cpu_count", lambda: 2)
     monkeypatch.setattr(features, "_helpers", None)
     release = threading.Event()
-    busy = features._helper_pool(1).submit(release.wait)
+    busy = features._helper_pool().submit(release.wait)
     try:
         X = np.random.default_rng(2).uniform(size=(3000, 14))
         y = np.where(X[:, 0] > 0.5, 1.0, -1.0)
@@ -417,7 +445,7 @@ def _filling_threads(blocks):
     # Threads that took part in a run of ``blocks`` slow blocks.
     seen = set()
 
-    def fill(start, stop):
+    def fill(slot, start, stop):
         seen.add(threading.get_ident())
         time.sleep(0.01)
 

@@ -149,6 +149,35 @@ def test_shifted_factors_equal_psd_factor_for_every_shift(
         np.testing.assert_array_equal(solved[j], expected)
 
 
+def test_shifted_factors_in_turn_use_the_caller_and_one_buffer(participants, monkeypatch):
+    participants(4)
+    G, H = _dense_spd(40, 8), _dense_spd(30, 9)
+    grams, shifts = [G, G, H, H, G, H], [0.1, 1.0, 0.1, 2.0, 3.0, 0.5]
+    rhs = np.arange(40.0)
+
+    def run(concurrent):
+        monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", concurrent)
+        linalg.reset_solve_count()
+        threads, buffers, solved = set(), set(), {}
+
+        def use(j, factor):
+            threads.add(threading.get_ident())
+            buffers.add(factor[0].ctypes.data)
+            solved[j] = linalg.factor_solve(factor, rhs[: grams[j].shape[0]])
+
+        linalg.shifted_factors(grams, shifts, use)
+        return threads, buffers, solved, linalg.solve_count()
+
+    threads, buffers, solved, solves = run(False)
+    assert threads == {threading.get_ident()}
+    assert len(buffers) == 1
+    _, concurrent_buffers, concurrent_solved, concurrent_solves = run(True)
+    assert len(concurrent_buffers) <= 4
+    assert solves == concurrent_solves == 2 * len(grams)
+    for j in range(len(grams)):
+        np.testing.assert_array_equal(solved[j], concurrent_solved[j])
+
+
 def test_shifted_factors_check_each_gram_before_any_factor():
     bad = _dense_spd(5, 6)
     bad[1, 3] = np.nan
