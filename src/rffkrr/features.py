@@ -305,31 +305,20 @@ def _map_operands(X, pool):
 
 
 def _map_blocks(n, s):
-    """The row blocks of an n-row map of s frequencies."""
-    return _row_blocks(n, max(2, _BLOCK_ENTRIES // s))
+    """The (start, stop) row blocks of an n-row map of s frequencies: all
+    of one size, at least two rows, but the last."""
+    rows = max(2, _BLOCK_ENTRIES // s)
+    return [(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def _half_tangents(X, half, s, start, stop):
     # tan(w.x / 2) of rows [start, stop), computed in place in the block's
-    # projection.  A one-row block (a one-point map) is projected as a
-    # two-row product: a one-row product goes to gemv and rounds
-    # differently.
+    # projection.  A one-row block (a one-point map, or a one-row last
+    # block) is projected as a two-row product: a one-row product goes to
+    # gemv and rounds differently.
     rows = X[start:stop] if stop - start > 1 else X[[start, start]]
     t = (rows @ half)[: stop - start, :s]
     return np.tan(t, out=t)
-
-
-def _row_blocks(n, rows):
-    """(start, stop) row ranges of ``rows`` rows each.  Fewer than two
-    blocks left go in one: BLAS rounds a one-row or small product
-    differently from the same rows of a larger one."""
-    bounds = []
-    start = 0
-    while start < n:
-        stop = start + rows if n - start >= 2 * rows else n
-        bounds.append((start, stop))
-        start = stop
-    return bounds
 
 
 # Helper threads shared by every feature map, tiled Gram and CV fold's

@@ -292,11 +292,9 @@ def _inline_blocks(X, pool):
     # Z in memory at the widest shapes.
     s, n = pool.size, X.shape[0]
     rows = max(2, features._BLOCK_ENTRIES // s)
-    start = 0
-    while start < n:
-        stop = start + rows if n - start >= 2 * rows else n
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         yield start, stop, _one_shot_map(X[start:stop], pool)
-        start = stop
 
 
 @pytest.fixture
@@ -318,8 +316,9 @@ def four_participants(monkeypatch):
 
 def _row_counts(s):
     rows = max(2, features._BLOCK_ENTRIES // s)
-    # 1 and 2 rows, exactly one block, one block + 1 (still one block: the
-    # last two merge), a ragged last block, and a training half of EEG
+    # 1 and 2 rows, exactly one block, one block + 1 (a one-row last
+    # block, projected as a two-row product), a ragged last block, and a
+    # training half of EEG
     # (1000 rows at the widest pool, where 7490 would make Z 430 MB).
     return [1, 2, rows, rows + 1, 3 * rows + rows // 2 + 1, 7490 if s <= 1792 else 1000]
 
