@@ -213,13 +213,13 @@ def feature_map(X, pool):
 
     The blocks are filled in parallel, by the calling thread and a shared
     pool of helper threads, one participant per CPU in the process's
-    affinity mask (see :func:`_run_blocks`).  Each block is computed whole
-    by one participant, with the same partition of rows whatever the core
-    count, so Z is bit for bit the same on one core or many; there is no
-    option to set.  A block needs no scratch beyond its projection, so
-    the fill ignores which participant runs it.  A one-block map, or any
-    map on a one-CPU mask, runs in the caller and starts no thread.  BLAS threading inside each block's projection is
-    left to the environment (e.g. ``OPENBLAS_NUM_THREADS``).
+    affinity mask (:func:`_run_blocks`).  Each block is computed whole by
+    one participant, and the blocks are of one size but the last whatever
+    the core count, so Z is bit for bit the same on one core or many;
+    there is no option to set.  A one-block map, or any map on a one-CPU
+    mask, runs in the caller and starts no thread.  BLAS threading inside
+    each block's projection is left to the environment (e.g.
+    ``OPENBLAS_NUM_THREADS``).
     """
     X, half, scale = _map_operands(X, pool)
     s = pool.size
@@ -391,7 +391,7 @@ def _run_blocks(fill, tasks, participants=None):
     # ``fill`` holds the caller's arrays.  A helper cancelled while queued
     # behind another caller's work stays in the executor's queue until a
     # thread takes it, so it must not keep them alive: it reaches ``fill``
-    # only through this slot, emptied before returning.
+    # only through this one-entry list, emptied before returning.
     work = [fill]
 
     def drain(slot):

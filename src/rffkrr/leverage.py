@@ -114,6 +114,8 @@ def surrogate_leverage(y, Z, lam, simplified=False):
 
 def _checked_labels(y, lam):
     y = np.asarray(y, dtype=float).ravel()
+    if y.size == 0:
+        raise ValueError("no labels: the surrogate needs at least one point")
     if not np.all(np.isfinite(y)):
         raise ValueError("labels contain NaN or Inf")
     if not lam > 0:
@@ -213,30 +215,6 @@ def build_resample_plan(scores):
     return scores / total
 
 
-def _draw(pool, scores, s, seed):
-    # The one place resampling weights are formed.  The s draws merge into
-    # u distinct indices; index i, drawn c_i times, gets the weight
-    # c_i r_i / (l q_i) (u / s).  feature_map scales by 1/u, so its column
-    # pair carries c_i r_i / (l q_i s), the sum of its c_i per-draw pairs
-    # in Z Z^T.
-    probabilities = build_resample_plan(scores)
-    size = pool.size
-    if probabilities.size != size:
-        raise ValueError(f"{probabilities.size} scores for a pool of {size}")
-    if not 1 <= s <= size:
-        raise ValueError(f"cannot draw {s} frequencies from a pool of {size}")
-    draws = make_rng(seed).choice(size, size=s, replace=True, p=probabilities)
-    indices, counts = np.unique(draws, return_counts=True)
-    weights = (
-        counts
-        * pool.weights[indices]
-        / (size * probabilities[indices])
-        * (indices.size / s)
-    )
-    out = FrequencyPool(pool.frequencies[indices], weights)
-    return indices, out
-
-
 def resample(pool, scores, s, seed):
     """Draw s frequencies from ``pool`` with replacement, with probabilities
     proportional to ``scores`` (one per pool frequency), merging repeats.
@@ -251,7 +229,24 @@ def resample(pool, scores, s, seed):
     Raises ValueError unless there is one score per pool frequency and
     1 <= s <= l.
     """
-    return _draw(pool, scores, s, seed)[1]
+    # The one place resampling weights are formed.  feature_map scales by
+    # 1/u, so the column pair of index i, drawn c_i times, carries
+    # c_i r_i / (l q_i s), the sum of its c_i per-draw pairs in Z Z^T.
+    probabilities = build_resample_plan(scores)
+    size = pool.size
+    if probabilities.size != size:
+        raise ValueError(f"{probabilities.size} scores for a pool of {size}")
+    if not 1 <= s <= size:
+        raise ValueError(f"cannot draw {s} frequencies from a pool of {size}")
+    draws = make_rng(seed).choice(size, size=s, replace=True, p=probabilities)
+    indices, counts = np.unique(draws, return_counts=True)
+    weights = (
+        counts
+        * pool.weights[indices]
+        / (size * probabilities[indices])
+        * (indices.size / s)
+    )
+    return FrequencyPool(pool.frequencies[indices], weights)
 
 
 def _resample_pipeline(X, spec, s, pool_size, seed, score_fn):

@@ -25,12 +25,8 @@ calls scipy's own LAPACK ``dpotrf``, the routine behind
 releases the interpreter lock for the factor's duration, where the
 ``scipy.linalg.lapack`` wrapper holds it; so :func:`shifted_factors`,
 which cross-validation uses for its lambda grid, can factor several
-shifts of a Gram at once, one per core.
-
-The Gram's tiles and the lambda values run through the feature map's
-block runner, ``rffkrr.features._run_blocks``, which tells each task the
-slot of the participant running it; :func:`shifted_factors` gives each
-slot one buffer of an array made on the calling thread.
+shifts of a Gram at once, one per core, each in the buffer of the
+participant's slot (``rffkrr.features._run_blocks``).
 """
 
 import ctypes

@@ -436,6 +436,12 @@ def test_label_correlations_equal_on_any_core_count(participants, n, s):
         features.label_correlations(X, pool, np.append(y, 1.0))
 
 
+def test_label_correlations_of_zero_points_are_zero():
+    X, pool = _block_case(0, 7, "resampled")
+    correlations = features.label_correlations(X, pool, np.empty(0))
+    np.testing.assert_array_equal(correlations, np.zeros(14))
+
+
 def _digest(Z):
     return hashlib.sha256(np.ascontiguousarray(Z).tobytes()).hexdigest()
 
@@ -511,6 +517,42 @@ def test_single_cpu_affinity_map_runs_inline():
     assert result.returncode == 0, result.stderr
     X, pool = _block_case(n, s, "resampled")
     assert result.stdout.strip() == _digest(feature_map(X, pool).entries)
+
+
+def test_map_rows_equal_under_one_and_two_blas_threads():
+    # The row blocks are of one size but the last, and nothing merges a
+    # short last block into the one before it: that leans on OpenBLAS
+    # computing each row of a product with a multiple-of-8 width the same
+    # however many rows, and BLAS threads, the product has.  A one-row
+    # last block is projected as a two-row product.  Widths 7, 255 and
+    # 951 are padded; each has a last block of one row and of several.
+    cases = []
+    for s in (7, 255, 951):
+        rows = max(2, features._BLOCK_ENTRIES // s)
+        cases += [(2 * rows + 1, s), (2 * rows + rows // 2, s)]
+    code = (
+        f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_features import _block_case, _digest\n"
+        "from rffkrr import feature_map\n"
+        f"for n, s in {cases!r}:\n"
+        "    X, pool = _block_case(n, s, 'resampled')\n"
+        "    print(_digest(feature_map(X, pool).entries))\n"
+    )
+    src = Path(features.__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.split())
+    assert len(digests[0]) == len(cases)
+    assert digests[0] == digests[1]
 
 
 def test_feature_map_dimension_mismatch():

@@ -40,7 +40,7 @@ from rffkrr import (
 )
 from rffkrr.experiments import METHODS, generate_features
 from rffkrr.features import label_correlations, spawn_seeds
-from rffkrr.leverage import _draw, _surrogate_scores, approx_ridge_leverage
+from rffkrr.leverage import _surrogate_scores, approx_ridge_leverage
 from rffkrr import features, linalg
 
 
@@ -106,6 +106,14 @@ def test_surrogate_closed_form_small_case():
     simplified = surrogate_leverage(y, Z, 0.5, simplified=True)
     assert full[0] == pytest.approx(4.0, abs=1e-15)
     assert simplified[0] == pytest.approx(2.0, abs=1e-15)
+
+
+def test_surrogate_scores_refuse_zero_points():
+    X, y, pool, Z = _instance(4, n=10, l=6)
+    with pytest.raises(ValueError, match="no labels"):
+        surrogate_leverage(y[:0], Z[:0], 0.5)
+    with pytest.raises(ValueError, match="no labels"):
+        surrogate_pipeline(X[:0], y[:0], KernelSpec(1.0), 4, 0.5, pool_size=6, seed=1)
 
 
 def test_simplified_score_zero_when_labels_orthogonal():
@@ -452,9 +460,9 @@ def test_approx_ridge_leverage_draws_as_solved_diagonal():
     X, y, pool, Z = _instance(5, n=2000, d=3, l=256)
     for lam in (1e-3, 0.1):
         expected, _ = _solved_ridge_leverage(Z, lam)
-        drawn, _ = _draw(pool, approx_ridge_leverage(Z, lam), 128, 17)
-        reference, _ = _draw(pool, expected, 128, 17)
-        assert np.array_equal(drawn, reference)
+        drawn = resample(pool, approx_ridge_leverage(Z, lam), 128, 17)
+        reference = resample(pool, expected, 128, 17)
+        assert np.array_equal(drawn.frequencies, reference.frequencies)
 
 
 def _pool_map_and_buffer(l, n=3000):
