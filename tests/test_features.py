@@ -496,9 +496,8 @@ def test_map_in_forked_child_after_parent_map(monkeypatch):
 def test_single_cpu_affinity_map_runs_inline():
     n, s = 3 * _ROWS_64 + 777, 64
     code = (
-        "import os, sys, threading\n"
+        "import os, threading\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "from test_features import _block_case, _digest\n"
         "from rffkrr import feature_map, features\n"
         f"X, pool = _block_case({n}, {s}, 'resampled')\n"
@@ -507,16 +506,8 @@ def test_single_cpu_affinity_map_runs_inline():
         "assert threading.active_count() == 1\n"
         "print(_digest(Z))\n"
     )
-    env = dict(os.environ)
-    src = Path(features.__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
     X, pool = _block_case(n, s, "resampled")
-    assert result.stdout.strip() == _digest(feature_map(X, pool).entries)
+    assert _child_stdout(code).strip() == _digest(feature_map(X, pool).entries)
 
 
 def test_map_rows_equal_under_one_and_two_blas_threads():
@@ -531,28 +522,30 @@ def test_map_rows_equal_under_one_and_two_blas_threads():
         rows = max(2, features._BLOCK_ENTRIES // s)
         cases += [(2 * rows + 1, s), (2 * rows + rows // 2, s)]
     code = (
-        f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "from test_features import _block_case, _digest\n"
         "from rffkrr import feature_map\n"
         f"for n, s in {cases!r}:\n"
         "    X, pool = _block_case(n, s, 'resampled')\n"
         "    print(_digest(feature_map(X, pool).entries))\n"
     )
+    one, two = (_child_stdout(code, OPENBLAS_NUM_THREADS=t).split() for t in "12")
+    assert len(one) == len(cases)
+    assert one == two
+
+
+def _child_stdout(code, **env):
+    # The standard output of ``code`` run in a fresh interpreter that
+    # imports this checkout's package and this file's helpers.
+    env = dict(os.environ, **env)
     src = Path(features.__file__).resolve().parent.parent
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        digests.append(result.stdout.split())
-    assert len(digests[0]) == len(cases)
-    assert digests[0] == digests[1]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n" + code
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def test_feature_map_dimension_mismatch():
