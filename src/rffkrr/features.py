@@ -321,11 +321,12 @@ def _half_tangents(X, half, s, start, stop):
     return np.tan(t, out=t)
 
 
-# Helper threads shared by every feature map, tiled Gram and CV fold's
-# ridge solves in the process, created on first use.  Sharing one pool
-# keeps concurrent calls (trials run with threads > 1) from starting more
-# threads than there are cores.  Helpers only run block fills, tile fills
-# and ridge solves, and never submit work, so they cannot deadlock.
+# Helper threads shared by every feature map, tiled Gram, tiled factor
+# and CV fold's ridge solves in the process, created on first use.
+# Sharing one pool keeps concurrent calls (trials run with threads > 1)
+# from starting more threads than there are cores.  Helpers only run
+# block fills, Gram tiles, factor tiles, inverse column blocks and ridge
+# solves, and never submit work, so they cannot deadlock.
 _helpers = None
 _helpers_lock = threading.Lock()
 
@@ -368,7 +369,10 @@ def _helper_pool():
 def _run_blocks(fill, tasks, participants=None):
     """Call ``fill(slot, *task)`` once for every task in ``tasks``: the
     row blocks of a feature map, the tiles of :func:`rffkrr.linalg.gram`,
-    or the lambda values of a cross-validation fold.
+    the panel and trailing tiles of one step of a tiled factor, the
+    column blocks of its inverse diagonal, or the lambda values of a
+    cross-validation fold.  No task calls it again: helper threads never
+    submit work.
 
     ``participants`` threads run the tasks, by default
     ``_participants(len(tasks))``: the caller, as slot 0, and helper

@@ -141,12 +141,16 @@ def approx_ridge_leverage(Z, lam):
     then sums cos/sin pairs.  By the push-through identity this equals the
     exact leverage with K replaced by Z Z^T, up to the pool-size scaling
     of the columns.  Cost is O(n l^2) for G, formed once for all values,
-    plus per value one Cholesky factor and one triangular inverse of
-    G + n lam I (:func:`rffkrr.linalg.psd_inverse_diagonal`, O(l^3)):
-    cheaper than exact leverage for l << n, but still a factorization the
-    surrogate avoids.  Every value but the last works on a copy of G; the
-    last (or only) one shifts, factors and inverts G itself, so a
-    one-value call holds one (2l, 2l) buffer beyond Z, not two.
+    plus per value one Cholesky factor of G + n lam I and the columns of
+    its triangular inverse (:func:`rffkrr.linalg.psd_inverse_diagonal`,
+    about (16/3) l^3 flops): cheaper than exact leverage for l << n, but
+    still a factorization the surrogate avoids.  Every value but the last
+    works on a copy of G; the last (or only) one shifts and factors G
+    itself, so a one-value call holds one (2l, 2l) buffer beyond Z, not
+    two.  A wide G (2l at least ``linalg._TILED_MIN``) under a BLAS
+    pinned to one thread is factored by tiles on every core, and its
+    inverse is solved a block of columns at a time in a (2l, 256)
+    scratch per core in place of ``trtri``.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or lams.size == 0 or not np.all(lams > 0):

@@ -10,9 +10,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from rffkrr import NumericalError
+from rffkrr import KernelSpec, NumericalError
 from rffkrr import linalg
-from rffkrr.leverage import approx_ridge_leverage
+from rffkrr.leverage import approx_ridge_leverage, surrogate_pipeline
 
 
 @pytest.fixture(autouse=True)
@@ -273,6 +273,8 @@ _FACTOR_CALLS = (
     "cho_solve",
     "dpotrf",
     "dtrtri",
+    "dtrsm",
+    "solve_triangular",
     "np.linalg.solve",
     "np.linalg.inv",
     "np.linalg.cholesky",
@@ -471,3 +473,147 @@ def test_exact_mode_cap_boundary():
     linalg.check_exact_cap(linalg.EXACT_MODE_CAP)
     with pytest.raises(ValueError, match="cap"):
         linalg.check_exact_cap(linalg.EXACT_MODE_CAP + 1)
+
+
+# Tiled factors, with tiles small enough that a tiled order is quick.
+_TILE = 16
+# Orders below, at and above one tile and two, and one ending in a ragged tile.
+_TILED_ORDERS = [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 5 * _TILE - 3]
+
+
+@pytest.fixture
+def small_tiles(participants, monkeypatch):
+    """Lone factors of every order are tiled, in tiles of ``_TILE``; the
+    returned ``participants`` sets how many threads run the tiles."""
+    monkeypatch.setattr(linalg, "_FACTOR_TILE", _TILE)
+    monkeypatch.setattr(linalg, "_TILED_MIN", 2)
+    participants(2)
+    return participants
+
+
+def _lower(factor):
+    return np.tril(factor[0])
+
+
+@pytest.mark.parametrize("m", _TILED_ORDERS)
+def test_tiled_factor_is_a_cholesky_factor(small_tiles, m):
+    G = _dense_spd(m, m)
+    L = _lower(linalg.psd_factor(G, 0.5))
+    A = G + 0.5 * np.eye(m)
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(L @ L.T - A) <= 2 * m * eps * np.linalg.norm(A)
+    reference = scipy.linalg.cholesky(A, lower=True)
+    assert np.linalg.norm(reference @ reference.T - A) <= 2 * m * eps * np.linalg.norm(A)
+    np.testing.assert_allclose(L, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("m", _TILED_ORDERS)
+def test_tiled_inverse_diagonal_matches_dense_inverse(small_tiles, m):
+    G = _dense_spd(m, m + 1)
+    np.testing.assert_allclose(
+        linalg.psd_inverse_diagonal(G, 0.3),
+        np.diag(np.linalg.inv(G + 0.3 * np.eye(m))),
+        rtol=1e-12,
+    )
+
+
+def test_tiled_results_are_the_same_on_any_participant_count(small_tiles):
+    m = 5 * _TILE - 3
+    G = _dense_spd(m, 21)
+    factors, diagonals = [], []
+    for count in (1, 2, 4):
+        small_tiles(count)
+        factors.append(_lower(linalg.psd_factor(G, 0.2)))
+        diagonals.append(linalg.psd_inverse_diagonal(G, 0.2))
+    for factor, diagonal in zip(factors[1:], diagonals[1:]):
+        np.testing.assert_array_equal(factor, factors[0])
+        np.testing.assert_array_equal(diagonal, diagonals[0])
+
+
+def test_lone_factors_below_the_minimum_or_on_threaded_blas_are_one_potrf(
+    small_tiles, monkeypatch
+):
+    m = 3 * _TILE
+    G = _dense_spd(m, 22)
+    one_call = _lower((linalg._factor_in_place(G.copy(), 0.4), True))
+    tiled = _lower(linalg.psd_factor(G, 0.4))
+    assert not np.array_equal(tiled, one_call)
+    for name, value in (("_TILED_MIN", m + 1), ("_BLAS_ONE_THREAD", False)):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, name, value)
+            np.testing.assert_array_equal(_lower(linalg.psd_factor(G, 0.4)), one_call)
+
+
+def test_tiled_factor_names_the_failing_column(small_tiles):
+    m = 4 * _TILE
+    G = _dense_spd(m, 23)
+    column = 2 * _TILE + 5
+    G[column, column] = -1.0
+    _, info = scipy.linalg.lapack.dpotrf(G, lower=1)
+    assert info == column + 1
+    for call in (linalg.psd_factor, linalg.psd_inverse_diagonal):
+        with pytest.raises(NumericalError, match=f"potrf info {column + 1}\\)"):
+            call(G)
+
+
+def test_tiled_factor_checks_for_nan_before_any_factor(small_tiles, monkeypatch):
+    calls = []
+    potrf = linalg._dpotrf
+    monkeypatch.setattr(linalg, "_dpotrf", lambda *args: calls.append(args) or potrf(*args))
+    G = _dense_spd(3 * _TILE, 24)
+    G[2 * _TILE + 1, _TILE + 3] = G[_TILE + 3, 2 * _TILE + 1] = np.nan
+    for call in (linalg.psd_factor, linalg.psd_inverse_diagonal):
+        with pytest.raises(NumericalError, match="NaN"):
+            call(G)
+    assert calls == []
+    assert linalg.solve_count() == 0
+
+
+def test_tiled_paths_count_as_before(small_tiles):
+    m = 3 * _TILE + 2
+    linalg.psd_factor(_dense_spd(m, 25))
+    assert linalg.solve_count() == 1
+    linalg.reset_solve_count()
+    linalg.psd_inverse_diagonal(_dense_spd(m, 26))
+    assert linalg.solve_count() == 2
+    linalg.reset_solve_count()
+    rng = np.random.default_rng(27)
+    X, y = rng.uniform(size=(60, 3)), rng.choice([-1.0, 1.0], size=60)
+    surrogate_pipeline(X, y, KernelSpec(1.0), 2 * _TILE, 0.1, pool_size=4 * _TILE, seed=2)
+    assert linalg.solve_count() == 0
+
+
+def test_tiled_inverse_diagonal_memory(small_tiles, traced_peak, monkeypatch):
+    monkeypatch.setattr(linalg, "_FACTOR_TILE", 64)
+    small_tiles(4)
+    m = 300
+    G = _dense_spd(m, 28)
+    peak, _ = traced_peak(lambda: linalg.psd_inverse_diagonal(G, 0.5))
+    assert peak <= 1.2 * m * m * 8 + 4 * m * 64 * 8
+
+
+def test_shifted_factors_never_run_blocks_on_a_helper(small_tiles, monkeypatch):
+    # Helpers never submit work, so a lambda task factors with one potrf
+    # in its slot's buffer even at an order that a lone factor tiles.  The
+    # barrier makes the caller and the helper each hold a task at once.
+    m = 3 * _TILE
+    G = _dense_spd(m, 29)
+    callers, users = [], set()
+    run_blocks = linalg._run_blocks
+
+    def record(*args):
+        callers.append(threading.get_ident())
+        return run_blocks(*args)
+
+    monkeypatch.setattr(linalg, "_run_blocks", record)
+    barrier = threading.Barrier(2)
+    one_call = np.tril(linalg._factor_in_place(G.copy(), 0.1))
+
+    def use(j, factor):
+        users.add(threading.get_ident())
+        np.testing.assert_array_equal(np.tril(factor[0]), one_call)
+        barrier.wait(timeout=10)
+
+    linalg.shifted_factors([G] * 4, [0.1] * 4, use)
+    assert len(users) == 2
+    assert callers == [threading.get_ident()]
