@@ -138,26 +138,44 @@ def _fold_accuracy(X, y, block, sampler, grid, seed):
     # is formed, so its training features are gone before the next pair's
     # Gram is allocated.
     distinct = [i == 0 or pairs[i] is not pairs[i - 1] for i in range(len(pairs))]
-    systems = []
+    systems, groups = [], []
     for i, new in enumerate(distinct):
         if new:
             pool, Z_tr = pairs[i]
             Z_val = feature_map(X_val, pool).entries
             system = (linalg.gram(Z_tr), Z_tr.T @ y_tr, Z_val)
+            groups.append([])
             del pool, Z_tr
         pairs[i] = None
         systems.append(system)
+        groups[-1].append(i)
 
-    # Phase 2: one task per lambda (factor, solve, refinement, accuracy).
+    # Phase 2: the lambda values of each distinct system in one Krylov
+    # space, scored on the caller; the values of a system whose solves are
+    # declined go through one factor task per lambda (factor, solve,
+    # refinement, accuracy).
     shifts = [n_tr * lam for lam in grid]
     accuracy = np.empty(len(grid))
+    factored = []
+    for group in groups:
+        gram, rhs, Z_val = systems[group[0]]
+        betas = linalg.shifted_solves(gram, rhs, [shifts[j] for j in group])
+        if betas is None:
+            factored += group
+            continue
+        for j, beta in zip(group, betas):
+            accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
 
-    def score(j, factor):
+    def score(k, factor):
+        j = factored[k]
         gram, rhs, Z_val = systems[j]
         beta = _ridge_coefficients(gram, rhs, shifts[j], factor)
         accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
 
-    linalg.shifted_factors([system[0] for system in systems], shifts, score)
+    if factored:
+        linalg.shifted_factors(
+            [systems[j][0] for j in factored], [shifts[j] for j in factored], score
+        )
     return accuracy
 
 

@@ -90,6 +90,15 @@ _TILED_MIN = 1200
 # Rows of the factor cleared at a time by _inverse_diagonal_in_place.
 _CLEAR_ROWS = 64
 
+# shifted_solves: the true residual every shift must reach (the bar below
+# which krr's ridge solve skips refinement), the recursive residual CG
+# stops at, and its step cap.  On cross-validation folds of 5992 rows at
+# m = 200 to 1792 the default grid took 13-16 steps to 1e-13; its four
+# factors cost as much time as 36-250 steps.
+_KRYLOV_RESIDUAL = 1e-10
+_KRYLOV_TOL = 1e-13
+_KRYLOV_STEPS = 32
+
 
 def _blas_one_thread():
     # Whether the environment pins BLAS to one thread per call.  These are
@@ -275,6 +284,94 @@ def shifted_factors(grams, shifts, use):
         use(j, psd_factor(grams[j], shifts[j], out=buffers[slot], finite=True))
 
     _run_blocks(run, tasks, count)
+
+
+def shifted_solves(gram, rhs, shifts):
+    """Solve (gram + shifts[j] I) x_j = rhs for every j in one Krylov
+    space, or return None.  Counted once per shift when it returns.
+
+    Multi-shift conjugate gradients (Hestenes and Stiefel 1952;
+    Jegerlehner, "Krylov space solvers for shifted linear systems",
+    hep-lat/9612014, 1996): CG runs on the smallest shift, and every other
+    shift's residual stays collinear with its residual, so each step costs
+    one ``gram @ p`` for all shifts plus O(len(shifts) m) updates, and a
+    shift stops updating once its residual has converged.  No factor and
+    no m x m array is made.  Returns a (len(shifts), m) array whose row j
+    is x_j, accepted only if the smallest shift converges within
+    ``_KRYLOV_STEPS`` steps, the curvature p^T (gram + shift I) p of every
+    step is positive, and every x_j's true residual is at most
+    ``_KRYLOV_RESIDUAL`` ||rhs||.  Otherwise, and for non-finite shifts or
+    ``rhs``, it returns None having counted nothing, so that the caller
+    can factor the shifts instead.  A zero ``rhs`` gives zeros.  Raises
+    NumericalError before any step if ``gram`` holds NaN or Inf.
+
+    Everything runs on the calling thread.  The result is the same on any
+    number of participants, but not always bit for bit under another
+    BLAS thread count: ``gram @ p`` under one and two OpenBLAS threads
+    differed in its last bits at m = 950, 1130 and 1793 (not at 77 or
+    1792), as potrf's factors do.
+    """
+    _require_finite(gram)
+    shifts = np.asarray(shifts, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if not (np.isfinite(shifts).all() and np.isfinite(rhs).all()):
+        return None
+    x = np.zeros((shifts.size, rhs.size))
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm > 0.0:
+        if not _shifted_cg(gram, rhs, shifts, x, rhs_norm):
+            return None
+        residual = rhs - x @ gram - shifts[:, None] * x
+        if np.linalg.norm(residual, axis=1).max() > _KRYLOV_RESIDUAL * rhs_norm:
+            return None
+    for _ in shifts:
+        _bump()
+    return x
+
+
+def _shifted_cg(gram, rhs, shifts, x, rhs_norm):
+    # Multi-shift CG into the rows of ``x``, seeded on the smallest shift;
+    # False when a step's curvature is not positive or the seed has not
+    # converged within _KRYLOV_STEPS steps.  Shift j's residual is
+    # zeta[j] times the seed's r and its direction is directions[j]; the
+    # seed's zeta stays exactly 1, so its direction is the seed's own.
+    shifts = shifts.tolist()
+    seed = shifts.index(min(shifts))
+    delta = [shift - shifts[seed] for shift in shifts]
+    directions = np.tile(rhs, (len(shifts), 1))
+    r = rhs.copy()
+    rr = float(r @ r)
+    zeta, zeta_before = [1.0] * len(shifts), [1.0] * len(shifts)
+    alpha_before, beta_before = 1.0, 0.0
+    goal = _KRYLOV_TOL * rhs_norm
+    active = range(len(shifts))
+    for _ in range(_KRYLOV_STEPS):
+        p = directions[seed]
+        q = gram @ p
+        q += shifts[seed] * p
+        curvature = float(p @ q)
+        if not curvature > 0.0:
+            return False
+        alpha = rr / curvature
+        r -= alpha * q
+        rr_next = float(r @ r)
+        beta = rr_next / rr
+        for j in active:
+            z, z_before = zeta[j], zeta_before[j]
+            z_next = z * z_before * alpha_before / (
+                z_before * alpha_before * (1.0 + delta[j] * alpha)
+                + alpha * beta_before * (z_before - z)
+            )
+            x[j] += (alpha * z_next / z) * directions[j]
+            directions[j] *= (z_next / z) ** 2 * beta
+            directions[j] += z_next * r
+            zeta[j], zeta_before[j] = z_next, z
+        residual = rr_next**0.5
+        active = [j for j in active if zeta[j] * residual > goal]
+        if seed not in active:
+            return True
+        alpha_before, beta_before, rr = alpha, beta, rr_next
+    return False
 
 
 def factor_solve(factor, rhs):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_features import _child_stdout
 
 from rffkrr import (
     KernelSpec,
@@ -405,9 +406,9 @@ def test_leverage_cv_solve_count_matches_per_lambda_flow():
         linalg.reset_solve_count()
         cross_validate(X, y, sampler, grid, folds=3, seed=1)
         counts.append(linalg.solve_count())
-    # 3 folds x 4 values x (pool-Gram factor and inverse + ridge factor and
-    # solve); no refinement step fires on this instance.
-    assert counts == [48, 48]
+    # 3 folds x 4 values x (pool-Gram factor and inverse + one Krylov ridge
+    # solve); each value's pool has a Gram of its own.
+    assert counts == [36, 36]
 
 
 @pytest.mark.parametrize("method", ["RFF", "SurrogateRFF", "LeverageRFF"])
@@ -432,6 +433,58 @@ def test_cv_concurrent_lambda_tasks_equal_the_sequential_loop(
         np.testing.assert_array_equal(report.fold_accuracy, sequential.fold_accuracy)
         assert report.chosen_lambda == sequential.chosen_lambda
         assert count == solves
+
+
+@pytest.mark.parametrize("method", ["RFF", "LeverageRFF"])
+@pytest.mark.parametrize("decline", ["step cap", "curvature"])
+def test_cv_declined_krylov_solves_take_the_factor_path(monkeypatch, method, decline):
+    # Declined Krylov solves leave the report and the solve count of
+    # factoring every lambda: that of fitting each one through the public
+    # API.  A negative definite matrix fails at CG's first curvature.
+    X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=7)
+    grid = (0.001, 0.01, 0.1)
+    spec = KernelSpec(1.0)
+    cg, declined = linalg._shifted_cg, []
+
+    def declining(gram, *args):
+        if decline == "curvature":
+            gram = -gram - np.eye(gram.shape[0])
+        declined.append(not cg(gram, *args))
+        return not declined[-1]
+
+    if decline == "step cap":
+        monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 1)
+    monkeypatch.setattr(linalg, "_shifted_cg", declining)
+    linalg.reset_solve_count()
+    report = cross_validate(X, y, make_sampler(method, spec, 6, 24), grid, folds=4, seed=3)
+    solves = linalg.solve_count()
+    linalg.reset_solve_count()
+    expected = _remapping_reference_cv(
+        X, y, _per_lambda_sampler(method, spec, 6, 24), grid, folds=4, seed=3
+    )
+    assert declined == [True] * (4 if method == "RFF" else 4 * len(grid))
+    np.testing.assert_array_equal(report.fold_accuracy, expected)
+    assert solves == linalg.solve_count()
+
+
+def test_cv_report_equal_under_one_and_two_blas_threads():
+    # At m = 950, where gram @ p under one and two OpenBLAS threads
+    # differed in its last bits, every fold takes the Krylov path (one
+    # count per lambda) and the report is the same.
+    code = (
+        "import numpy as np\n"
+        "from test_krr import _blob\n"
+        "from rffkrr import KernelSpec, cross_validate, linalg, make_sampler\n"
+        "X, y = _blob(n_pos=700, n_neg=500, spread=0.2, seed=8)\n"
+        "sampler = make_sampler('RFF', KernelSpec(1.0), 475, 475)\n"
+        "grid = (0.05, 0.1, 0.5, 1.0)\n"
+        "report = cross_validate(X, y, sampler, grid, folds=3, seed=6)\n"
+        "assert linalg.solve_count() == 3 * len(grid), linalg.solve_count()\n"
+        "assert len(set(report.fold_accuracy.ravel())) > 1\n"
+        "print(report.fold_accuracy.tolist(), repr(report.chosen_lambda))\n"
+    )
+    one, two = (_child_stdout(code, OPENBLAS_NUM_THREADS=t) for t in "12")
+    assert one == two
 
 
 @pytest.mark.parametrize("case", ["non-finite shift", "indefinite Gram"])

@@ -188,6 +188,87 @@ def test_shifted_factors_check_each_gram_before_any_factor():
     assert linalg.solve_count() == 0
 
 
+def _ridge_system(n, m, seed):
+    # The Gram and Z^T y of unit-norm cosine/sine feature rows on +-1
+    # labels, so that tr G = n as for the package's feature maps, with n
+    # times a grid like the default one as the shifts.
+    rng = np.random.default_rng(seed)
+    projection = rng.uniform(size=(n, 3)) @ rng.standard_normal((3, m // 2)) * 3.0
+    Z = np.hstack([np.cos(projection), np.sin(projection)]) / np.sqrt(m // 2)
+    y = np.where(rng.uniform(size=n) < 0.6, 1.0, -1.0)
+    return Z.T @ Z, Z.T @ y, [n * lam for lam in (0.05, 0.1, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("m", [64, 300])
+def test_shifted_solves_equal_factor_solves(m):
+    gram, rhs, shifts = _ridge_system(900, m, m)
+    solved = linalg.shifted_solves(gram, rhs, shifts)
+    assert solved.shape == (len(shifts), m)
+    assert linalg.solve_count() == len(shifts)
+    for beta, shift in zip(solved, shifts):
+        expected = linalg.factor_solve(linalg.psd_factor(gram, shift), rhs)
+        assert np.linalg.norm(beta - expected) <= 1e-12 * np.linalg.norm(expected)
+        residual = rhs - gram @ beta - shift * beta
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_shifted_solves_seed_on_the_smallest_shift_in_any_order():
+    gram, rhs, shifts = _ridge_system(400, 64, 1)
+    shuffled = [shifts[2], shifts[0], shifts[3], shifts[0], shifts[1]]
+    solved = linalg.shifted_solves(gram, rhs, shuffled)
+    np.testing.assert_array_equal(solved[1], solved[3])
+    for beta, shift in zip(solved, shuffled):
+        expected = scipy.linalg.solve(gram + shift * np.eye(64), rhs, assume_a="pos")
+        np.testing.assert_allclose(beta, expected, rtol=1e-11, atol=0.0)
+
+
+def test_shifted_solves_of_a_zero_rhs_are_zeros():
+    gram, _, shifts = _ridge_system(200, 64, 2)
+    with np.errstate(all="raise"):
+        solved = linalg.shifted_solves(gram, np.zeros(64), shifts)
+    np.testing.assert_array_equal(solved, np.zeros((len(shifts), 64)))
+    assert linalg.solve_count() == len(shifts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_shifted_solves_refuse_a_non_finite_gram_before_any_step(monkeypatch, bad):
+    gram, rhs, shifts = _ridge_system(200, 64, 3)
+    gram[5, 7] = bad
+    steps = []
+    monkeypatch.setattr(linalg, "_shifted_cg", lambda *args: steps.append(args))
+    with pytest.raises(NumericalError):
+        linalg.shifted_solves(gram, rhs, shifts)
+    assert steps == []
+    assert linalg.solve_count() == 0
+
+
+def test_shifted_solves_decline_without_counting(monkeypatch):
+    gram, rhs, shifts = _ridge_system(400, 64, 4)
+    # Non-finite shifts or rhs, and curvature that is not positive (the
+    # smallest shift of a negative definite matrix fails at the first step).
+    assert linalg.shifted_solves(gram, rhs, shifts + [np.inf]) is None
+    assert linalg.shifted_solves(gram, np.where(rhs > 0, np.nan, rhs), shifts) is None
+    assert linalg.shifted_solves(-gram, rhs, [0.0, 1.0]) is None
+    # CG that has not converged within the step cap.
+    monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 2)
+    assert linalg.shifted_solves(gram, rhs, shifts) is None
+    # Converged recursive residuals whose true residual is not small enough.
+    monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 32)
+    monkeypatch.setattr(linalg, "_KRYLOV_TOL", 1e-3)
+    assert linalg.shifted_solves(gram, rhs, shifts) is None
+    assert linalg.solve_count() == 0
+
+
+def test_shifted_solves_are_the_same_on_any_participant_count(participants):
+    gram, rhs, shifts = _ridge_system(900, 300, 5)
+    solved = []
+    for count in (1, 2, 4):
+        participants(count)
+        solved.append(linalg.shifted_solves(gram, rhs, shifts))
+    np.testing.assert_array_equal(solved[1], solved[0])
+    np.testing.assert_array_equal(solved[2], solved[0])
+
+
 def test_factor_refuses_a_buffer_it_cannot_pass_to_lapack():
     G = _dense_spd(6, 2)
     for bad in (np.asfortranarray(G)[:, :5], G[::2, ::2], G.astype(np.float32)):
