@@ -4,8 +4,12 @@ The primal solve is beta = (Z^T Z + n lam I)^{-1} Z^T y for an (n, 2s)
 feature matrix Z, so the cost scales with the feature count rather than
 n.  A resampled pool has u <= s distinct frequencies and Z has 2u
 columns; its Z Z^T, and so every prediction, equals that of the s draws
-kept apart.  ``fit_exact`` provides the kernel-space reference alpha =
-(K + n lam I)^{-1} y used by tests at small n.
+kept apart.  ``fit`` solves by a Cholesky factor with one refinement
+step; cross-validation solves each fold's lambda grid by multi-shift
+conjugate gradients, and factors per lambda only a grid that those do not
+solve to the factor path's residual bar.  ``fit_exact`` provides the
+kernel-space reference alpha = (K + n lam I)^{-1} y used by tests at
+small n.
 """
 
 from dataclasses import dataclass
@@ -194,13 +198,17 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     A fold works in two phases.  First, on the calling thread, it forms
     the training Gram, Z^T y and the validation map of each distinct pair,
     letting go of each pair's training features once its system is
-    formed.  Then one task per lambda factors G + n lam I, solves, refines
-    and scores the validation rows, through
-    :func:`rffkrr.linalg.shifted_factors`: when BLAS runs one thread per
-    call the tasks run concurrently on the feature map's participants,
-    otherwise one after another.  Each task is computed whole by one
-    thread, so the report is bit for bit the same on any number of cores,
-    and so is the solve count.
+    formed.  Then, also on the calling thread, the lambda values of each
+    distinct system are solved in one shifted Krylov space by
+    :func:`rffkrr.linalg.shifted_solves` (one count per value), and the
+    validation rows are scored.  The values of a system it declines fall
+    back to one task per lambda that factors G + n lam I, solves, refines
+    and scores, through :func:`rffkrr.linalg.shifted_factors`: when BLAS
+    runs one thread per call the tasks run concurrently on the feature
+    map's participants, otherwise one after another, and each is computed
+    whole by one thread.  Either way the report and the solve count are
+    the same on any number of cores; under another BLAS thread count the
+    solutions may differ in their last bits.
 
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.
@@ -212,9 +220,10 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     validation map replace its training features rather than add to
     them, so the phase peaks at the pairs plus one Gram and one
     validation map while m + n_val <= n_train for m features.  Its
-    second phase holds the Grams and validation maps, plus one m x m
-    factor buffer per concurrent task, made on the calling thread and
-    reused across the grid.
+    second phase holds the Grams and validation maps, plus a few vectors
+    of length m per lambda; only a declined grid adds one m x m factor
+    buffer per concurrent task, made on the calling thread and reused
+    across the grid.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

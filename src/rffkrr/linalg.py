@@ -11,7 +11,9 @@ by the feature map's participants; otherwise it is the one product
 Every Cholesky factorization, triangular solve and triangular inverse in
 the package goes through this module so that tests can count how many
 linear solves a code path performs; :func:`psd_inverse_diagonal` counts
-as two, its factor and its inverse.  The point of the surrogate sampling
+as two, its factor and its inverse, and :func:`shifted_solves` counts one
+per shift it solves, since a Krylov solve of a shifted system stands in
+for a factor and its solve.  The point of the surrogate sampling
 pipeline is that it runs without any solves at all, and the counter is
 how that claim is checked rather than merely asserted.  The counter is
 bumped under a lock, so factors running on several threads at once are
@@ -25,8 +27,8 @@ scipy's own LAPACK ``dpotrf``, the routine behind
 ``dtrsm``, ``dgemm`` and ``dsyrk`` come the same way from
 ``scipy.linalg.cython_blas``.  A ``ctypes`` call releases the interpreter
 lock for its duration, where the ``scipy.linalg.lapack`` wrapper holds
-it; so :func:`shifted_factors`, which cross-validation uses for its
-lambda grid, can factor several shifts of a Gram at once, one per core,
+it; so :func:`shifted_factors`, which cross-validation uses for a lambda
+grid that :func:`shifted_solves` declines, can factor several shifts of a Gram at once, one per core,
 each with one ``potrf`` in the buffer of the participant's slot
 (``rffkrr.features._run_blocks``).
 
@@ -92,9 +94,11 @@ _CLEAR_ROWS = 64
 
 # shifted_solves: the true residual every shift must reach (the bar below
 # which krr's ridge solve skips refinement), the recursive residual CG
-# stops at, and its step cap.  On cross-validation folds of 5992 rows at
-# m = 200 to 1792 the default grid took 13-16 steps to 1e-13; its four
-# factors cost as much time as 36-250 steps.
+# stops at, and its step cap.  Cross-validation folds of 5992 rows took
+# 13-16 steps to 1e-13 for the default grid at m = 712 to 1792, and 7-16
+# for one lambda at m = 186 to 210.  The grid's four factors took as long
+# as 22 steps at m = 200, 71 at 950 and 118 at 1792, so a capped run costs
+# less than the factors from m = 730 (59 steps) up.
 _KRYLOV_RESIDUAL = 1e-10
 _KRYLOV_TOL = 1e-13
 _KRYLOV_STEPS = 32

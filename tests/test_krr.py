@@ -444,13 +444,13 @@ def test_cv_declined_krylov_solves_take_the_factor_path(monkeypatch, method, dec
     X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=7)
     grid = (0.001, 0.01, 0.1)
     spec = KernelSpec(1.0)
-    cg, declined = linalg._shifted_cg, []
+    cg, converged = linalg._shifted_cg, []
 
     def declining(gram, *args):
         if decline == "curvature":
             gram = -gram - np.eye(gram.shape[0])
-        declined.append(not cg(gram, *args))
-        return not declined[-1]
+        converged.append(cg(gram, *args))
+        return converged[-1]
 
     if decline == "step cap":
         monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 1)
@@ -462,7 +462,7 @@ def test_cv_declined_krylov_solves_take_the_factor_path(monkeypatch, method, dec
     expected = _remapping_reference_cv(
         X, y, _per_lambda_sampler(method, spec, 6, 24), grid, folds=4, seed=3
     )
-    assert declined == [True] * (4 if method == "RFF" else 4 * len(grid))
+    assert converged == [False] * (4 if method == "RFF" else 4 * len(grid))
     np.testing.assert_array_equal(report.fold_accuracy, expected)
     assert solves == linalg.solve_count()
 
@@ -472,7 +472,6 @@ def test_cv_report_equal_under_one_and_two_blas_threads():
     # differed in its last bits, every fold takes the Krylov path (one
     # count per lambda) and the report is the same.
     code = (
-        "import numpy as np\n"
         "from test_krr import _blob\n"
         "from rffkrr import KernelSpec, cross_validate, linalg, make_sampler\n"
         "X, y = _blob(n_pos=700, n_neg=500, spread=0.2, seed=8)\n"

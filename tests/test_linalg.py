@@ -244,11 +244,11 @@ def test_shifted_solves_refuse_a_non_finite_gram_before_any_step(monkeypatch, ba
 
 def test_shifted_solves_decline_without_counting(monkeypatch):
     gram, rhs, shifts = _ridge_system(400, 64, 4)
-    # Non-finite shifts or rhs, and curvature that is not positive (the
-    # smallest shift of a negative definite matrix fails at the first step).
+    # Non-finite shifts or rhs, and curvature that is not positive: CG
+    # would solve -I x = rhs in one step, but that matrix is not definite.
     assert linalg.shifted_solves(gram, rhs, shifts + [np.inf]) is None
     assert linalg.shifted_solves(gram, np.where(rhs > 0, np.nan, rhs), shifts) is None
-    assert linalg.shifted_solves(-gram, rhs, [0.0, 1.0]) is None
+    assert linalg.shifted_solves(-np.eye(64), rhs, [0.0]) is None
     # CG that has not converged within the step cap.
     monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 2)
     assert linalg.shifted_solves(gram, rhs, shifts) is None
