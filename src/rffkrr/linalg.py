@@ -28,9 +28,9 @@ scipy's own LAPACK ``dpotrf``, the routine behind
 ``scipy.linalg.cython_blas``.  A ``ctypes`` call releases the interpreter
 lock for its duration, where the ``scipy.linalg.lapack`` wrapper holds
 it; so :func:`shifted_factors`, which cross-validation uses for a lambda
-grid that :func:`shifted_solves` declines, can factor several shifts of a Gram at once, one per core,
-each with one ``potrf`` in the buffer of the participant's slot
-(``rffkrr.features._run_blocks``).
+grid that :func:`shifted_solves` declines, can factor several shifts of
+a Gram at once, one per core, each with one ``potrf`` in the buffer of
+the participant's slot (``rffkrr.features._run_blocks``).
 
 A lone factor (:func:`psd_factor` without ``out``, and
 :func:`psd_inverse_diagonal`) of order at least ``_TILED_MIN`` is tiled

@@ -190,7 +190,7 @@ def test_shifted_factors_check_each_gram_before_any_factor():
 
 def _ridge_system(n, m, seed):
     # The Gram and Z^T y of unit-norm cosine/sine feature rows on +-1
-    # labels, so that tr G = n as for the package's feature maps, with n
+    # labels, so that tr G = n as for the package's unweighted maps, with n
     # times a grid like the default one as the shifts.
     rng = np.random.default_rng(seed)
     projection = rng.uniform(size=(n, 3)) @ rng.standard_normal((3, m // 2)) * 3.0
