@@ -4,12 +4,15 @@ The primal solve is beta = (Z^T Z + n lam I)^{-1} Z^T y for an (n, 2s)
 feature matrix Z, so the cost scales with the feature count rather than
 n.  A resampled pool has u <= s distinct frequencies and Z has 2u
 columns; its Z Z^T, and so every prediction, equals that of the s draws
-kept apart.  ``fit`` solves by a Cholesky factor with one refinement
-step; cross-validation solves each fold's lambda grid by multi-shift
-conjugate gradients, and factors per lambda only a grid that those do not
-solve to the factor path's residual bar.  ``fit_exact`` provides the
-kernel-space reference alpha = (K + n lam I)^{-1} y used by tests at
-small n.
+kept apart.  A Z of at least ``_GRAM_FREE_MIN`` columns is solved on Z
+itself by conjugate gradients, with products Z^T (Z p) and no Gram, in
+``fit`` and in cross-validation.  A narrower Z forms its Gram Z^T Z:
+``fit`` factors it, and cross-validation solves a fold's whole lambda
+grid on it in one shifted Krylov space.  A system that conjugate
+gradients do not solve to the factor path's residual bar forms its Gram
+and is factored per lambda, with one refinement step.  ``fit_exact``
+provides the kernel-space reference alpha = (K + n lam I)^{-1} y used by
+tests at small n.
 """
 
 from dataclasses import dataclass
@@ -22,6 +25,14 @@ from .features import feature_map, make_rng, spawn_seeds
 from .leverage import regularized_factor
 
 _RESIDUAL_TOL = 1e-8
+
+# Ridge systems at least this wide are solved on Z itself, without their
+# Gram (see linalg.shifted_solves).  At n = 5992 on two cores, with BLAS
+# pinned, the Gram and the grid's solve on it took 30.5 ms at m = 400 and
+# 48-52 ms at 512, against 31.7 and 34-35 ms for the solve on Z; from 950
+# up the Gram route took 1.5 to 2.5 times as long.  Both sides scale with
+# n, so the width alone decides.
+_GRAM_FREE_MIN = 512
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,13 @@ def fit(Z, y, lam, pool=None):
 
     ``Z`` is the plain (n, m) feature array; ``pool`` travels on the model
     so that :func:`predict` can map new points.
+
+    A Z of at least ``_GRAM_FREE_MIN`` columns is solved on Z itself by
+    :func:`rffkrr.linalg.shifted_solves` (one count), so no m x m array is
+    made: the peak beyond Z is a few vectors of length m and the row
+    blocks' partial products.  A narrower Z, or a solve that is declined,
+    forms the Gram and factors it, with one refinement step (two or three
+    counts).
     """
     Zm = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -82,8 +100,14 @@ def fit(Z, y, lam, pool=None):
         raise ValueError("features or labels contain NaN or Inf")
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    n = y.shape[0]
-    beta = _ridge_coefficients(linalg.gram(Zm), Zm.T @ y, n * lam)
+    ridge, rhs = y.shape[0] * lam, Zm.T @ y
+    solved = None
+    if Zm.shape[1] >= _GRAM_FREE_MIN:
+        solved = linalg.shifted_solves(Zm, rhs, [ridge], normal=True)
+    if solved is None:
+        beta = _ridge_coefficients(linalg.gram(Zm), rhs, ridge)
+    else:
+        beta = solved[0]
     return KrrModel(beta=beta, pool=pool, lam=float(lam))
 
 
@@ -137,39 +161,43 @@ def _fold_accuracy(X, y, block, sampler, grid, seed):
         raise ValueError(
             f"sampler returned {len(pairs)} pairs for {len(grid)} lambda values"
         )
-    # Phase 1, on the caller: the training Gram, Z^T y and the validation
-    # map of each distinct pair.  Each pair is let go as soon as its system
-    # is formed, so its training features are gone before the next pair's
-    # Gram is allocated.
-    distinct = [i == 0 or pairs[i] is not pairs[i - 1] for i in range(len(pairs))]
-    systems, groups = [], []
-    for i, new in enumerate(distinct):
-        if new:
-            pool, Z_tr = pairs[i]
-            Z_val = feature_map(X_val, pool).entries
-            system = (linalg.gram(Z_tr), Z_tr.T @ y_tr, Z_val)
-            groups.append([])
-            del pool, Z_tr
-        pairs[i] = None
-        systems.append(system)
-        groups[-1].append(i)
-
-    # Phase 2: the lambda values of each distinct system in one Krylov
-    # space, scored on the caller; the values of a system whose solves are
-    # declined go through one factor task per lambda (factor, solve,
-    # refinement, accuracy).
+    # The lambda values of each distinct pair (a run of one pair object).
+    starts = [i for i in range(len(pairs)) if i == 0 or pairs[i] is not pairs[i - 1]]
+    groups = [range(a, b) for a, b in zip(starts, starts[1:] + [len(pairs)])]
     shifts = [n_tr * lam for lam in grid]
     accuracy = np.empty(len(grid))
-    factored = []
-    for group in groups:
-        gram, rhs, Z_val = systems[group[0]]
-        betas = linalg.shifted_solves(gram, rhs, [shifts[j] for j in group])
-        if betas is None:
-            factored += group
-            continue
-        for j, beta in zip(group, betas):
-            accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
 
+    # Phase 1, on the caller, one distinct pair at a time: its validation
+    # map and Z^T y, then its lambda values in one Krylov space, on Z_tr
+    # itself when it is wide and on its Gram otherwise, scored at once.  A
+    # wide pair forms its Gram only when that solve is declined.  The pair
+    # is let go once it is solved, so its training features are gone before
+    # the next pair's are used; only a declined system is kept, for phase 2.
+    systems, factored = {}, []
+    for group in groups:
+        pool, Z_tr = pairs[group[0]]
+        for i in group:
+            pairs[i] = None
+        Z_val = feature_map(X_val, pool).entries
+        rhs = Z_tr.T @ y_tr
+        group_shifts = [shifts[j] for j in group]
+        if Z_tr.shape[1] >= _GRAM_FREE_MIN:
+            betas = linalg.shifted_solves(Z_tr, rhs, group_shifts, normal=True)
+            gram = None if betas is not None else linalg.gram(Z_tr)
+        else:
+            gram = linalg.gram(Z_tr)
+            betas = linalg.shifted_solves(gram, rhs, group_shifts)
+        del pool, Z_tr
+        if betas is None:
+            systems.update((j, (gram, rhs, Z_val)) for j in group)
+            factored += group
+        else:
+            for j, beta in zip(group, betas):
+                accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
+        del gram, Z_val
+
+    # Phase 2: the lambda values of declined solves, through one factor
+    # task per lambda (factor, solve, refinement, accuracy).
     def score(k, factor):
         j = factored[k]
         gram, rhs, Z_val = systems[j]
@@ -195,35 +223,39 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     the pair differs from the previous value's, and only the ridge solve
     repeats across the grid.
 
-    A fold works in two phases.  First, on the calling thread, it forms
-    the training Gram, Z^T y and the validation map of each distinct pair,
-    letting go of each pair's training features once its system is
-    formed.  Then, also on the calling thread, the lambda values of each
-    distinct system are solved in one shifted Krylov space by
-    :func:`rffkrr.linalg.shifted_solves` (one count per value), and the
-    validation rows are scored.  The values of a system it declines fall
-    back to one task per lambda that factors G + n lam I, solves, refines
-    and scores, through :func:`rffkrr.linalg.shifted_factors`: when BLAS
-    runs one thread per call the tasks run concurrently on the feature
-    map's participants, otherwise one after another, and each is computed
-    whole by one thread.  Either way the report and the solve count are
-    the same on any number of cores; under another BLAS thread count the
-    solutions may differ in their last bits.
+    A fold works in two phases.  First, on the calling thread, it takes
+    the distinct pairs one at a time: it maps the validation rows, forms
+    Z^T y, solves the pair's lambda values in one shifted Krylov space by
+    :func:`rffkrr.linalg.shifted_solves` (one count per value) and scores
+    the validation rows.  A pair of at least ``_GRAM_FREE_MIN`` features
+    is solved on its training features Z_tr, with no Gram; a narrower one
+    forms its Gram and solves on that.  Either way the pair's training
+    features are let go once its values are solved.  The values of a
+    system whose Krylov solve is declined (a wide one then forms its Gram)
+    fall back, in the second phase, to one task per lambda that factors
+    G + n lam I, solves, refines and scores, through
+    :func:`rffkrr.linalg.shifted_factors`: when BLAS runs one thread per
+    call the tasks run concurrently on the feature map's participants,
+    otherwise one after another, and each is computed whole by one
+    thread.  Either way the report and the solve count are the same on any
+    number of cores; under another BLAS thread count the solutions may
+    differ in their last bits.
 
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.
     Each fold runs in a function call of its own, so nothing of one fold
     (its pairs, training and validation features, Grams) is still held
     when the next fold's sampler runs: the peak is one fold's working
-    set.  Its first phase starts from the sampler's pairs.  For a sampler
-    whose pairs differ per lambda (LeverageRFF), each pair's Gram and
-    validation map replace its training features rather than add to
-    them, so the phase peaks at the pairs plus one Gram and one
-    validation map while m + n_val <= n_train for m features.  Its
-    second phase holds the Grams and validation maps, plus a few vectors
-    of length m per lambda; only a declined grid adds one m x m factor
-    buffer per concurrent task, made on the calling thread and reused
-    across the grid.
+    set.  Its first phase starts from the sampler's pairs.  A wide pair
+    holds Z_tr and its validation map Z_val and no m x m array, and both
+    are gone before the next pair is solved.  A narrow pair adds its Gram
+    and validation map to its training features, and all three are let go
+    once it is solved.  So for a sampler whose pairs differ per
+    lambda (LeverageRFF), the phase peaks at the pairs plus one pair's
+    validation map and, for a narrow pair, one Gram.  The second phase
+    holds only the Grams and validation maps of declined systems, plus one
+    m x m factor buffer per concurrent task, made on the calling thread
+    and reused across the grid.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

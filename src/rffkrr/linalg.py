@@ -1,12 +1,14 @@
 """Dense linear-algebra helpers: the feature Gram, counted SPD solves,
 the diagonal of a regularized SPD inverse, and a Lanczos spectral norm.
 
-:func:`gram` forms Z^T Z, the O(n m^2) product that ridge fitting,
-cross-validation and the leverage baseline share.  With BLAS pinned to
-one thread per call (``OPENBLAS_NUM_THREADS=1``, or ``OMP_NUM_THREADS=1``;
-``MKL_NUM_THREADS`` for MKL), its column tiles are filled on every core
-by the feature map's participants; otherwise it is the one product
-``Z.T @ Z``, which a threaded BLAS spreads over the cores itself.
+:func:`gram` forms Z^T Z, the O(n m^2) product behind the leverage
+baseline's scores and the ridge systems of narrow feature arrays; a wide
+ridge system is solved on Z itself by :func:`shifted_solves`, which
+never forms it.  With BLAS pinned to one thread per call
+(``OPENBLAS_NUM_THREADS=1``, or ``OMP_NUM_THREADS=1``; ``MKL_NUM_THREADS``
+for MKL), its column tiles are filled on every core by the feature map's
+participants; otherwise it is the one product ``Z.T @ Z``, which a
+threaded BLAS spreads over the cores itself.
 
 Every Cholesky factorization, triangular solve and triangular inverse in
 the package goes through this module so that tests can count how many
@@ -96,12 +98,21 @@ _CLEAR_ROWS = 64
 # which krr's ridge solve skips refinement), the recursive residual CG
 # stops at, and its step cap.  Cross-validation folds of 5992 rows took
 # 13-16 steps to 1e-13 for the default grid at m = 712 to 1792, and 7-16
-# for one lambda at m = 186 to 210.  The grid's four factors took as long
-# as 22 steps at m = 200, 71 at 950 and 118 at 1792, so a capped run costs
-# less than the factors from m = 730 (59 steps) up.
+# for one lambda at m = 186 to 210.  On a Gram the grid's four factors
+# took as long as 22 steps at m = 200, 71 at 950 and 118 at 1792, so a
+# capped run costs less than the factors from m = 730 (59 steps) up.  On
+# Z a step costs a pass over Z instead, and a capped run that is declined
+# is paid before the Gram and its factors (see shifted_solves).
 _KRYLOV_RESIDUAL = 1e-10
 _KRYLOV_TOL = 1e-13
 _KRYLOV_STEPS = 32
+
+# Rows of Z per block of Z^T (Z V) in shifted_solves, set by the shape
+# alone.  At 5992 x 1792 on two cores one product took 7.0-7.4 ms in
+# blocks of 512 or 1024 rows, 7.6-7.8 ms in 3000, 8.9 ms in 2048 (three
+# blocks on two cores) and 9.0 ms in 256; 512 and 1024 timed alike at
+# 7490 rows too.
+_NORMAL_ROWS = 1024
 
 
 def _blas_one_thread():
@@ -290,32 +301,70 @@ def shifted_factors(grams, shifts, use):
     _run_blocks(run, tasks, count)
 
 
-def shifted_solves(gram, rhs, shifts):
-    """Solve (gram + shifts[j] I) x_j = rhs for every j in one Krylov
-    space, or return None.  Counted once per shift when it returns.
+def shifted_solves(matrix, rhs, shifts, normal=False):
+    """Solve (A + shifts[j] I) x_j = rhs for every j in one Krylov space,
+    or return None.  Counted once per shift when it returns.
+
+    A is the symmetric positive semidefinite ``matrix``, a Gram; with
+    ``normal``, ``matrix`` is an (n, m) feature array Z and A = Z^T Z,
+    which is never formed.
 
     Multi-shift conjugate gradients (Hestenes and Stiefel 1952;
     Jegerlehner, "Krylov space solvers for shifted linear systems",
     hep-lat/9612014, 1996): CG runs on the smallest shift, and every other
     shift's residual stays collinear with its residual, so each step costs
-    one ``gram @ p`` for all shifts plus O(len(shifts) m) updates, and a
-    shift stops updating once its residual has converged.  No factor and
-    no m x m array is made.  Returns a (len(shifts), m) array whose row j
-    is x_j, accepted only if the smallest shift converges within
-    ``_KRYLOV_STEPS`` steps, the curvature p^T (gram + shift I) p of every
-    step is positive, and every x_j's true residual is at most
-    ``_KRYLOV_RESIDUAL`` ||rhs||.  Otherwise, and for non-finite shifts or
-    ``rhs``, it returns None having counted nothing, so that the caller
-    can factor the shifts instead.  A zero ``rhs`` gives zeros.  Raises
-    NumericalError before any step if ``gram`` holds NaN or Inf.
+    one product A p for all shifts plus O(len(shifts) m) updates, and a
+    shift stops updating once its residual has converged.  No factor is
+    made.  Returns a (len(shifts), m) array whose row j is x_j, accepted
+    only if the smallest shift converges within ``_KRYLOV_STEPS`` steps,
+    the curvature p^T (A + shift I) p of every step is positive, and every
+    x_j's true residual is at most ``_KRYLOV_RESIDUAL`` ||rhs||.
+    Otherwise, and for non-finite shifts or ``rhs``, it returns None
+    having counted nothing, so that the caller can factor the shifts
+    instead.  A zero ``rhs`` gives zeros.  Raises NumericalError before
+    any step if a Gram holds NaN or Inf.
 
-    Everything runs on the calling thread.  The result is the same on any
-    number of participants, but not always bit for bit under another
-    BLAS thread count: ``gram @ p`` under one and two OpenBLAS threads
-    differed in its last bits at m = 950, 1130 and 1793 (not at 77 or
-    1792), as potrf's factors do.
+    On Z, each product is Z^T (Z p), two passes over Z's n m entries
+    where ``gram @ p`` passes once over m^2: this is CGLS, CG on the normal
+    equations (Bjorck, "Numerical Methods for Least Squares Problems",
+    1996).  It spares the O(n m^2) Gram, which costs more than the dozen or
+    so steps of a ridge grid from m of about 500 up.  The grid's solve
+    at n = 5992 on two cores, BLAS pinned, medians of 15 (steps to 1e-13):
+
+    ====  ==================  ========  =====
+    m     Gram + solve on it  on Z      steps
+    ====  ==================  ========  =====
+    400   30.5 ms             31.7 ms   14
+    512   48-52 ms            34-35 ms  15
+    730   53 ms               50 ms     15
+    950   101 ms              69 ms     14
+    1130  144 ms              83 ms     14
+    1792  316 ms              124 ms    14
+    ====  ==================  ========  =====
+
+    Under two BLAS threads it was 36 against 25 ms at m = 512 and 252
+    against 104 ms at 1792.  Both sides scale with n, so the break-even
+    width does not depend on it.  A solve on Z that is declined costs up
+    to ``_KRYLOV_STEPS`` products, about 0.25 s at m = 1792, before the
+    caller forms the Gram and factors it.  Z is not scanned for NaN or
+    Inf: a non-finite entry makes the first product non-finite, so the
+    solve is declined at its first step, and the caller's Gram path
+    raises.
+
+    Everything but Z^T (Z p) runs on the calling thread.  With BLAS pinned
+    to one thread per call, Z^T (Z V) is taken in blocks of
+    ``_NORMAL_ROWS`` rows on the feature map's participants, and the
+    blocks' products are added in block order; the blocks depend on the
+    shape alone, so the result is the same bit for bit on any number of
+    cores.  Under a threaded BLAS it is one product over all the rows, as
+    :func:`gram` is.  Either way, the solutions are not always the same
+    bit for bit under another BLAS thread count: ``gram @ p`` under one
+    and two OpenBLAS threads differed in its last bits at m = 950, 1130
+    and 1793 (not at 77 or 1792), as potrf's factors do, and on Z the
+    blocks' sum and the one product round differently.
     """
-    _require_finite(gram)
+    if not normal:
+        _require_finite(matrix)
     shifts = np.asarray(shifts, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if not (np.isfinite(shifts).all() and np.isfinite(rhs).all()):
@@ -323,22 +372,46 @@ def shifted_solves(gram, rhs, shifts):
     x = np.zeros((shifts.size, rhs.size))
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm > 0.0:
-        if not _shifted_cg(gram, rhs, shifts, x, rhs_norm):
+        if not _shifted_cg(matrix, rhs, shifts, x, rhs_norm, normal):
             return None
-        residual = rhs - x @ gram - shifts[:, None] * x
-        if np.linalg.norm(residual, axis=1).max() > _KRYLOV_RESIDUAL * rhs_norm:
+        product = _normal_product(matrix, x.T).T if normal else x @ matrix
+        residual = np.linalg.norm(rhs - product - shifts[:, None] * x, axis=1)
+        if not residual.max() <= _KRYLOV_RESIDUAL * rhs_norm:
             return None
     for _ in shifts:
         _bump()
     return x
 
 
-def _shifted_cg(gram, rhs, shifts, x, rhs_norm):
+def _normal_product(Z, V):
+    # Z^T (Z V) for V of shape (m,) or (m, k), with no m x m array, taken
+    # as ((V^T Z^T) Z)^T, whose products read C-order operands.  With BLAS
+    # pinned, the row blocks' products go in the rows of one array and are
+    # added in block order; otherwise, or for one block, it is one product.
+    vectors = V.T
+    blocks = range(0, Z.shape[0], _NORMAL_ROWS)
+    if len(blocks) < 2 or not _BLAS_ONE_THREAD:
+        return ((vectors @ Z.T) @ Z).T
+    partials = np.empty((len(blocks),) + vectors.shape)
+
+    def fill(_slot, k, start):
+        rows = Z[start : start + _NORMAL_ROWS]
+        np.matmul(vectors @ rows.T, rows, out=partials[k])
+
+    _run_blocks(fill, list(enumerate(blocks)))
+    total = partials[0]
+    for partial in partials[1:]:
+        total += partial
+    return total.T
+
+
+def _shifted_cg(matrix, rhs, shifts, x, rhs_norm, normal=False):
     # Multi-shift CG into the rows of ``x``, seeded on the smallest shift;
     # False when a step's curvature is not positive or the seed has not
     # converged within _KRYLOV_STEPS steps.  Shift j's residual is
     # zeta[j] times the seed's r and its direction is directions[j]; the
     # seed's zeta stays exactly 1, so its direction is the seed's own.
+    # ``normal`` takes ``matrix`` as Z and each product as Z^T (Z p).
     shifts = shifts.tolist()
     seed = shifts.index(min(shifts))
     delta = [shift - shifts[seed] for shift in shifts]
@@ -351,10 +424,10 @@ def _shifted_cg(gram, rhs, shifts, x, rhs_norm):
     active = range(len(shifts))
     for _ in range(_KRYLOV_STEPS):
         p = directions[seed]
-        q = gram @ p
+        q = _normal_product(matrix, p) if normal else matrix @ p
         q += shifts[seed] * p
         curvature = float(p @ q)
-        if not curvature > 0.0:
+        if not 0.0 < curvature < np.inf:
             return False
         alpha = rr / curvature
         r -= alpha * q

@@ -392,6 +392,41 @@ def test_cv_lets_go_of_each_pair_once_its_gram_is_formed(monkeypatch):
     assert alive == [3, 2, 1] * 3
 
 
+def test_cv_lets_go_of_each_wide_pair_once_it_is_solved(monkeypatch):
+    # The same at widths solved on Z itself: when the fold solves pair i,
+    # the training features of pairs before i are gone, and no fold Gram
+    # is formed.
+    monkeypatch.setattr(krr, "_GRAM_FREE_MIN", 1)
+    X, y = _blob(seed=4)
+    inner = make_sampler("LeverageRFF", KernelSpec(1.0), 4, 8)
+    refs, alive, fold_grams = [], [], []
+
+    def sampler(X_tr, y_tr, grid, seed):
+        refs.clear()
+        pairs = inner(X_tr, y_tr, grid, seed)
+        refs.extend(weakref.ref(features) for _, features in pairs)
+        return pairs
+
+    solves, gram = linalg.shifted_solves, linalg.gram
+
+    def counting_solves(matrix, rhs, shifts, normal=False):
+        if normal:
+            alive.append(sum(ref() is not None for ref in refs))
+        return solves(matrix, rhs, shifts, normal)
+
+    def counting_gram(Z):
+        # The sampler's own pool Grams come before its pairs exist.
+        if refs:
+            fold_grams.append(Z.shape)
+        return gram(Z)
+
+    monkeypatch.setattr(linalg, "shifted_solves", counting_solves)
+    monkeypatch.setattr(linalg, "gram", counting_gram)
+    cross_validate(X, y, sampler, (0.01, 0.1, 1.0), folds=3, seed=0)
+    assert alive == [3, 2, 1] * 3
+    assert fold_grams == []
+
+
 def test_leverage_cv_solve_count_matches_per_lambda_flow():
     # Sharing the pool, its map and its Gram across the grid saves no
     # solve: each lambda still factors its own regularized pool Gram.
@@ -467,20 +502,117 @@ def test_cv_declined_krylov_solves_take_the_factor_path(monkeypatch, method, dec
     assert solves == linalg.solve_count()
 
 
+@pytest.mark.parametrize("method", ["RFF", "LeverageRFF"])
+def test_cv_declined_wide_solves_form_the_gram_and_take_the_factor_path(
+    monkeypatch, method
+):
+    # A wide system whose solve on Z is declined forms its Gram and goes
+    # straight to the factors: the report and solve count of fitting each
+    # lambda through the public API, whose wide solves are declined too.
+    monkeypatch.setattr(krr, "_GRAM_FREE_MIN", 1)
+    monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 1)
+    X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=7)
+    grid = (0.001, 0.01, 0.1)
+    spec = KernelSpec(1.0)
+    solves, calls = linalg.shifted_solves, []
+
+    def recording(matrix, rhs, shifts, normal=False):
+        calls.append((normal, solves(matrix, rhs, shifts, normal)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(linalg, "shifted_solves", recording)
+    linalg.reset_solve_count()
+    report = cross_validate(X, y, make_sampler(method, spec, 6, 24), grid, folds=4, seed=3)
+    solve_count, cv_calls = linalg.solve_count(), list(calls)
+    linalg.reset_solve_count()
+    expected = _remapping_reference_cv(
+        X, y, _per_lambda_sampler(method, spec, 6, 24), grid, folds=4, seed=3
+    )
+    distinct = 4 if method == "RFF" else 4 * len(grid)
+    assert [(normal, result is None) for normal, result in cv_calls] == [(True, True)] * distinct
+    np.testing.assert_array_equal(report.fold_accuracy, expected)
+    assert solve_count == linalg.solve_count()
+
+
+def test_cv_nan_in_wide_features_is_a_numerical_error(monkeypatch):
+    # The solve on Z declines, counting nothing, and the Gram it falls
+    # back to is refused before any factor.
+    monkeypatch.setattr(krr, "_GRAM_FREE_MIN", 1)
+    X, y = _blob(seed=2)
+    rff = make_sampler("RFF", KernelSpec(1.0), 4, 4)
+
+    def poisoned(X_tr, y_tr, grid, seed):
+        pool, Z = rff(X_tr, y_tr, grid, seed)[0]
+        Z = Z.copy()
+        Z[3, 1] = np.nan
+        return [(pool, Z)] * len(grid)
+
+    solves, declined = linalg.shifted_solves, []
+
+    def recording(matrix, rhs, shifts, normal=False):
+        result = solves(matrix, rhs, shifts, normal)
+        declined.append(result is None)
+        return result
+
+    monkeypatch.setattr(linalg, "shifted_solves", recording)
+    linalg.reset_solve_count()
+    with pytest.raises(NumericalError):
+        cross_validate(X, y, poisoned, (0.01, 0.1, 1.0), folds=3, seed=0)
+    assert declined == [True]
+    assert linalg.solve_count() == 0
+
+
+def _wide_fit_case():
+    rng = np.random.default_rng(21)
+    X = rng.uniform(size=(1200, 2))
+    y = np.where(rng.uniform(size=1200) > 0.4, 1.0, -1.0)
+    Z = feature_map(X, sample_mc(DENSITY, 300, 22)).entries
+    assert Z.shape[1] >= krr._GRAM_FREE_MIN
+    return Z, y
+
+
+def test_wide_fit_solves_on_z_as_the_factor_path_does(monkeypatch):
+    Z, y = _wide_fit_case()
+    gram = linalg.gram
+    monkeypatch.setattr(linalg, "gram", lambda Z: pytest.fail("a wide fit formed its Gram"))
+    linalg.reset_solve_count()
+    beta = fit(Z, y, 0.05).beta
+    assert linalg.solve_count() == 1
+    expected = krr._ridge_coefficients(gram(Z), Z.T @ y, 1200 * 0.05)
+    assert np.linalg.norm(beta - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_wide_fit_allocates_no_gram(participants, traced_peak):
+    # Beyond Z: fit's finite check (one byte per entry of Z), a few vectors
+    # of length m and the row blocks' partial products.
+    participants(2)
+    Z, y = _wide_fit_case()
+    m = Z.shape[1]
+    peak, _ = traced_peak(lambda: fit(Z, y, 0.05))
+    assert peak <= Z.size + 64 * 8 * m
+    assert peak < 8 * m * m / 2
+
+
 def test_cv_report_equal_under_one_and_two_blas_threads():
     # At m = 950, where gram @ p under one and two OpenBLAS threads
     # differed in its last bits, every fold takes the Krylov path (one
-    # count per lambda) and the report is the same.
+    # count per lambda) and the report is the same: on Z itself, in row
+    # blocks of 128 under one thread and as one product under two, and on
+    # the Gram, with the threshold raised above the width.
     code = (
         "from test_krr import _blob\n"
-        "from rffkrr import KernelSpec, cross_validate, linalg, make_sampler\n"
+        "from rffkrr import KernelSpec, cross_validate, krr, linalg, make_sampler\n"
         "X, y = _blob(n_pos=700, n_neg=500, spread=0.2, seed=8)\n"
         "sampler = make_sampler('RFF', KernelSpec(1.0), 475, 475)\n"
         "grid = (0.05, 0.1, 0.5, 1.0)\n"
-        "report = cross_validate(X, y, sampler, grid, folds=3, seed=6)\n"
-        "assert linalg.solve_count() == 3 * len(grid), linalg.solve_count()\n"
-        "assert len(set(report.fold_accuracy.ravel())) > 1\n"
-        "print(report.fold_accuracy.tolist(), repr(report.chosen_lambda))\n"
+        "linalg._NORMAL_ROWS = 128\n"
+        "for free_min in (krr._GRAM_FREE_MIN, 951):\n"
+        "    krr._GRAM_FREE_MIN = free_min\n"
+        "    linalg.reset_solve_count()\n"
+        "    report = cross_validate(X, y, sampler, grid, folds=3, seed=6)\n"
+        "    assert linalg.solve_count() == 3 * len(grid), linalg.solve_count()\n"
+        "    assert len(set(report.fold_accuracy.ravel())) > 1\n"
+        "    print(report.fold_accuracy.tolist(), repr(report.chosen_lambda))\n"
     )
     one, two = (_child_stdout(code, OPENBLAS_NUM_THREADS=t) for t in "12")
     assert one == two

@@ -188,15 +188,21 @@ def test_shifted_factors_check_each_gram_before_any_factor():
     assert linalg.solve_count() == 0
 
 
-def _ridge_system(n, m, seed):
-    # The Gram and Z^T y of unit-norm cosine/sine feature rows on +-1
-    # labels, so that tr G = n as for the package's unweighted maps, with n
-    # times a grid like the default one as the shifts.
+def _ridge_features(n, m, seed):
+    # Unit-norm cosine/sine feature rows Z on +-1 labels, so that
+    # tr Z^T Z = n as for the package's unweighted maps, with n times a
+    # grid like the default one as the shifts.
     rng = np.random.default_rng(seed)
     projection = rng.uniform(size=(n, 3)) @ rng.standard_normal((3, m // 2)) * 3.0
     Z = np.hstack([np.cos(projection), np.sin(projection)]) / np.sqrt(m // 2)
     y = np.where(rng.uniform(size=n) < 0.6, 1.0, -1.0)
-    return Z.T @ Z, Z.T @ y, [n * lam for lam in (0.05, 0.1, 0.5, 1.0)]
+    return Z, y, [n * lam for lam in (0.05, 0.1, 0.5, 1.0)]
+
+
+def _ridge_system(n, m, seed):
+    # The Gram and Z^T y of _ridge_features, with its shifts.
+    Z, y, shifts = _ridge_features(n, m, seed)
+    return Z.T @ Z, Z.T @ y, shifts
 
 
 @pytest.mark.parametrize("m", [64, 300])
@@ -267,6 +273,102 @@ def test_shifted_solves_are_the_same_on_any_participant_count(participants):
         solved.append(linalg.shifted_solves(gram, rhs, shifts))
     np.testing.assert_array_equal(solved[1], solved[0])
     np.testing.assert_array_equal(solved[2], solved[0])
+
+
+@pytest.fixture
+def small_row_blocks(participants, monkeypatch):
+    # Z^T (Z V) in row blocks of 64, the last one ragged at 300 rows.
+    monkeypatch.setattr(linalg, "_NORMAL_ROWS", 64)
+    return participants
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+def test_normal_product_is_the_gram_product(small_row_blocks, columns):
+    small_row_blocks(2)
+    Z = _feature_like(300, 96, 7)
+    V = np.random.default_rng(8).standard_normal((96,) if columns is None else (96, columns))
+    product = linalg._normal_product(Z, V)
+    assert product.shape == V.shape
+    # The dot-product rounding bound of both products, entry by entry.
+    bound = 2 * (300 + 96) * np.finfo(float).eps * (np.abs(Z).T @ (np.abs(Z) @ np.abs(V)))
+    assert np.all(np.abs(product - linalg.gram(Z) @ V) <= bound)
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+def test_normal_product_is_the_same_on_any_participant_count(small_row_blocks, columns):
+    Z = _feature_like(300, 96, 9)
+    V = np.random.default_rng(10).standard_normal((96,) if columns is None else (96, columns))
+    products = []
+    for count in (1, 2, 4):
+        small_row_blocks(count)
+        products.append(linalg._normal_product(Z, V))
+    np.testing.assert_array_equal(products[1], products[0])
+    np.testing.assert_array_equal(products[2], products[0])
+
+
+def test_normal_product_under_threaded_blas_is_one_product(small_row_blocks, monkeypatch):
+    small_row_blocks(2)
+    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", False)
+    calls = []
+    monkeypatch.setattr(linalg, "_run_blocks", lambda *args: calls.append(args))
+    Z = _feature_like(300, 96, 11)
+    V = np.random.default_rng(12).standard_normal((96, 3))
+    np.testing.assert_array_equal(linalg._normal_product(Z, V), ((V.T @ Z.T) @ Z).T)
+    assert calls == []
+
+
+def test_shifted_solves_on_z_equal_the_gram_route_and_factor_solves(small_row_blocks):
+    small_row_blocks(2)
+    Z, y, shifts = _ridge_features(900, 300, 13)
+    gram, rhs = Z.T @ Z, Z.T @ y
+    on_z = linalg.shifted_solves(Z, rhs, shifts, normal=True)
+    assert on_z.shape == (len(shifts), 300)
+    assert linalg.solve_count() == len(shifts)
+    on_gram = linalg.shifted_solves(gram, rhs, shifts)
+    for beta, beta_gram, shift in zip(on_z, on_gram, shifts):
+        expected = linalg.factor_solve(linalg.psd_factor(gram, shift), rhs)
+        assert np.linalg.norm(beta - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(beta - beta_gram) <= 1e-12 * np.linalg.norm(beta_gram)
+
+
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shifted_solves_on_a_non_finite_z_decline_at_the_first_step(
+    small_row_blocks, monkeypatch, bad, positive
+):
+    # Z is not scanned: its first product is not finite, so CG stops at
+    # its first curvature, having counted nothing.  With Z and rhs all
+    # positive, an infinite entry makes every entry of the product, and
+    # so the curvature, +inf.
+    small_row_blocks(2)
+    Z, y, shifts = _ridge_features(300, 64, 15)
+    rhs = Z.T @ y
+    if positive:
+        Z, rhs = np.abs(Z) + 0.1, np.abs(rhs) + 0.1
+    Z[17, 5] = bad
+    products = []
+    product = linalg._normal_product
+    monkeypatch.setattr(
+        linalg, "_normal_product", lambda *args: products.append(1) or product(*args)
+    )
+    with np.errstate(invalid="ignore"):
+        assert linalg.shifted_solves(Z, rhs, shifts, normal=True) is None
+    assert products == [1]
+    assert linalg.solve_count() == 0
+
+
+def test_shifted_solves_decline_a_nan_solution(monkeypatch):
+    # A NaN true residual fails the residual bar rather than slipping past
+    # a comparison that NaN makes false.
+    gram, rhs, shifts = _ridge_system(200, 64, 16)
+
+    def nan_cg(matrix, rhs, shifts, x, rhs_norm, normal=False):
+        x.fill(np.nan)
+        return True
+
+    monkeypatch.setattr(linalg, "_shifted_cg", nan_cg)
+    assert linalg.shifted_solves(gram, rhs, shifts) is None
+    assert linalg.solve_count() == 0
 
 
 def test_factor_refuses_a_buffer_it_cannot_pass_to_lapack():
