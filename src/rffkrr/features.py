@@ -322,11 +322,11 @@ def _half_tangents(X, half, s, start, stop):
 
 
 # Helper threads shared by every feature map, tiled Gram, tiled factor
-# and CV fold's ridge solves in the process, created on first use.
-# Sharing one pool keeps concurrent calls (trials run with threads > 1)
-# from starting more threads than there are cores.  Helpers only run
-# block fills, Gram tiles, factor tiles, inverse column blocks and ridge
-# solves, and never submit work, so they cannot deadlock.
+# and Z^T (Z p) product in the process, created on first use.  Sharing
+# one pool keeps concurrent calls (trials run with threads > 1) from
+# starting more threads than there are cores.  Helpers only run block
+# fills, Gram tiles, factor tiles, inverse column blocks and row blocks
+# of Z^T (Z p), and never submit work, so they cannot deadlock.
 _helpers = None
 _helpers_lock = threading.Lock()
 
@@ -370,9 +370,8 @@ def _run_blocks(fill, tasks, participants=None):
     """Call ``fill(slot, *task)`` once for every task in ``tasks``: the
     row blocks of a feature map, the tiles of :func:`rffkrr.linalg.gram`,
     the panel and trailing tiles of one step of a tiled factor, the
-    column blocks of its inverse diagonal, or the lambda values of a
-    cross-validation fold.  No task calls it again: helper threads never
-    submit work.
+    column blocks of its inverse diagonal, or the row blocks of a product
+    Z^T (Z p).  No task calls it again: helper threads never submit work.
 
     ``participants`` threads run the tasks, by default
     ``_participants(len(tasks))``: the caller, as slot 0, and helper

@@ -4,15 +4,14 @@ The primal solve is beta = (Z^T Z + n lam I)^{-1} Z^T y for an (n, 2s)
 feature matrix Z, so the cost scales with the feature count rather than
 n.  A resampled pool has u <= s distinct frequencies and Z has 2u
 columns; its Z Z^T, and so every prediction, equals that of the s draws
-kept apart.  A Z of at least ``_GRAM_FREE_MIN`` columns is solved on Z
-itself by conjugate gradients, with products Z^T (Z p) and no Gram, in
-``fit`` and in cross-validation.  A narrower Z forms its Gram Z^T Z:
-``fit`` factors it, and cross-validation solves a fold's whole lambda
-grid on it in one shifted Krylov space.  A system that conjugate
-gradients do not solve to the factor path's residual bar forms its Gram
-and is factored per lambda, with one refinement step.  ``fit_exact``
-provides the kernel-space reference alpha = (K + n lam I)^{-1} y used by
-tests at small n.
+kept apart.  ``fit`` and cross-validation solve every ridge system the
+same way, all of one Z's lambda values in one shifted Krylov space: on Z
+itself, with products Z^T (Z p) and no Gram, when Z has at least
+``_GRAM_FREE_MIN`` columns, and on its Gram Z^T Z otherwise.  A solve
+that conjugate gradients do not bring to the factor path's residual bar
+forms the Gram and factors it per lambda, with one refinement step.
+``fit_exact`` provides the kernel-space reference
+alpha = (K + n lam I)^{-1} y used by tests at small n.
 """
 
 from dataclasses import dataclass
@@ -33,6 +32,10 @@ _RESIDUAL_TOL = 1e-8
 # up the Gram route took 1.5 to 2.5 times as long.  Both sides scale with
 # n, so the width alone decides.
 _GRAM_FREE_MIN = 512
+
+# Rows of Z per block of fit's finite check, so that its mask is a block's
+# and not one byte per entry of Z.
+_FINITE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -59,11 +62,10 @@ class CvReport:
     chosen_lambda: float
 
 
-def _ridge_coefficients(gram, rhs, ridge, factor=None):
-    """Solve (gram + ridge I) beta = rhs with one refinement step, given
-    that matrix's factor or else making it with :func:`linalg.psd_factor`."""
-    if factor is None:
-        factor = linalg.psd_factor(gram, ridge)
+def _ridge_coefficients(gram, rhs, ridge):
+    """Solve (gram + ridge I) beta = rhs by one :func:`linalg.psd_factor`
+    and one refinement step."""
+    factor = linalg.psd_factor(gram, ridge)
     beta = linalg.factor_solve(factor, rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     residual = rhs - (gram @ beta + ridge * beta)
@@ -77,18 +79,44 @@ def _ridge_coefficients(gram, rhs, ridge, factor=None):
     return beta
 
 
+def _ridge_solutions(Z, rhs, shifts):
+    # Row j solves (Z^T Z + shifts[j] I) beta = rhs.  All shifts share one
+    # Krylov space (linalg.shifted_solves, one count each): on Z itself
+    # when it is wide, so no m x m array is made, and on its Gram
+    # otherwise.  A declined solve forms the Gram, if it has not yet, and
+    # factors it for one shift after another on the calling thread.
+    gram = None
+    if Z.shape[1] >= _GRAM_FREE_MIN:
+        solutions = linalg.shifted_solves(Z, rhs, shifts, normal=True)
+    else:
+        gram = linalg.gram(Z)
+        solutions = linalg.shifted_solves(gram, rhs, shifts)
+    if solutions is not None:
+        return solutions
+    if gram is None:
+        gram = linalg.gram(Z)
+    return np.array([_ridge_coefficients(gram, rhs, shift) for shift in shifts])
+
+
+def _all_finite(Z):
+    # np.isfinite(Z).all() without an n x m mask: one block of rows at a
+    # time.
+    rows = range(0, Z.shape[0], _FINITE_ROWS)
+    return all(np.isfinite(Z[start : start + _FINITE_ROWS]).all() for start in rows)
+
+
 def fit(Z, y, lam, pool=None):
     """Fit ridge coefficients on a feature matrix.
 
     ``Z`` is the plain (n, m) feature array; ``pool`` travels on the model
     so that :func:`predict` can map new points.
 
-    A Z of at least ``_GRAM_FREE_MIN`` columns is solved on Z itself by
-    :func:`rffkrr.linalg.shifted_solves` (one count), so no m x m array is
-    made: the peak beyond Z is a few vectors of length m and the row
-    blocks' partial products.  A narrower Z, or a solve that is declined,
-    forms the Gram and factors it, with one refinement step (two or three
-    counts).
+    The one ridge system is solved as a cross-validation fold's grid is,
+    by :func:`rffkrr.linalg.shifted_solves` (one count): on Z itself from
+    ``_GRAM_FREE_MIN`` columns up, so the peak beyond Z is a few vectors
+    of length m and the row blocks' partial products, and on the Gram
+    below, which adds one m x m array.  A declined solve forms the Gram
+    and factors it, with one refinement step (two or three counts more).
     """
     Zm = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -96,18 +124,11 @@ def fit(Z, y, lam, pool=None):
         raise ValueError(
             f"feature matrix shape {Zm.shape} does not match {y.shape[0]} labels"
         )
-    if not (np.all(np.isfinite(Zm)) and np.all(np.isfinite(y))):
+    if not (_all_finite(Zm) and np.all(np.isfinite(y))):
         raise ValueError("features or labels contain NaN or Inf")
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    ridge, rhs = y.shape[0] * lam, Zm.T @ y
-    solved = None
-    if Zm.shape[1] >= _GRAM_FREE_MIN:
-        solved = linalg.shifted_solves(Zm, rhs, [ridge], normal=True)
-    if solved is None:
-        beta = _ridge_coefficients(linalg.gram(Zm), rhs, ridge)
-    else:
-        beta = solved[0]
+    beta = _ridge_solutions(Zm, Zm.T @ y, [y.shape[0] * lam])[0]
     return KrrModel(beta=beta, pool=pool, lam=float(lam))
 
 
@@ -164,50 +185,21 @@ def _fold_accuracy(X, y, block, sampler, grid, seed):
     # The lambda values of each distinct pair (a run of one pair object).
     starts = [i for i in range(len(pairs)) if i == 0 or pairs[i] is not pairs[i - 1]]
     groups = [range(a, b) for a, b in zip(starts, starts[1:] + [len(pairs)])]
-    shifts = [n_tr * lam for lam in grid]
     accuracy = np.empty(len(grid))
-
-    # Phase 1, on the caller, one distinct pair at a time: its validation
-    # map and Z^T y, then its lambda values in one Krylov space, on Z_tr
-    # itself when it is wide and on its Gram otherwise, scored at once.  A
-    # wide pair forms its Gram only when that solve is declined.  The pair
-    # is let go once it is solved, so its training features are gone before
-    # the next pair's are used; only a declined system is kept, for phase 2.
-    systems, factored = {}, []
+    # One distinct pair at a time: its validation map, Z^T y, the solutions
+    # of its lambda values and their scores.  The pair is let go once it is
+    # solved, so its training features are gone before the next pair's are
+    # used.
     for group in groups:
         pool, Z_tr = pairs[group[0]]
         for i in group:
             pairs[i] = None
         Z_val = feature_map(X_val, pool).entries
         rhs = Z_tr.T @ y_tr
-        group_shifts = [shifts[j] for j in group]
-        if Z_tr.shape[1] >= _GRAM_FREE_MIN:
-            betas = linalg.shifted_solves(Z_tr, rhs, group_shifts, normal=True)
-            gram = None if betas is not None else linalg.gram(Z_tr)
-        else:
-            gram = linalg.gram(Z_tr)
-            betas = linalg.shifted_solves(gram, rhs, group_shifts)
-        del pool, Z_tr
-        if betas is None:
-            systems.update((j, (gram, rhs, Z_val)) for j in group)
-            factored += group
-        else:
-            for j, beta in zip(group, betas):
-                accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
-        del gram, Z_val
-
-    # Phase 2: the lambda values of declined solves, through one factor
-    # task per lambda (factor, solve, refinement, accuracy).
-    def score(k, factor):
-        j = factored[k]
-        gram, rhs, Z_val = systems[j]
-        beta = _ridge_coefficients(gram, rhs, shifts[j], factor)
-        accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
-
-    if factored:
-        linalg.shifted_factors(
-            [systems[j][0] for j in factored], [shifts[j] for j in factored], score
-        )
+        betas = _ridge_solutions(Z_tr, rhs, [n_tr * grid[j] for j in group])
+        for j, beta in zip(group, betas):
+            accuracy[j] = classify_accuracy(Z_val @ beta, y_val)
+        del pool, Z_tr, Z_val
     return accuracy
 
 
@@ -219,43 +211,33 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     value: the frequency pool and its plain feature array on X_train, so
     the training rows are never mapped twice.  A sampler whose pool
     does not depend on lambda returns the same pair object for every
-    value; the training Gram and the validation map are rebuilt only when
-    the pair differs from the previous value's, and only the ridge solve
-    repeats across the grid.
+    value; the validation map and Z^T y are rebuilt only when the pair
+    differs from the previous value's, and the values of one pair share
+    one solve.
 
-    A fold works in two phases.  First, on the calling thread, it takes
-    the distinct pairs one at a time: it maps the validation rows, forms
-    Z^T y, solves the pair's lambda values in one shifted Krylov space by
-    :func:`rffkrr.linalg.shifted_solves` (one count per value) and scores
-    the validation rows.  A pair of at least ``_GRAM_FREE_MIN`` features
-    is solved on its training features Z_tr, with no Gram; a narrower one
-    forms its Gram and solves on that.  Either way the pair's training
-    features are let go once its values are solved.  The values of a
-    system whose Krylov solve is declined (a wide one then forms its Gram)
-    fall back, in the second phase, to one task per lambda that factors
-    G + n lam I, solves, refines and scores, through
-    :func:`rffkrr.linalg.shifted_factors`: when BLAS runs one thread per
-    call the tasks run concurrently on the feature map's participants,
-    otherwise one after another, and each is computed whole by one
-    thread.  Either way the report and the solve count are the same on any
-    number of cores; under another BLAS thread count the solutions may
-    differ in their last bits.
+    A fold takes its distinct pairs one at a time, on the calling thread:
+    it maps the validation rows, forms Z^T y, solves the pair's lambda
+    values as :func:`fit` solves its one value, all in one shifted Krylov
+    space (one count per value), and scores the validation rows.  A pair
+    of at least ``_GRAM_FREE_MIN`` features is solved on its training
+    features Z_tr, with no Gram; a narrower one forms its Gram and solves
+    on that.  A declined solve forms the Gram, if it has not yet, and
+    factors it per lambda, one lambda after another.  The report and the
+    solve count are the same on any number of cores; under another BLAS
+    thread count the solutions may differ in their last bits.
 
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.
     Each fold runs in a function call of its own, so nothing of one fold
     (its pairs, training and validation features, Grams) is still held
     when the next fold's sampler runs: the peak is one fold's working
-    set.  Its first phase starts from the sampler's pairs.  A wide pair
-    holds Z_tr and its validation map Z_val and no m x m array, and both
-    are gone before the next pair is solved.  A narrow pair adds its Gram
-    and validation map to its training features, and all three are let go
-    once it is solved.  So for a sampler whose pairs differ per
-    lambda (LeverageRFF), the phase peaks at the pairs plus one pair's
-    validation map and, for a narrow pair, one Gram.  The second phase
-    holds only the Grams and validation maps of declined systems, plus one
-    m x m factor buffer per concurrent task, made on the calling thread
-    and reused across the grid.
+    set.  It starts from the sampler's pairs.  A pair is let go, with its
+    validation map Z_val and any Gram, once its values are solved and
+    scored, before the next pair is solved.  A wide pair holds Z_tr and
+    Z_val and no m x m array; a narrow or declined one adds one Gram, and
+    a declined one one factor of it at a time.  So for a sampler whose
+    pairs differ per lambda (LeverageRFF), a fold peaks at the pairs plus
+    one pair's validation map and at most one Gram and its factor.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

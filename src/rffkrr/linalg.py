@@ -18,8 +18,8 @@ per shift it solves, since a Krylov solve of a shifted system stands in
 for a factor and its solve.  The point of the surrogate sampling
 pipeline is that it runs without any solves at all, and the counter is
 how that claim is checked rather than merely asserted.  The counter is
-bumped under a lock, so factors running on several threads at once are
-all counted.
+bumped under a lock, so counts made on several threads at once are all
+kept.
 
 Each factor works in place on a shifted C-order buffer that holds a
 symmetric matrix, of which only the upper triangle is read.  It calls
@@ -27,20 +27,18 @@ scipy's own LAPACK ``dpotrf``, the routine behind
 ``scipy.linalg.lapack.dpotrf``, through the function pointer that
 ``scipy.linalg.cython_lapack`` exports, by ``ctypes``; the BLAS routines
 ``dtrsm``, ``dgemm`` and ``dsyrk`` come the same way from
-``scipy.linalg.cython_blas``.  A ``ctypes`` call releases the interpreter
-lock for its duration, where the ``scipy.linalg.lapack`` wrapper holds
-it; so :func:`shifted_factors`, which cross-validation uses for a lambda
-grid that :func:`shifted_solves` declines, can factor several shifts of
-a Gram at once, one per core, each with one ``potrf`` in the buffer of
-the participant's slot (``rffkrr.features._run_blocks``).
+``scipy.linalg.cython_blas``.  A ``ctypes`` call releases the
+interpreter lock for its duration, where the ``scipy.linalg.lapack``
+wrapper holds it, so the tiles below run on several cores at once.
 
-A lone factor (:func:`psd_factor` without ``out``, and
-:func:`psd_inverse_diagonal`) of order at least ``_TILED_MIN`` is tiled
-instead when BLAS runs one thread per call: a right-looking tiled
-Cholesky (Buttari, Langou, Kurzak and Dongarra, "A class of parallel
-tiled linear algebra algorithms for multicore architectures", Parallel
-Computing, 2009), whose panel solves and trailing updates run on the
-participants, one tile of ``_FACTOR_TILE`` columns per BLAS call.  The
+A factor (:func:`psd_factor` and :func:`psd_inverse_diagonal`) of order
+at least ``_TILED_MIN`` is tiled instead when BLAS runs one thread per
+call: a right-looking tiled Cholesky (Buttari, Langou, Kurzak and
+Dongarra, "A class of parallel tiled linear algebra algorithms for
+multicore architectures", Parallel Computing, 2009), whose panel solves
+and trailing updates run on the participants, one tile of
+``_FACTOR_TILE`` columns per BLAS call.  Factors are made on the
+calling thread only; a helper runs tiles, never a factor.  The
 inverse diagonal then solves one block of columns of L^{-1} per task.
 The tiles depend on the order alone and each is computed whole by one
 thread, so these results are the same bit for bit on any number of
@@ -243,62 +241,20 @@ def gram(Z):
     return G
 
 
-def psd_factor(mat, shift=0.0, out=None, finite=False):
+def psd_factor(mat, shift=0.0):
     """Cholesky-factor the symmetric positive definite mat + shift I.
     Counted.
 
     One private C-order copy of ``mat`` is shifted and factored in place;
     only its upper triangle is read.  Returns an opaque factor object
     accepted by :func:`factor_solve`.  Raises NumericalError if the
-    shifted matrix holds NaN or Inf or is not positive definite.
-
-    Without ``out``, a copy of order at least ``_TILED_MIN`` is factored
-    by tiles on every core when BLAS runs one thread per call (see the
-    module docstring); otherwise by one ``potrf``.  With ``out``, a
-    C-order float64 array of at least ``mat.size`` entries, the copy is
-    made in its leading entries and always factored by one ``potrf``,
-    since :func:`shifted_factors` calls this on helper threads, which
-    never submit work.  That factor is valid until ``out`` is written
-    again.  ``finite`` says ``mat`` is already known to be finite (one
-    check for a Gram factored at many shifts), so only the shifted
-    diagonal is checked.
+    shifted matrix holds NaN or Inf or is not positive definite.  A copy
+    of order at least ``_TILED_MIN`` is factored by tiles on every core
+    when BLAS runs one thread per call (see the module docstring);
+    otherwise by one ``potrf``.
     """
-    if out is None:
-        a = np.array(mat, dtype=float, order="C")
-        return _factor_in_place(a, shift, finite, _tiled(a.shape[0])), True
-    a = out.reshape(-1)[: np.size(mat)].reshape(np.shape(mat))
-    np.copyto(a, mat)
-    return _factor_in_place(a, shift, finite), True
-
-
-def shifted_factors(grams, shifts, use):
-    """Call ``use(j, factor)`` for every j, with ``factor`` the
-    :func:`psd_factor` of ``grams[j] + shifts[j] I``.  Counted once per j.
-
-    A Gram shared by several j (the same object) is checked finite once
-    for all of its shifts.  When BLAS runs one thread per call (as for
-    :func:`gram`'s tiles), the j run concurrently on the feature map's
-    participants: the factor releases the interpreter lock, so each core
-    factors a different shift.  Under a threaded BLAS they run one after
-    another, which was faster: at m = 1792 on a 2-vCPU VM, four
-    factor-solve-score tasks took 0.58 s in turn and 0.67 s concurrently
-    (medians of 20).  Each participant factors in a buffer of its own,
-    the row of one array made on the calling thread that its slot
-    indexes, so no m x m array is allocated on a helper thread; in turn,
-    every j reuses the one buffer.  Each j is computed whole by one
-    thread, so the factors are bit for bit the same on any number of
-    cores.  An exception raised for any j reaches the caller.
-    """
-    for g in {id(g): g for g in grams}.values():
-        _require_finite(g)
-    tasks = [(j,) for j in range(len(grams))]
-    count = _participants(len(tasks)) if _BLAS_ONE_THREAD else 1
-    buffers = np.empty((count, max(np.size(g) for g in grams)))
-
-    def run(slot, j):
-        use(j, psd_factor(grams[j], shifts[j], out=buffers[slot], finite=True))
-
-    _run_blocks(run, tasks, count)
+    a = np.array(mat, dtype=float, order="C")
+    return _factor_in_place(a, shift, _tiled(a.shape[0])), True
 
 
 def shifted_solves(matrix, rhs, shifts, normal=False):
@@ -494,20 +450,18 @@ def _tiled(m):
     return _BLAS_ONE_THREAD and m >= _TILED_MIN
 
 
-def _factor_in_place(a, shift, finite=False, tiled=False):
+def _factor_in_place(a, shift, tiled=False):
     # Shift and overwrite the caller's C-order float matrix ``a`` by its
     # factor.  A symmetric matrix is its own transpose, and for a C-order
     # ``a`` the transpose is in the Fortran order potrf overwrites in
     # place.  The returned view ``a.T`` holds L in its lower triangle; its
     # strict upper triangle keeps input entries, which potrs never reads.
-    # ``finite`` says the caller has already found ``a`` finite (one check
-    # for a Gram factored at many shifts), so only the shifted diagonal is
-    # checked here.  ``tiled`` factors by _tiled_factor, on every core.
+    # ``tiled`` factors by _tiled_factor, on every core.
     m = a.shape[0]
     if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
         raise ValueError(f"expected a square C-order float64 buffer, got {a.shape}")
     a[np.diag_indices_from(a)] += shift
-    _require_finite(a.diagonal() if finite else a)
+    _require_finite(a)
     _bump()
     if tiled:
         _tiled_factor(a)

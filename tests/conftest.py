@@ -70,11 +70,11 @@ def traced_peak():
 
 @pytest.fixture
 def participants(monkeypatch):
-    """``participants(count)`` makes block, tile and lambda tasks run on
-    the caller and ``count - 1`` helpers of a fresh pool, with BLAS taken
-    as pinned to one thread, so that wide Grams are tiled and a fold's
-    lambda values run concurrently whatever the environment.  A short
-    switch interval makes a task claimed twice or not at all show.
+    """``participants(count)`` makes block and tile tasks run on the
+    caller and ``count - 1`` helpers of a fresh pool, with BLAS taken as
+    pinned to one thread, so that wide Grams and products Z^T (Z p) are
+    split into tasks whatever the environment.  A short switch interval
+    makes a task claimed twice or not at all show.
 
     Only pools made under the fixture are shut down: the process-wide
     pool live before it is put back as it was, still running."""

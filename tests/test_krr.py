@@ -1,5 +1,3 @@
-import threading
-import time
 import weakref
 
 import numpy as np
@@ -64,10 +62,13 @@ def test_fit_residual_contract():
 
 @pytest.mark.parametrize("perturb", ["first", "every"])
 def test_fit_refines_a_perturbed_first_solve(monkeypatch, perturb):
-    # The refinement branch runs only when the first solve leaves a residual
-    # above 1e-10 of the right-hand side, which a Cholesky solve at these
-    # sizes never does.  A first solve off by 1e-6 is repaired by one
-    # refinement step; solves that all come back doubled are not.
+    # The factor path runs only when the Krylov solve is declined, here at
+    # its first step, and its refinement branch only when the first solve
+    # leaves a residual above 1e-10 of the right-hand side, which a
+    # Cholesky solve at these sizes never does.  A first solve off by 1e-6
+    # is repaired by one refinement step; solves that all come back
+    # doubled are not.
+    monkeypatch.setattr(linalg, "_shifted_cg", lambda *args: False)
     rng = np.random.default_rng(8)
     Z = rng.standard_normal((40, 10))
     y = rng.standard_normal(40)
@@ -102,6 +103,37 @@ def test_fit_input_validation():
         fit(np.ones((3, 2)), np.ones(3), 0.0)
     with pytest.raises(ValueError):
         fit(np.array([[np.inf, 0.0]]), np.ones(1), 0.1)
+
+
+@pytest.mark.parametrize("row", [0, 64, 149])
+def test_fit_finds_a_non_finite_entry_in_any_row_block(row):
+    # The check runs a block of rows at a time: the first block, the first
+    # row of the second, and the short last block.
+    for bad in (np.nan, np.inf):
+        Z = np.ones((150, 4))
+        Z[row, 3] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            fit(Z, np.ones(150), 0.1)
+
+
+@pytest.mark.parametrize("width", ["narrow", "wide"])
+def test_declined_fit_forms_its_gram_once(monkeypatch, width):
+    # A narrow system's Gram, made for the Krylov solve, is the one the
+    # factor path reuses; a wide one forms it only once declined.
+    if width == "wide":
+        monkeypatch.setattr(krr, "_GRAM_FREE_MIN", 1)
+    monkeypatch.setattr(linalg, "_shifted_cg", lambda *args: False)
+    rng = np.random.default_rng(9)
+    Z, y = rng.standard_normal((40, 10)), rng.standard_normal(40)
+    gram, grams = linalg.gram, []
+    monkeypatch.setattr(linalg, "gram", lambda Z: grams.append(Z) or gram(Z))
+    linalg.reset_solve_count()
+    beta = fit(Z, y, 0.05).beta
+    assert len(grams) == 1
+    assert linalg.solve_count() == 2  # one factor, one solve
+    np.testing.assert_array_equal(
+        beta, krr._ridge_coefficients(gram(Z), Z.T @ y, 40 * 0.05)
+    )
 
 
 def test_fit_exact_identity_kernel():
@@ -427,6 +459,40 @@ def test_cv_lets_go_of_each_wide_pair_once_it_is_solved(monkeypatch):
     assert fold_grams == []
 
 
+def test_cv_declined_solves_hold_one_gram_at_a_time(monkeypatch):
+    # Every ridge solve declined: each pair's Gram is factored per lambda
+    # and let go with the pair, so no earlier Gram of the fold is alive
+    # when the next pair forms its own.
+    monkeypatch.setattr(linalg, "_shifted_cg", lambda *args: False)
+    X, y = _blob(seed=4)
+    inner = make_sampler("LeverageRFF", KernelSpec(1.0), 4, 8)
+    sampled, grams, alive = [], [], []
+
+    def sampler(X_tr, y_tr, grid, seed):
+        sampled.clear()
+        pairs = inner(X_tr, y_tr, grid, seed)
+        sampled.append(True)
+        return pairs
+
+    gram = linalg.gram
+
+    def counting_gram(Z):
+        G = gram(Z)
+        # The sampler's own pool Grams come before its pairs exist.
+        if sampled:
+            alive.append(sum(ref() is not None for ref in grams))
+            grams.append(weakref.ref(G))
+        return G
+
+    monkeypatch.setattr(linalg, "gram", counting_gram)
+    linalg.reset_solve_count()
+    cross_validate(X, y, sampler, (0.01, 0.1, 1.0), folds=3, seed=0)
+    assert alive == [0] * 9
+    # Per lambda: the pool Gram's factor and inverse, then the ridge factor
+    # and its solve.
+    assert linalg.solve_count() == 9 * 4
+
+
 def test_leverage_cv_solve_count_matches_per_lambda_flow():
     # Sharing the pool, its map and its Gram across the grid saves no
     # solve: each lambda still factors its own regularized pool Gram.
@@ -450,24 +516,31 @@ def test_leverage_cv_solve_count_matches_per_lambda_flow():
 def test_cv_concurrent_lambda_tasks_equal_the_sequential_loop(
     participants, monkeypatch, method
 ):
+    # The report and the solve count are the same for 1, 2 and 4
+    # participants, with each fold's grid solved by Krylov and, with the
+    # step cap at 1, by the factors of tiled Grams, themselves tiled.
     # LeverageRFF hands back a different pool, of a different width, for
     # every lambda; the others share one pair across the grid.
     X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=7)
     grid = (0.0001, 0.001, 0.01, 0.1)
     sampler = make_sampler(method, KernelSpec(1.0), 40, 80)
-    runs = []
-    for count, concurrent in ((4, False), (1, True), (2, True), (4, True)):
-        participants(count)
-        monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", concurrent)
-        linalg.reset_solve_count()
-        report = cross_validate(X, y, sampler, grid, folds=4, seed=5)
-        runs.append((report, linalg.solve_count()))
-    (sequential, solves), *others = runs
-    assert len(set(sequential.fold_accuracy.ravel())) > 1
-    for report, count in others:
-        np.testing.assert_array_equal(report.fold_accuracy, sequential.fold_accuracy)
-        assert report.chosen_lambda == sequential.chosen_lambda
-        assert count == solves
+    for steps in (linalg._KRYLOV_STEPS, 1):
+        monkeypatch.setattr(linalg, "_KRYLOV_STEPS", steps)
+        if steps == 1:
+            for name, value in (("_GRAM_TILE", 16), ("_FACTOR_TILE", 16), ("_TILED_MIN", 2)):
+                monkeypatch.setattr(linalg, name, value)
+        runs = []
+        for count in (1, 2, 4):
+            participants(count)
+            linalg.reset_solve_count()
+            report = cross_validate(X, y, sampler, grid, folds=4, seed=5)
+            runs.append((report, linalg.solve_count()))
+        (first, solves), *others = runs
+        assert len(set(first.fold_accuracy.ravel())) > 1
+        for report, count in others:
+            np.testing.assert_array_equal(report.fold_accuracy, first.fold_accuracy)
+            assert report.chosen_lambda == first.chosen_lambda
+            assert count == solves
 
 
 @pytest.mark.parametrize("method", ["RFF", "LeverageRFF"])
@@ -492,12 +565,12 @@ def test_cv_declined_krylov_solves_take_the_factor_path(monkeypatch, method, dec
     monkeypatch.setattr(linalg, "_shifted_cg", declining)
     linalg.reset_solve_count()
     report = cross_validate(X, y, make_sampler(method, spec, 6, 24), grid, folds=4, seed=3)
-    solves = linalg.solve_count()
+    solves, cv_converged = linalg.solve_count(), list(converged)
     linalg.reset_solve_count()
     expected = _remapping_reference_cv(
         X, y, _per_lambda_sampler(method, spec, 6, 24), grid, folds=4, seed=3
     )
-    assert converged == [False] * (4 if method == "RFF" else 4 * len(grid))
+    assert cv_converged == [False] * (4 if method == "RFF" else 4 * len(grid))
     np.testing.assert_array_equal(report.fold_accuracy, expected)
     assert solves == linalg.solve_count()
 
@@ -582,15 +655,29 @@ def test_wide_fit_solves_on_z_as_the_factor_path_does(monkeypatch):
     assert np.linalg.norm(beta - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def test_narrow_fit_solves_on_the_gram_as_the_factor_path_does(monkeypatch):
+    # A LeverageRFF-like width: one Krylov solve on the Gram, one count.
+    rng = np.random.default_rng(22)
+    X = rng.uniform(size=(1200, 2))
+    y = np.where(rng.uniform(size=1200) > 0.4, 1.0, -1.0)
+    Z = feature_map(X, sample_mc(DENSITY, 100, 300)).entries
+    assert Z.shape[1] < krr._GRAM_FREE_MIN
+    linalg.reset_solve_count()
+    beta = fit(Z, y, 0.05).beta
+    assert linalg.solve_count() == 1
+    expected = krr._ridge_coefficients(linalg.gram(Z), Z.T @ y, 1200 * 0.05)
+    assert np.linalg.norm(beta - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_wide_fit_allocates_no_gram(participants, traced_peak):
-    # Beyond Z: fit's finite check (one byte per entry of Z), a few vectors
-    # of length m and the row blocks' partial products.
+    # Beyond Z: fit's finite check (one byte per entry of a block of rows
+    # of Z), a few vectors of length m and the row blocks' partial
+    # products.
     participants(2)
     Z, y = _wide_fit_case()
     m = Z.shape[1]
     peak, _ = traced_peak(lambda: fit(Z, y, 0.05))
-    assert peak <= Z.size + 64 * 8 * m
-    assert peak < 8 * m * m / 2
+    assert peak <= 64 * 8 * m
 
 
 def test_cv_report_equal_under_one_and_two_blas_threads():
@@ -622,6 +709,9 @@ def test_cv_report_equal_under_one_and_two_blas_threads():
 def test_cv_numerical_error_in_a_helper_reaches_the_caller(
     participants, monkeypatch, case
 ):
+    # Both decline the Krylov solve; the factor path then raises, on a
+    # shift that is not finite or a Gram that is not positive definite,
+    # while the map and the Gram run on two participants.
     participants(2)
     X, y = _blob(seed=2)
     grid = (0.01, 0.1, 1.0)
@@ -632,24 +722,9 @@ def test_cv_numerical_error_in_a_helper_reaches_the_caller(
         monkeypatch.setattr(
             linalg, "gram", lambda Z: -gram(Z) - 1e6 * np.eye(Z.shape[1])
         )
-    factor = linalg._factor_in_place
-    failed = []
-
-    def factor_in_helpers_first(a, shift, finite=False):
-        # The caller's first task waits, so the helper claims the rest.
-        if threading.current_thread() is threading.main_thread():
-            time.sleep(0.2)
-        try:
-            return factor(a, shift, finite)
-        except NumericalError:
-            failed.append(threading.current_thread())
-            raise
-
-    monkeypatch.setattr(linalg, "_factor_in_place", factor_in_helpers_first)
     sampler = make_sampler("RFF", KernelSpec(1.0), 4, 4)
     with pytest.raises(NumericalError):
         cross_validate(X, y, sampler, grid, folds=3, seed=0)
-    assert any(thread is not threading.main_thread() for thread in failed)
 
 
 def test_cv_rejects_sampler_with_wrong_pair_count():

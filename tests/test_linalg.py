@@ -110,84 +110,6 @@ def test_factor_releases_the_interpreter_lock():
     assert not counter.is_alive()
 
 
-def test_factor_with_finite_input_checks_the_shifted_diagonal():
-    G = _dense_spd(5, 1)
-    with pytest.raises(NumericalError):
-        linalg._factor_in_place(G.copy(), np.inf, finite=True)
-    factor = linalg._factor_in_place(G.copy(), 0.5, finite=True)
-    np.testing.assert_array_equal(factor, linalg._factor_in_place(G.copy(), 0.5))
-
-
-def test_psd_factor_into_a_buffer_equals_its_own_copy():
-    G = _dense_spd(6, 3)
-    out = np.full(50, np.nan)
-    factor = linalg.psd_factor(G, 0.5, out=out, finite=True)
-    np.testing.assert_array_equal(np.tril(factor[0]), np.tril(linalg.psd_factor(G, 0.5)[0]))
-    assert np.shares_memory(factor[0], out)
-    assert np.isnan(out[36:]).all()
-    assert linalg.solve_count() == 2
-
-
-@pytest.mark.parametrize("concurrent", [False, True])
-def test_shifted_factors_equal_psd_factor_for_every_shift(
-    participants, monkeypatch, concurrent
-):
-    participants(2)
-    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", concurrent)
-    G, H = _dense_spd(40, 4), _dense_spd(30, 5)
-    grams, shifts = [G, G, H, H, G], [0.1, 1.0, 0.1, 2.0, 3.0]
-    solved = {}
-    rhs = np.arange(40.0)
-
-    def use(j, factor):
-        solved[j] = linalg.factor_solve(factor, rhs[: grams[j].shape[0]])
-
-    linalg.shifted_factors(grams, shifts, use)
-    assert linalg.solve_count() == 2 * len(grams)
-    for j, (gram, shift) in enumerate(zip(grams, shifts)):
-        expected = linalg.factor_solve(linalg.psd_factor(gram, shift), rhs[: gram.shape[0]])
-        np.testing.assert_array_equal(solved[j], expected)
-
-
-def test_shifted_factors_in_turn_use_the_caller_and_one_buffer(participants, monkeypatch):
-    participants(4)
-    G, H = _dense_spd(40, 8), _dense_spd(30, 9)
-    grams, shifts = [G, G, H, H, G, H], [0.1, 1.0, 0.1, 2.0, 3.0, 0.5]
-    rhs = np.arange(40.0)
-
-    def run(concurrent):
-        monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", concurrent)
-        linalg.reset_solve_count()
-        threads, buffers, solved = set(), set(), {}
-
-        def use(j, factor):
-            threads.add(threading.get_ident())
-            buffers.add(factor[0].ctypes.data)
-            solved[j] = linalg.factor_solve(factor, rhs[: grams[j].shape[0]])
-
-        linalg.shifted_factors(grams, shifts, use)
-        return threads, buffers, solved, linalg.solve_count()
-
-    threads, buffers, solved, solves = run(False)
-    assert threads == {threading.get_ident()}
-    assert len(buffers) == 1
-    _, concurrent_buffers, concurrent_solved, concurrent_solves = run(True)
-    assert len(concurrent_buffers) <= 4
-    assert solves == concurrent_solves == 2 * len(grams)
-    for j in range(len(grams)):
-        np.testing.assert_array_equal(solved[j], concurrent_solved[j])
-
-
-def test_shifted_factors_check_each_gram_before_any_factor():
-    bad = _dense_spd(5, 6)
-    bad[1, 3] = np.nan
-    used = []
-    with pytest.raises(NumericalError):
-        linalg.shifted_factors([_dense_spd(5, 7), bad], [1.0, 1.0], lambda j, f: used.append(j))
-    assert used == []
-    assert linalg.solve_count() == 0
-
-
 def _ridge_features(n, m, seed):
     # Unit-norm cosine/sine feature rows Z on +-1 labels, so that
     # tr Z^T Z = n as for the package's unweighted maps, with n times a
@@ -488,6 +410,11 @@ def test_psd_factor_rejects_non_finite_matrix(bad):
             linalg.psd_factor(mat)
         with pytest.raises(NumericalError):
             linalg.psd_solve(mat, np.ones(2))
+    # A finite matrix at a non-finite shift, as a ridge of n times a huge
+    # lambda overflows to inf.
+    with pytest.raises(NumericalError):
+        linalg.psd_factor(_dense_spd(3, 1), bad)
+    assert linalg.solve_count() == 0
 
 
 def _dense_spd(m, seed):
@@ -773,30 +700,3 @@ def test_tiled_inverse_diagonal_memory(small_tiles, traced_peak, monkeypatch):
     G = _dense_spd(m, 28)
     peak, _ = traced_peak(lambda: linalg.psd_inverse_diagonal(G, 0.5))
     assert peak <= 1.2 * m * m * 8 + 4 * m * 64 * 8
-
-
-def test_shifted_factors_never_run_blocks_on_a_helper(small_tiles, monkeypatch):
-    # Helpers never submit work, so a lambda task factors with one potrf
-    # in its slot's buffer even at an order that a lone factor tiles.  The
-    # barrier makes the caller and the helper each hold a task at once.
-    m = 3 * _TILE
-    G = _dense_spd(m, 29)
-    callers, users = [], set()
-    run_blocks = linalg._run_blocks
-
-    def record(*args):
-        callers.append(threading.get_ident())
-        return run_blocks(*args)
-
-    monkeypatch.setattr(linalg, "_run_blocks", record)
-    barrier = threading.Barrier(2)
-    one_call = np.tril(linalg._factor_in_place(G.copy(), 0.1))
-
-    def use(j, factor):
-        users.add(threading.get_ident())
-        np.testing.assert_array_equal(np.tril(factor[0]), one_call)
-        barrier.wait(timeout=10)
-
-    linalg.shifted_factors([G] * 4, [0.1] * 4, use)
-    assert len(users) == 2
-    assert callers == [threading.get_ident()]
