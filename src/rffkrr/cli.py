@@ -22,10 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
+from ._threads import _one_blas_thread
 from .errors import DataError, NumericalError, UsageError
 from .experiments import (
     ExperimentConfig,
     _check_qmc_dimension,
+    _check_ridge_shift,
     _load_for_config,
     _split_and_cv,
     render_report,
@@ -190,6 +192,7 @@ def _cmd_bounds(config, delta):
             f"--err-subsample {count} exceeds the exact-mode cap of "
             f"{linalg.EXACT_MODE_CAP} points"
         )
+    _check_ridge_shift(count, config.lambda_grid)
     rng = np.random.default_rng(config.seed)
     subset = rng.choice(dataset.n, size=count, replace=False)
     X, y = dataset.X[subset], dataset.y[subset]
@@ -207,9 +210,11 @@ def _cmd_cv(config):
     method = config.methods[0]
     s = config.s_multipliers[0] * dataset.dim
     _check_qmc_dimension((method,), dataset.dim)
-    _, _, report = _split_and_cv(
-        config, dataset, KernelSpec(config.sigma), method, s, 0, "full"
-    )
+    # BLAS at one thread, as in run_experiment, for krr's own selection.
+    with _one_blas_thread():
+        _, _, report = _split_and_cv(
+            config, dataset, KernelSpec(config.sigma), method, s, 0, "full"
+        )
     lines = [f"method={method} s={s} folds={config.folds}"]
     for lam, accuracy in zip(report.lambda_grid, report.mean_accuracy):
         lines.append(f"lambda={lam:.9g} mean_accuracy={accuracy:.9g}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._threads import _one_blas_thread
 from .datasets import load_dataset, load_dataset_pair, split
 from .errors import DataError, UsageError
 from .features import _PRIMES, feature_map, sample_mc, sample_qmc
@@ -87,12 +88,19 @@ class ExperimentConfig:
             raise ValueError("s multipliers must be positive")
         if self.pool_multiplier < 1:
             raise ValueError("pool multiplier must be positive")
-        if not self.lambda_grid or any(v <= 0 for v in self.lambda_grid):
-            raise ValueError("lambda grid must be nonempty and positive")
+        if not self.lambda_grid or not all(0 < v < math.inf for v in self.lambda_grid):
+            raise ValueError("lambda grid must be nonempty, finite and positive")
         if self.folds < 2:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # The kernel divides by sigma^2 and the frequencies' variance is
+        # 2 / sigma^2: both must be finite and positive.
+        sigma = float(self.sigma)
+        square = sigma * sigma
+        if not (sigma > 0 and square > 0 and 1 / square > 0 and 2 / square < math.inf):
+            raise ValueError(
+                f"sigma must be positive, with 1/sigma^2 and 2/sigma^2 finite "
+                f"and positive, got {self.sigma}"
+            )
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
@@ -200,12 +208,19 @@ def _check_qmc_dimension(methods, dim):
         )
 
 
+def _check_ridge_shift(n, lambda_grid):
+    # Ridge systems on n points are shifted by n lambda.
+    if not math.isfinite(n * max(lambda_grid)):
+        raise UsageError(f"lambda {max(lambda_grid):g} times {n} points overflows")
+
+
 def _split_and_cv(config, dataset, spec, method, s, trial, mode):
     """A trial's (train, test) split and, in "full" mode, the CvReport of
     its inner cross-validation on the training half (else None).  This is
     the one place the split and CV seeds of a trial are derived; ``rffkrr
     cv`` runs it for trial 0."""
     train, test = split(dataset, _child_seed(config.seed, trial, _TAG_SPLIT))
+    _check_ridge_shift(train.n, config.lambda_grid)
     if mode != "full":
         return train, test, None
     if train.n < config.folds:
@@ -283,6 +298,14 @@ def run_experiment(config, dataset=None, mode="full", on_record=None):
     always single-threaded).  Records arrive in deterministic order; all
     non-timing fields are pure functions of the config.  ``on_record`` is
     called with each record as it is produced.
+
+    The run holds every OpenBLAS library that numpy and scipy load at one
+    thread, and gives each back the count it had when the run returns or
+    raises (:func:`rffkrr._threads._one_blas_thread`).  The cores go to
+    the package's own block and tile threads instead, and the records are
+    the same whatever thread count the environment sets.  The count is
+    process-wide: while a run is in progress, the caller's other threads
+    see one BLAS thread too.
     """
     if mode not in ("full", "error", "timing"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -313,10 +336,11 @@ def run_experiment(config, dataset=None, mode="full", on_record=None):
         return records
 
     threads = 1 if mode == "timing" else config.threads
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return collect(pool.map(run_task, tasks))
-    return collect(run_task(task) for task in tasks)
+    with _one_blas_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return collect(pool.map(run_task, tasks))
+        return collect(run_task(task) for task in tasks)
 
 
 def _format_float(value):

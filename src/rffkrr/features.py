@@ -38,12 +38,11 @@ the same bit for bit whatever rows are mapped with it.
 block, without holding Z: it is how the surrogate scores a pool.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._threads import _run_blocks
 
 # First 64 primes, the Halton bases for up to 64 input dimensions.
 _PRIMES = (
@@ -213,19 +212,20 @@ def feature_map(X, pool):
 
     The blocks are filled in parallel, by the calling thread and a shared
     pool of helper threads, one participant per CPU in the process's
-    affinity mask (:func:`_run_blocks`).  Each block is computed whole by
-    one participant, and the blocks are of one size but the last whatever
-    the core count, so Z is bit for bit the same on one core or many;
-    there is no option to set.  A one-block map, or any map on a one-CPU
-    mask, runs in the caller and starts no thread.  BLAS threading inside
-    each block's projection is left to the environment (e.g.
-    ``OPENBLAS_NUM_THREADS``).
+    affinity mask (:mod:`rffkrr._threads`).  Each block is computed whole
+    by one participant, and the blocks are of one size but the last
+    whatever the core count, so Z is bit for bit the same on one core or
+    many; there is no option to set.  A one-block map, or any map on a
+    one-CPU mask, runs in the caller and starts no thread.  Each block's
+    projection runs on as many BLAS threads as BLAS has at the time:
+    ``run_experiment`` sets it to one for its run, and a direct caller
+    keeps its own setting.
     """
     X, half, scale = _map_operands(X, pool)
     s = pool.size
     Z = np.empty((X.shape[0], 2 * s))
 
-    def fill(_slot, start, stop):
+    def fill(_work, start, stop):
         t = _half_tangents(X, half, s, start, stop)
         cos, sin = Z[start:stop, 0::2], Z[start:stop, 1::2]
         np.multiply(t, t, out=cos)
@@ -249,8 +249,7 @@ def label_correlations(X, pool, y):
     sqrt(r/s) (2 y^T f - sum(y)) and sqrt(r/s) 2 y^T (tf): per row block,
     f and tf (four passes after the tangent, against seven for the map's
     pairs) times the block's labels.  The blocks run on the map's
-    participants, each forming f in its own row of one scratch array made
-    on the calling thread, the row its slot indexes.  The per-block
+    participants, each forming f in scratch of its own.  The per-block
     products are added in block order, so the result is the same bit for
     bit on any number of cores.  Zero rows give zeros, as ``y @ Z`` does.
     """
@@ -262,12 +261,10 @@ def label_correlations(X, pool, y):
     bounds = _map_blocks(n, s)
     partials = np.empty((len(bounds), 2, s))
     rows = max((stop - start for start, stop in bounds), default=0)
-    participants = _participants(len(bounds))
-    scratch = np.empty((participants, rows * s))
 
-    def fill(slot, k, start, stop):
+    def fill(work, k, start, stop):
         t = _half_tangents(X, half, s, start, stop)
-        f = scratch[slot, : t.size].reshape(t.shape)
+        f = work[: t.size].reshape(t.shape)
         np.multiply(t, t, out=f)
         f += 1.0
         np.divide(1.0, f, out=f)
@@ -276,7 +273,7 @@ def label_correlations(X, pool, y):
         np.matmul(y[start:stop], t, out=partials[k, 1])
 
     tasks = [(k, start, stop) for k, (start, stop) in enumerate(bounds)]
-    _run_blocks(fill, tasks, participants)
+    _run_blocks(fill, tasks, rows * s)
     sums = np.zeros((2, s))
     for partial in partials:
         sums += partial
@@ -319,104 +316,6 @@ def _half_tangents(X, half, s, start, stop):
     rows = X[start:stop] if stop - start > 1 else X[[start, start]]
     t = (rows @ half)[: stop - start, :s]
     return np.tan(t, out=t)
-
-
-# Helper threads shared by every feature map, tiled Gram, tiled factor
-# and Z^T (Z p) product in the process, created on first use.  Sharing
-# one pool keeps concurrent calls (trials run with threads > 1) from
-# starting more threads than there are cores.  Helpers only run block
-# fills, Gram tiles, factor tiles, inverse column blocks and row blocks
-# of Z^T (Z p), and never submit work, so they cannot deadlock.
-_helpers = None
-_helpers_lock = threading.Lock()
-
-
-def _forget_helpers():
-    # A forked child has none of the parent's threads: a pool inherited
-    # from the parent would accept work that no thread ever runs.
-    global _helpers, _helpers_lock
-    _helpers = None
-    _helpers_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _cpu_count():
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _participants(tasks):
-    """Threads that :func:`_run_blocks` puts on ``tasks`` tasks: the
-    caller and up to ``cpus - 1`` helpers, no more than one per task."""
-    return min(tasks, _cpu_count())
-
-
-def _helper_pool():
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None:
-            _helpers = ThreadPoolExecutor(
-                max_workers=_cpu_count() - 1, thread_name_prefix="rffkrr-feature-map"
-            )
-        return _helpers
-
-
-def _run_blocks(fill, tasks, participants=None):
-    """Call ``fill(slot, *task)`` once for every task in ``tasks``: the
-    row blocks of a feature map, the tiles of :func:`rffkrr.linalg.gram`,
-    the panel and trailing tiles of one step of a tiled factor, the
-    column blocks of its inverse diagonal, or the row blocks of a product
-    Z^T (Z p).  No task calls it again: helper threads never submit work.
-
-    ``participants`` threads run the tasks, by default
-    ``_participants(len(tasks))``: the caller, as slot 0, and helper
-    threads, as slots 1 to ``participants - 1``.  Each claims the next
-    unclaimed task until none are left, so no two running tasks share a
-    slot, and a caller gives each participant scratch of its own as one
-    array made on the calling thread and indexed by ``slot``.  Below two
-    participants every task runs in the caller, with slot 0.  A helper's
-    exception is raised here once every running helper is done.
-    """
-    if participants is None:
-        participants = _participants(len(tasks))
-    if participants < 2:
-        for task in tasks:
-            fill(0, *task)
-        return
-
-    claimed = iter(tasks)
-    claim_lock = threading.Lock()
-    # ``fill`` holds the caller's arrays.  A helper cancelled while queued
-    # behind another caller's work stays in the executor's queue until a
-    # thread takes it, so it must not keep them alive: it reaches ``fill``
-    # only through this one-entry list, emptied before returning.
-    work = [fill]
-
-    def drain(slot):
-        while True:
-            with claim_lock:
-                task = next(claimed, None)
-            if task is None:
-                return
-            work[0](slot, *task)
-
-    helpers = _helper_pool()
-    futures = [helpers.submit(drain, slot) for slot in range(1, participants)]
-    try:
-        drain(0)
-    finally:
-        # A helper still queued behind another caller has nothing left to
-        # claim: drop it rather than wait for it.
-        started = [f for f in futures if not f.cancel()]
-        wait(started)
-        work.clear()
-    for future in started:
-        future.result()
 
 
 def approx_kernel_entry(x, x_prime, pool):

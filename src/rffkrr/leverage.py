@@ -147,8 +147,8 @@ def approx_ridge_leverage(Z, lam):
     still a factorization the surrogate avoids.  Every value but the last
     works on a copy of G; the last (or only) one shifts and factors G
     itself, so a one-value call holds one (2l, 2l) buffer beyond Z, not
-    two.  A wide G (2l at least ``linalg._TILED_MIN``) under a BLAS
-    pinned to one thread is factored by tiles on every core, and its
+    two.  A wide G (2l at least ``linalg._TILED_MIN``), when scipy's
+    BLAS runs one thread, is factored by tiles on every core, and its
     inverse is solved a block of columns at a time in a (2l, 256)
     scratch per core in place of ``trtri``.
     """

@@ -4,11 +4,16 @@ the diagonal of a regularized SPD inverse, and a Lanczos spectral norm.
 :func:`gram` forms Z^T Z, the O(n m^2) product behind the leverage
 baseline's scores and the ridge systems of narrow feature arrays; a wide
 ridge system is solved on Z itself by :func:`shifted_solves`, which
-never forms it.  With BLAS pinned to one thread per call
-(``OPENBLAS_NUM_THREADS=1``, or ``OMP_NUM_THREADS=1``; ``MKL_NUM_THREADS``
-for MKL), its column tiles are filled on every core by the feature map's
-participants; otherwise it is the one product ``Z.T @ Z``, which a
-threaded BLAS spreads over the cores itself.
+never forms it.  When numpy's BLAS runs one thread, the Gram's column
+tiles are filled on every core by the feature map's participants;
+otherwise it is the one product ``Z.T @ Z``, which a threaded BLAS
+spreads over the cores itself.
+
+Each kernel asks the BLAS it calls for its live thread count at the time
+of the call (:mod:`rffkrr._threads`).  ``run_experiment`` sets BLAS to
+one thread for its whole run, so every run takes the split paths below
+whatever the environment says; a direct caller of these functions gets
+the paths that its own BLAS setting selects.
 
 Every Cholesky factorization, triangular solve and triangular inverse in
 the package goes through this module so that tests can count how many
@@ -32,9 +37,9 @@ interpreter lock for its duration, where the ``scipy.linalg.lapack``
 wrapper holds it, so the tiles below run on several cores at once.
 
 A factor (:func:`psd_factor` and :func:`psd_inverse_diagonal`) of order
-at least ``_TILED_MIN`` is tiled instead when BLAS runs one thread per
-call: a right-looking tiled Cholesky (Buttari, Langou, Kurzak and
-Dongarra, "A class of parallel tiled linear algebra algorithms for
+at least ``_TILED_MIN`` is tiled instead when scipy's BLAS, the one
+behind those capsules, runs one thread: a right-looking tiled Cholesky
+(Buttari, Langou, Kurzak and Dongarra, "A class of parallel tiled linear algebra algorithms for
 multicore architectures", Parallel Computing, 2009), whose panel solves
 and trailing updates run on the participants, one tile of
 ``_FACTOR_TILE`` columns per BLAS call.  Factors are made on the
@@ -48,7 +53,6 @@ On a 2-vCPU VM at order 3584 the factor took 0.34-0.36 s against
 """
 
 import ctypes
-import os
 import threading
 
 import numpy as np
@@ -57,8 +61,8 @@ import scipy.linalg.cython_blas
 import scipy.linalg.cython_lapack
 import scipy.sparse.linalg
 
+from ._threads import _blas_threads, _run_blocks
 from .errors import NumericalError
-from .features import _participants, _run_blocks
 
 _solve_count = 0
 _solve_count_lock = threading.Lock()
@@ -82,8 +86,8 @@ _GRAM_TILE = 512
 # 0.58 s with 256, against 0.62-0.66 s with 128, 192, 384 and 512.
 _FACTOR_TILE = 256
 
-# Lone factors of at least this order are tiled when BLAS runs one thread
-# per call.  At 1200 on two cores the tiled factor and inverse diagonal
+# Lone factors of at least this order are tiled when scipy's BLAS runs one
+# thread.  At 1200 on two cores the tiled factor and inverse diagonal
 # took 0.027 and 0.044 s against 0.034 and 0.065 s for one LAPACK call;
 # below it the saving is a few milliseconds, and a factor keeps the bits
 # of the one call.
@@ -111,28 +115,6 @@ _KRYLOV_STEPS = 32
 # blocks on two cores) and 9.0 ms in 256; 512 and 1024 timed alike at
 # 7490 rows too.
 _NORMAL_ROWS = 1024
-
-
-def _blas_one_thread():
-    # Whether the environment pins BLAS to one thread per call.  These are
-    # the variables BLAS reads when it loads, in the order it reads them;
-    # the first one holding a positive count decides.
-    config = getattr(np.__config__, "CONFIG", {})
-    blas = config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
-    first = "MKL_NUM_THREADS" if "mkl" in str(blas).lower() else "OPENBLAS_NUM_THREADS"
-    for name in (first, "OMP_NUM_THREADS"):
-        try:
-            count = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if count > 0:
-            return count == 1
-    return False
-
-
-# Read once, like BLAS itself: a tiled Gram on threaded BLAS runs every
-# tile on every core at once and is slower than the single product.
-_BLAS_ONE_THREAD = _blas_one_thread()
 
 
 def check_exact_cap(n):
@@ -212,7 +194,8 @@ def gram(Z):
     """The Gram matrix Z^T Z of an (n, m) array, exactly symmetric.  Not
     counted: it is a product, not a solve.
 
-    When BLAS runs one thread per call and Z spans at least two tiles of
+    When numpy's BLAS runs one thread (as it does inside
+    ``run_experiment``) and Z spans at least two tiles of
     ``_GRAM_TILE`` columns, the upper-triangle tiles of G are filled by
     the calling thread and the feature map's helper threads (see
     :func:`rffkrr.features.feature_map`).  A diagonal tile is one syrk
@@ -221,16 +204,17 @@ def gram(Z):
     into G, so nothing but G is allocated, and each tile is computed whole
     by one thread, so G is bit for bit the same on any number of cores.
     It differs from the single product only in the last bits of the
-    off-diagonal tiles.  Otherwise G is the single product ``Z.T @ Z``.
+    off-diagonal tiles.  Otherwise G is the single product ``Z.T @ Z``,
+    which a threaded BLAS spreads over the cores itself.
     """
     Z = np.asarray(Z, dtype=float)
     m = Z.shape[1]
     tiles = [slice(start, start + _GRAM_TILE) for start in range(0, m, _GRAM_TILE)]
-    if len(tiles) < 2 or not _BLAS_ONE_THREAD:
+    if len(tiles) < 2 or _blas_threads("numpy") != 1:
         return Z.T @ Z
     G = np.empty((m, m))
 
-    def fill(_slot, i, j):
+    def fill(_work, i, j):
         a, b = tiles[i], tiles[j]
         # Z[:, a].T and Z[:, a] share one buffer, so numpy takes syrk.
         np.matmul(Z[:, a].T, Z[:, b], out=G[a, b])
@@ -250,8 +234,9 @@ def psd_factor(mat, shift=0.0):
     accepted by :func:`factor_solve`.  Raises NumericalError if the
     shifted matrix holds NaN or Inf or is not positive definite.  A copy
     of order at least ``_TILED_MIN`` is factored by tiles on every core
-    when BLAS runs one thread per call (see the module docstring);
-    otherwise by one ``potrf``.
+    when scipy's BLAS runs one thread, as it does inside
+    ``run_experiment`` (see the module docstring); otherwise by one
+    ``potrf``.
     """
     a = np.array(mat, dtype=float, order="C")
     return _factor_in_place(a, shift, _tiled(a.shape[0])), True
@@ -285,7 +270,8 @@ def shifted_solves(matrix, rhs, shifts, normal=False):
     equations (Bjorck, "Numerical Methods for Least Squares Problems",
     1996).  It spares the O(n m^2) Gram, which costs more than the dozen or
     so steps of a ridge grid from m of about 500 up.  The grid's solve
-    at n = 5992 on two cores, BLAS pinned, medians of 15 (steps to 1e-13):
+    at n = 5992 on two cores, BLAS at one thread, medians of 15 (steps to
+    1e-13):
 
     ====  ==================  ========  =====
     m     Gram + solve on it  on Z      steps
@@ -307,8 +293,8 @@ def shifted_solves(matrix, rhs, shifts, normal=False):
     solve is declined at its first step, and the caller's Gram path
     raises.
 
-    Everything but Z^T (Z p) runs on the calling thread.  With BLAS pinned
-    to one thread per call, Z^T (Z V) is taken in blocks of
+    Everything but Z^T (Z p) runs on the calling thread.  When numpy's
+    BLAS runs one thread, Z^T (Z V) is taken in blocks of
     ``_NORMAL_ROWS`` rows on the feature map's participants, and the
     blocks' products are added in block order; the blocks depend on the
     shape alone, so the result is the same bit for bit on any number of
@@ -317,7 +303,9 @@ def shifted_solves(matrix, rhs, shifts, normal=False):
     bit for bit under another BLAS thread count: ``gram @ p`` under one
     and two OpenBLAS threads differed in its last bits at m = 950, 1130
     and 1793 (not at 77 or 1792), as potrf's factors do, and on Z the
-    blocks' sum and the one product round differently.
+    blocks' sum and the one product round differently.  ``run_experiment``
+    holds BLAS at one thread, so its records do not depend on the count
+    the environment sets.
     """
     if not normal:
         _require_finite(matrix)
@@ -341,16 +329,17 @@ def shifted_solves(matrix, rhs, shifts, normal=False):
 
 def _normal_product(Z, V):
     # Z^T (Z V) for V of shape (m,) or (m, k), with no m x m array, taken
-    # as ((V^T Z^T) Z)^T, whose products read C-order operands.  With BLAS
-    # pinned, the row blocks' products go in the rows of one array and are
-    # added in block order; otherwise, or for one block, it is one product.
+    # as ((V^T Z^T) Z)^T, whose products read C-order operands.  When
+    # numpy's BLAS runs one thread, the row blocks' products go in the rows
+    # of one array and are added in block order; otherwise, or for one
+    # block, it is one product.
     vectors = V.T
     blocks = range(0, Z.shape[0], _NORMAL_ROWS)
-    if len(blocks) < 2 or not _BLAS_ONE_THREAD:
+    if len(blocks) < 2 or _blas_threads("numpy") != 1:
         return ((vectors @ Z.T) @ Z).T
     partials = np.empty((len(blocks),) + vectors.shape)
 
-    def fill(_slot, k, start):
+    def fill(_work, k, start):
         rows = Z[start : start + _NORMAL_ROWS]
         np.matmul(vectors @ rows.T, rows, out=partials[k])
 
@@ -433,9 +422,10 @@ def psd_inverse_diagonal(mat, shift=0.0):
     With mat + shift I = L L^T, the inverse is L^{-T} L^{-1}, so its
     diagonal is the squared column norms of L^{-1}.  One private copy of
     ``mat`` is shifted and factored in place, about m^3 / 3 flops, and
-    L^{-1} takes about m^3 / 3 more.  Below ``_TILED_MIN``, or under a
-    threaded BLAS, one ``potrf`` factors the copy and ``trtri`` inverts
-    the factor in it, and no other m x m float array is made.  Otherwise
+    L^{-1} takes about m^3 / 3 more.  Below ``_TILED_MIN``, or when
+    scipy's BLAS runs more than one thread or was not found, one
+    ``potrf`` factors the copy and ``trtri`` inverts the factor in it,
+    and no other m x m float array is made.  Otherwise
     the factor is tiled over the cores, and each participant solves
     blocks of ``_FACTOR_TILE`` columns of L^{-1} against the identity
     (``trsm``) in an m x ``_FACTOR_TILE`` scratch row of its own.  Only
@@ -446,8 +436,9 @@ def psd_inverse_diagonal(mat, shift=0.0):
 
 
 def _tiled(m):
-    # Whether a lone factor of order m is tiled over the cores.
-    return _BLAS_ONE_THREAD and m >= _TILED_MIN
+    # Whether a lone factor of order m is tiled over the cores: its tiles
+    # call scipy's BLAS.
+    return m >= _TILED_MIN and _blas_threads("scipy") == 1
 
 
 def _factor_in_place(a, shift, tiled=False):
@@ -503,14 +494,14 @@ def _tiled_factor(a):
     def at(i, j):
         return base + 8 * (tiles[j][0] * m + tiles[i][0])
 
-    def panel(_slot, i, k):
+    def panel(_work, i, k):
         # L_ik = A_ik L_kk^{-T}
         _dtrsm(
             b"R", b"L", b"T", b"N", sizes[i], sizes[k], _ONE,
             at(k, k), lead, at(i, k), lead,
         )
 
-    def update(_slot, i, j, k):
+    def update(_work, i, j, k):
         # A_ij -= L_ik L_jk^T, of which a diagonal tile keeps its lower half
         if i == j:
             _dsyrk(
@@ -535,18 +526,16 @@ def _tiled_inverse_diagonal(a):
     # the Fortran view a.T, one block of _FACTOR_TILE columns per task.
     # Columns j0.. of L^{-1} are zero above row j0, and below it they are
     # L[j0:, j0:]^{-1} times the identity's columns, solved in the
-    # participant's row of one scratch array made here.
+    # participant's scratch.
     m = a.shape[0]
     tiles = _tile_bounds(m)
-    count = _participants(len(tiles))
-    scratch = np.empty((count, m * _FACTOR_TILE))
     diagonal = np.empty(m)
     base, lead = a.ctypes.data, ctypes.c_int(m)
 
-    def solve(slot, j0, width):
+    def solve(work, j0, width):
         rows = m - j0
         # Row c of the C-order block is column c of the Fortran block.
-        block = scratch[slot, : rows * width].reshape(width, rows)
+        block = work[: rows * width].reshape(width, rows)
         block.fill(0.0)
         block[np.arange(width), np.arange(width)] = 1.0
         _dtrsm(
@@ -555,7 +544,7 @@ def _tiled_inverse_diagonal(a):
         )
         diagonal[j0 : j0 + width] = np.einsum("ij,ij->i", block, block)
 
-    _run_blocks(solve, tiles, count)
+    _run_blocks(solve, tiles, m * _FACTOR_TILE)
     return diagonal
 
 

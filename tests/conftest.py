@@ -1,6 +1,7 @@
 """Shared fixtures: the acceptance-line recorder, benchmark dataset
-discovery, the traced-peak helper for memory bounds, and the helper-pool
-participants of feature maps, Grams and cross-validation folds.
+discovery, the traced-peak helper for memory bounds, the helper-pool
+participants of feature maps, Grams and cross-validation folds, and the
+BLAS thread count the kernels see.
 
 The acceptance tests in test_acceptance.py print one PASS/FAIL line per
 criterion; those lines are also replayed in the terminal summary so they
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from rffkrr import features, linalg, load_dataset
+from rffkrr import _threads, load_dataset
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,23 +70,37 @@ def traced_peak():
 
 
 @pytest.fixture
-def participants(monkeypatch):
+def blas_threads(monkeypatch):
+    """``blas_threads(count)`` makes every kernel see ``count`` threads in
+    both numpy's and scipy's BLAS, whatever BLAS itself runs, by standing
+    in for the libraries that ``_threads`` finds.  Setting a count through
+    them does nothing."""
+
+    def use(count):
+        fake = dict.fromkeys(_threads._OPENBLAS, (lambda: count, lambda _count: None))
+        monkeypatch.setattr(_threads, "_libraries", fake)
+
+    return use
+
+
+@pytest.fixture
+def participants(monkeypatch, blas_threads):
     """``participants(count)`` makes block and tile tasks run on the
-    caller and ``count - 1`` helpers of a fresh pool, with BLAS taken as
-    pinned to one thread, so that wide Grams and products Z^T (Z p) are
+    caller and ``count - 1`` helpers of a fresh pool, with BLAS seen as
+    running one thread, so that wide Grams and products Z^T (Z p) are
     split into tasks whatever the environment.  A short switch interval
     makes a task claimed twice or not at all show.
 
     Only pools made under the fixture are shut down: the process-wide
     pool live before it is put back as it was, still running."""
-    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", True)
-    monkeypatch.setattr(features, "_helpers", None)
+    blas_threads(1)
+    monkeypatch.setattr(_threads, "_helpers", None)
 
     def use(count):
-        if features._helpers is not None:
-            features._helpers.shutdown()
-        features._helpers = None
-        monkeypatch.setattr(features, "_cpu_count", lambda: count)
+        if _threads._helpers is not None:
+            _threads._helpers.shutdown()
+        _threads._helpers = None
+        monkeypatch.setattr(_threads, "_cpu_count", lambda: count)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -93,8 +108,8 @@ def participants(monkeypatch):
         yield use
     finally:
         sys.setswitchinterval(interval)
-        if features._helpers is not None:
-            features._helpers.shutdown()
+        if _threads._helpers is not None:
+            _threads._helpers.shutdown()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -297,6 +297,7 @@ def _rows(count, width):
 # Files that the bad-input table names as {name}, written as name.csv.
 _BAD_FILES = {
     "tiny": _rows(6, 2),
+    "small": _rows(40, 3),
     "wide": _rows(12, 70),
     "big": _rows(linalg.EXACT_MODE_CAP + 100, 2),
     "three": "0,1\n1,2\n2,3\n",
@@ -306,6 +307,7 @@ _BAD_FILES = {
 }
 
 _FEW_ROWS = "the training half has 3 rows, fewer than the 5 cross-validation folds"
+_SIGMA = "sigma must be positive, with 1/sigma^2 and 2/sigma^2 finite and positive"
 _WIDE_QMC = (
     "QMC supports at most 64 data columns (one Halton prime base each); "
     "the data has 70"
@@ -339,6 +341,22 @@ _BAD_INPUTS = [
                  2, "not one of the training labels", id="test-label-outside-pair"),
     pytest.param(["approx", "--data", "{nan}", "--method", "RFF", "--trials", "1"],
                  2, ":2: non-finite feature", id="nan-feature"),
+    # sigma whose 2/sigma^2 overflows, or whose sigma^2 does
+    pytest.param(["krr", "--data", "{small}", "--sigma", "1e-160", "--trials", "1"],
+                 1, _SIGMA, id="krr-sigma-1e-160"),
+    pytest.param(["krr", "--data", "{small}", "--sigma", "1e300", "--trials", "1"],
+                 1, _SIGMA, id="krr-sigma-1e300"),
+    pytest.param(["cv", "--data", "{small}", "--sigma", "1e160", "--trials", "1"],
+                 1, _SIGMA, id="cv-sigma-1e160"),
+    pytest.param(["bounds", "--data", "{small}", "--sigma", "1e-300", "--trials", "1"],
+                 1, _SIGMA, id="bounds-sigma-1e-300"),
+    pytest.param(["krr", "--data", "{small}", "--lambda-grid", "nan", "--trials", "1"],
+                 1, "lambda grid must be nonempty, finite and positive",
+                 id="krr-lambda-nan"),
+    # n lambda overflows for the 20 training rows
+    pytest.param(["krr", "--data", "{small}", "--lambda-grid", "1e308,1e-308",
+                  "--trials", "1"],
+                 1, "lambda 1e+308 times 20 points overflows", id="krr-n-lambda-overflows"),
 ]
 
 
@@ -399,6 +417,37 @@ def test_console_script_round_trip(blob_csv):
     )
     assert result.returncode == 0
     assert "chosen_lambda=" in result.stdout
+
+
+def test_krr_report_does_not_depend_on_the_blas_environment(tmp_path):
+    # 1050 training rows and 1024 features: fit solves on Z with products
+    # Z^T (Z p) in two row blocks, which run as blocks at one BLAS thread
+    # and as one product under more.  The run holds BLAS at one thread, so
+    # the report is the same with the variables unset as with BLAS pinned.
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(2100, 8))
+    y = (X[:, 0] + 0.3 * rng.standard_normal(2100) > 0.5).astype(int)
+    data = tmp_path / "wide.csv"
+    np.savetxt(data, np.column_stack([X, y]), delimiter=",", fmt="%.6f")
+    env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(name, None)
+    src = Path(rffkrr.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "rffkrr.cli", "krr", "--data", str(data),
+            "--method", "RFF,SurrogateRFF", "--s-mult", "64", "--folds", "3",
+            "--trials", "1", "--seed", "1"]
+    rows = []
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        result = subprocess.run(argv, env=dict(env, **blas), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        timing = [REPORT_HEADER.split(",").index(c) for c in ("gen_time_s", "solve_time_s")]
+        rows.append([
+            [cell for i, cell in enumerate(row.split(",")) if i not in timing]
+            for row in _data_rows(result.stdout)
+        ])
+    assert len(rows[0]) == 2
+    assert rows[0] == rows[1]
 
 
 def test_package_exports_resolve():

@@ -7,8 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
+import rffkrr._threads as _threads
 import rffkrr.experiments as experiments
-import rffkrr.features as features
 import rffkrr.linalg as linalg
 from rffkrr import (
     Dataset,
@@ -141,7 +141,7 @@ def _assert_threaded_runs_match(monkeypatch):
     config = dict(methods=methods, s_multipliers=(128,), trials=1, pool_multiplier=4)
     seq = run_experiment(_config(**config), dataset=ds)
     par = run_experiment(_config(threads=2, **config), dataset=ds)
-    monkeypatch.setattr(features, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_threads, "_cpu_count", lambda: 1)
     inline = run_experiment(_config(**config), dataset=ds)
     assert len(seq) == 2
     assert [_untimed(r) for r in par] == [_untimed(r) for r in seq]
@@ -152,11 +152,11 @@ def test_threaded_multi_block_maps_match_sequential_and_inline(monkeypatch):
     _assert_threaded_runs_match(monkeypatch)
 
 
-def test_threaded_tiled_grams_match_sequential_and_inline(monkeypatch):
-    # BLAS taken as pinned to one thread and tiles narrowed to 128 columns,
+def test_threaded_tiled_grams_match_sequential_and_inline(monkeypatch, blas_threads):
+    # BLAS seen as running one thread and tiles narrowed to 128 columns,
     # so that the fold Grams (2u <= 512 columns) and LeverageRFF's pool
     # Gram (2048) are filled by tiles on the helper threads too.
-    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", True)
+    blas_threads(1)
     monkeypatch.setattr(linalg, "_GRAM_TILE", 128)
     widths = []
     real_gram = linalg.gram

@@ -26,6 +26,7 @@ from rffkrr import (
     spectral_density,
     surrogate_pipeline,
 )
+from rffkrr import _threads
 
 DENSITY = spectral_density(KernelSpec(1.0), 2)
 
@@ -302,16 +303,16 @@ def four_participants(monkeypatch):
     """Maps run on a fresh pool of three helpers plus the caller, more
     participants than this machine may have cores, with a short switch
     interval so that a block claimed twice or not at all would show."""
-    monkeypatch.setattr(features, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(features, "_helpers", None)
+    monkeypatch.setattr(_threads, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(_threads, "_helpers", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         yield
     finally:
         sys.setswitchinterval(interval)
-        if features._helpers is not None:
-            features._helpers.shutdown()
+        if _threads._helpers is not None:
+            _threads._helpers.shutdown()
 
 
 def _row_counts(s):
@@ -335,7 +336,7 @@ def test_threaded_map_equals_inline_fill(four_participants, s, n):
 
 
 def test_single_participant_path_equals_inline_fill(monkeypatch):
-    monkeypatch.setattr(features, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_threads, "_cpu_count", lambda: 1)
     X, pool = _block_case(3 * _ROWS_64 + 777, 64, "resampled")
     Z = feature_map(X, pool).entries
     for start, stop, block in _inline_blocks(X, pool):
@@ -345,49 +346,48 @@ def test_single_participant_path_equals_inline_fill(monkeypatch):
 def test_helper_exception_reaches_caller(four_participants):
     caller = threading.get_ident()
 
-    def fill(slot, start, stop):
+    def fill(_work, start, stop):
         time.sleep(0.01)  # lets every helper claim a block
         if threading.get_ident() != caller:
             raise MemoryError("helper failed")
 
     with pytest.raises(MemoryError, match="helper failed"):
-        features._run_blocks(fill, [(i, i + 1) for i in range(20)])
+        _threads._run_blocks(fill, [(i, i + 1) for i in range(20)])
 
 
 def test_each_running_task_holds_its_own_slot(four_participants):
-    # Per-participant scratch is indexed by slot, so two tasks running at
-    # once under one slot would write the same scratch.
+    # Each participant's slot is a row of scratch of its own: a task
+    # running at once with another in the same slot would find its scratch
+    # overwritten.
     lock = threading.Lock()
-    running, clashes, seen = set(), [], []
+    clashes, seen = [], []
 
-    def fill(slot, k):
+    def fill(work, k):
+        work[0] = k
         with lock:
-            if slot in running:
-                clashes.append((slot, k))
-            running.add(slot)
-            seen.append((slot, threading.get_ident()))
+            seen.append((work.ctypes.data, threading.get_ident()))
         time.sleep(0.001)
-        with lock:
-            running.discard(slot)
+        if work[0] != k:
+            clashes.append(k)
 
-    features._run_blocks(fill, [(k,) for k in range(200)])
+    _threads._run_blocks(fill, [(k,) for k in range(200)], scratch=1)
     assert clashes == []
     assert len(seen) == 200
-    assert all(0 <= slot < 4 for slot, _ in seen)
     threads = {}
-    for slot, ident in seen:
-        threads.setdefault(slot, set()).add(ident)
-    assert threads[0] == {threading.get_ident()}
+    for row, ident in seen:
+        threads.setdefault(row, set()).add(ident)
+    assert len(threads) <= 4
+    assert {threading.get_ident()} in threads.values()
     assert all(len(idents) == 1 for idents in threads.values())
     assert len({ident for idents in threads.values() for ident in idents}) == len(threads)
 
 
 def test_one_block_map_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(features, "_helpers", None)
+    monkeypatch.setattr(_threads, "_helpers", None)
     before = threading.active_count()
     X, pool = _block_case(_ROWS_64, 64, "mc")
     feature_map(X, pool)
-    assert features._helpers is None
+    assert _threads._helpers is None
     assert threading.active_count() == before
 
 
@@ -399,10 +399,10 @@ def test_cancelled_helper_does_not_hold_the_map(monkeypatch):
     # a caller that drops Z expects its memory back at once (the leverage
     # baseline drops its pool map before mapping its draws, and
     # cross-validation each pair's features once its Gram is formed).
-    monkeypatch.setattr(features, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(features, "_helpers", None)
+    monkeypatch.setattr(_threads, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_threads, "_helpers", None)
     release = threading.Event()
-    busy = features._helper_pool().submit(release.wait)
+    busy = _threads._helper_pool().submit(release.wait)
     try:
         X = np.random.default_rng(2).uniform(size=(3000, 14))
         y = np.where(X[:, 0] > 0.5, 1.0, -1.0)
@@ -412,7 +412,7 @@ def test_cancelled_helper_does_not_hold_the_map(monkeypatch):
     finally:
         release.set()
         busy.result()
-        features._helpers.shutdown()
+        _threads._helpers.shutdown()
 
 
 @pytest.mark.parametrize(
@@ -450,11 +450,11 @@ def _filling_threads(blocks):
     # Threads that took part in a run of ``blocks`` slow blocks.
     seen = set()
 
-    def fill(slot, start, stop):
+    def fill(_work, start, stop):
         seen.add(threading.get_ident())
         time.sleep(0.01)
 
-    features._run_blocks(fill, [(i, i + 1) for i in range(blocks)])
+    _threads._run_blocks(fill, [(i, i + 1) for i in range(blocks)])
     return len(seen)
 
 
@@ -469,10 +469,10 @@ def test_map_in_forked_child_after_parent_map(monkeypatch):
     # inherited as it stands queues the child's blocks where no thread
     # runs them: waiting for them hangs, and dropping them leaves the
     # caller filling every block alone.
-    monkeypatch.setattr(features, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_threads, "_cpu_count", lambda: 2)
     X, pool = _block_case(3 * _ROWS_64 + 777, 64, "resampled")
     expected = _digest(feature_map(X, pool).entries)
-    assert features._helpers is not None
+    assert _threads._helpers is not None
     receiver, sender = multiprocessing.Pipe(duplex=False)
     child = multiprocessing.get_context("fork").Process(
         target=_map_in_child, args=(sender, 3 * _ROWS_64 + 777, 64)
@@ -499,10 +499,10 @@ def test_single_cpu_affinity_map_runs_inline():
         "import os, threading\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "from test_features import _block_case, _digest\n"
-        "from rffkrr import feature_map, features\n"
+        "from rffkrr import _threads, feature_map\n"
         f"X, pool = _block_case({n}, {s}, 'resampled')\n"
         "Z = feature_map(X, pool).entries\n"
-        "assert features._helpers is None\n"
+        "assert _threads._helpers is None\n"
         "assert threading.active_count() == 1\n"
         "print(_digest(Z))\n"
     )

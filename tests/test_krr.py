@@ -513,7 +513,7 @@ def test_leverage_cv_solve_count_matches_per_lambda_flow():
 
 
 @pytest.mark.parametrize("method", ["RFF", "SurrogateRFF", "LeverageRFF"])
-def test_cv_concurrent_lambda_tasks_equal_the_sequential_loop(
+def test_cv_is_the_same_on_any_participant_count(
     participants, monkeypatch, method
 ):
     # The report and the solve count are the same for 1, 2 and 4
@@ -706,7 +706,7 @@ def test_cv_report_equal_under_one_and_two_blas_threads():
 
 
 @pytest.mark.parametrize("case", ["non-finite shift", "indefinite Gram"])
-def test_cv_numerical_error_in_a_helper_reaches_the_caller(
+def test_cv_numerical_error_on_the_factor_path_reaches_the_caller(
     participants, monkeypatch, case
 ):
     # Both decline the Krylov solve; the factor path then raises, on a

@@ -228,9 +228,11 @@ def test_normal_product_is_the_same_on_any_participant_count(small_row_blocks, c
     np.testing.assert_array_equal(products[2], products[0])
 
 
-def test_normal_product_under_threaded_blas_is_one_product(small_row_blocks, monkeypatch):
+def test_normal_product_under_threaded_blas_is_one_product(
+    small_row_blocks, blas_threads, monkeypatch
+):
     small_row_blocks(2)
-    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", False)
+    blas_threads(2)
     calls = []
     monkeypatch.setattr(linalg, "_run_blocks", lambda *args: calls.append(args))
     Z = _feature_like(300, 96, 11)
@@ -534,8 +536,8 @@ def test_gram_matches_single_product(participants, m):
 
 
 @pytest.mark.parametrize("m", _GRAM_WIDTHS)
-def test_gram_without_pinned_blas_is_single_product(monkeypatch, m):
-    monkeypatch.setattr(linalg, "_BLAS_ONE_THREAD", False)
+def test_gram_without_pinned_blas_is_single_product(blas_threads, m):
+    blas_threads(2)
     Z = _feature_like(131, m, m)
     np.testing.assert_array_equal(linalg.gram(Z), Z.T @ Z)
 
@@ -556,27 +558,6 @@ def test_gram_memory_is_the_gram(participants, traced_peak):
     Z = _feature_like(600, 1792, 3)
     peak, G = traced_peak(lambda: linalg.gram(Z))
     assert peak <= 1.05 * G.nbytes
-
-
-@pytest.mark.parametrize(
-    "env, pinned",
-    [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "2"}, False),
-        ({"OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "4"}, False),
-    ],
-)
-def test_blas_one_thread_reads_the_blas_variables(monkeypatch, env, pinned):
-    # numpy here links OpenBLAS, which reads OPENBLAS_NUM_THREADS first.
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert linalg._blas_one_thread() is pinned
 
 
 def test_exact_mode_cap_boundary():
@@ -641,17 +622,18 @@ def test_tiled_results_are_the_same_on_any_participant_count(small_tiles):
 
 
 def test_lone_factors_below_the_minimum_or_on_threaded_blas_are_one_potrf(
-    small_tiles, monkeypatch
+    small_tiles, blas_threads, monkeypatch
 ):
     m = 3 * _TILE
     G = _dense_spd(m, 22)
     one_call = _lower((linalg._factor_in_place(G.copy(), 0.4), True))
     tiled = _lower(linalg.psd_factor(G, 0.4))
     assert not np.array_equal(tiled, one_call)
-    for name, value in (("_TILED_MIN", m + 1), ("_BLAS_ONE_THREAD", False)):
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, name, value)
-            np.testing.assert_array_equal(_lower(linalg.psd_factor(G, 0.4)), one_call)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_TILED_MIN", m + 1)
+        np.testing.assert_array_equal(_lower(linalg.psd_factor(G, 0.4)), one_call)
+    blas_threads(2)
+    np.testing.assert_array_equal(_lower(linalg.psd_factor(G, 0.4)), one_call)
 
 
 def test_tiled_factor_names_the_failing_column(small_tiles):
