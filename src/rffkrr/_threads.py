@@ -81,10 +81,11 @@ def _helper_pool():
 
 def _run_blocks(fill, tasks, scratch=0):
     """Call ``fill(work, *task)`` once for every task in ``tasks``: the
-    row blocks of a feature map, the tiles of :func:`rffkrr.linalg.gram`,
-    the panel and trailing tiles of one step of a tiled factor, the
-    column blocks of its inverse diagonal, or the row blocks of a product
-    Z^T (Z p).  No task calls it again: helper threads never submit work.
+    row blocks of a feature map, the tiles of one block of
+    :func:`rffkrr.linalg.gram` or of its mirror, the panel and
+    trailing tiles of one step of a tiled factor, the column blocks of its
+    inverse diagonal, or the row blocks of a product Z^T (Z p).  No task
+    calls it again: helper threads never submit work.
 
     The tasks run on the caller and up to ``cpus - 1`` helper threads, no
     more than one per task.  Each participant claims the next unclaimed

@@ -92,15 +92,9 @@ class ExperimentConfig:
             raise ValueError("lambda grid must be nonempty, finite and positive")
         if self.folds < 2:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
-        # The kernel divides by sigma^2 and the frequencies' variance is
-        # 2 / sigma^2: both must be finite and positive.
-        sigma = float(self.sigma)
-        square = sigma * sigma
-        if not (sigma > 0 and square > 0 and 1 / square > 0 and 2 / square < math.inf):
-            raise ValueError(
-                f"sigma must be positive, with 1/sigma^2 and 2/sigma^2 finite "
-                f"and positive, got {self.sigma}"
-            )
+        KernelSpec(self.sigma)  # raises ValueError for a sigma it refuses
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")

@@ -11,6 +11,7 @@ frequency space with per-coordinate variance 2 / sigma^2.  Frequency
 samplers draw from that density; see :mod:`rffkrr.features`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,21 @@ class KernelSpec:
     Parameters
     ----------
     bandwidth : float
-        The sigma in exp(-||x - x'||^2 / sigma^2).  Must be positive.
+        The sigma in exp(-||x - x'||^2 / sigma^2).  Must be positive, with
+        1/sigma^2 and 2/sigma^2 finite and positive: the kernel divides by
+        sigma^2, and the spectral density's variance is 2/sigma^2.
     """
 
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        sigma = float(self.bandwidth)
+        square = sigma * sigma
+        if not (sigma > 0 and square > 0 and 1 / square > 0 and 2 / square < math.inf):
+            raise ValueError(
+                f"sigma must be positive, with 1/sigma^2 and 2/sigma^2 finite "
+                f"and positive, got {self.bandwidth}"
+            )
 
 
 @dataclass(frozen=True)

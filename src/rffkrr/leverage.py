@@ -22,10 +22,11 @@ matrix, for the label correlations y^T Z.
 Resampling is three steps on plain arrays: a scoring function returns
 one score per pool frequency, :func:`build_resample_plan` normalizes the
 scores into probabilities, and :func:`resample` draws from them.  The
-pipelines then map the drawn pool afresh.  The surrogate pipeline never
-holds its pool's map: :func:`rffkrr.features.label_correlations` streams
-y^T Z block by block.  The leverage baseline needs the pool map for its
-Gram, and lets go of it before mapping its draws.
+pipelines then map the drawn pool afresh.  Neither pipeline holds its
+pool's map: the surrogate streams y^T Z block by block
+(:func:`rffkrr.features.label_correlations`), and the leverage baseline
+maps its pool a block of rows at a time into the pool Gram
+(:func:`rffkrr.linalg.gram`), so it holds the Gram and one block.
 
 Pools scored here must be unweighted draws from the spectral density p
 (plain Monte Carlo pools), passed as the plain (n, 2l) array of their
@@ -49,6 +50,14 @@ from .features import (
     spawn_seeds,
 )
 from .kernels import matrix_entries, spectral_density
+
+# Rows of a pool map per block of the leverage baseline's streamed Gram,
+# set by the shape alone.  A block of 7490 x 3584 (gen-s128's pool) is
+# 22 MB, where the whole map is 215 MB.  With OpenBLAS's 384-row panels
+# of the inner dimension, 768-row blocks gave the Gram of the whole map
+# bit for bit at 5992 and 7490 rows by 448 to 3584 columns; 1024-row
+# blocks differed from it by up to 1e-15 relative.
+_GRAM_ROWS = 768
 
 
 def _pair_sums(values):
@@ -151,20 +160,35 @@ def approx_ridge_leverage(Z, lam):
     BLAS runs one thread, is factored by tiles on every core, and its
     inverse is solved a block of columns at a time in a (2l, 256)
     scratch per core in place of ``trtri``.
+
+    This is the scorer of a map in hand, G formed as one block.  The
+    baseline's pipelines score the same way from a Gram streamed out of
+    the map's row blocks (:func:`erls_baseline_grid`), which never holds
+    Z; the two differ within the rounding of G's dot products.
     """
+    lams = _checked_lambdas(lam)
+    Z, _ = _pool_arrays(Z)
+    scores = _gram_leverage(linalg.gram(Z), Z.shape[0], lams)
+    return scores if np.ndim(lam) else scores[0]
+
+
+def _checked_lambdas(lam):
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or lams.size == 0 or not np.all(lams > 0):
         raise ValueError(f"lambda must be positive, got {lam}")
-    Z, size = _pool_arrays(Z)
-    n = Z.shape[0]
-    gram = linalg.gram(Z)
-    scores = np.empty((lams.size, size))
+    return lams
+
+
+def _gram_leverage(gram, n, lams):
+    # The (k, l) scores of approx_ridge_leverage from the pool's Gram on n
+    # points, which the last value shifts and factors in place.
+    scores = np.empty((lams.size, gram.shape[0] // 2))
     for k, value in enumerate(lams):
         shift = n * value
         buffer = gram if k == lams.size - 1 else gram.copy()
         diagonal = 1.0 - shift * linalg._inverse_diagonal_in_place(buffer, shift)
         scores[k] = np.clip(_pair_sums(diagonal), 0.0, None)
-    return scores if np.ndim(lam) else scores[0]
+    return scores
 
 
 def degrees_of_freedom(K, lam):
@@ -303,17 +327,21 @@ def surrogate_pipeline(
 def erls_baseline_grid(X, spec, s, lambda_grid, pool_size=None, seed=0):
     """Approximate-leverage resampling for every value of a lambda grid.
 
-    Draws and maps one pool and forms its feature Gram once; per value
-    it factors the regularized Gram and scores.  The pool map is let go
-    of before any draw is mapped; then per value it draws from the same
-    draw seed and maps the draws.  Returns one (pool, Z) pair per grid
-    value, each equal bit for bit to :func:`erls_baseline_pipeline` at
-    that value.  This is the cross-validation sampler of the baseline.
+    Draws one pool and forms its feature Gram once, streamed: the pool is
+    mapped ``_GRAM_ROWS`` rows at a time, and each block is added into
+    the Gram (:func:`rffkrr.linalg.gram`) and let go, so the (n, 2l) pool
+    map is never held.  Per value it factors the regularized Gram and
+    scores as :func:`approx_ridge_leverage` does, draws from the same draw
+    seed, and maps the draws.  Returns one (pool, Z) pair per grid value,
+    each equal bit for bit to :func:`erls_baseline_pipeline` at that
+    value.  This is the cross-validation sampler of the baseline.
     """
-    grid = tuple(lambda_grid)
+    lams = _checked_lambdas(tuple(lambda_grid))
 
     def score(X, pool):
-        return approx_ridge_leverage(feature_map(X, pool).entries, grid)
+        rows = range(0, X.shape[0], _GRAM_ROWS)
+        blocks = (feature_map(X[start : start + _GRAM_ROWS], pool).entries for start in rows)
+        return _gram_leverage(linalg.gram(blocks), X.shape[0], lams)
 
     return _resample_pipeline(X, spec, s, pool_size, seed, score)
 

@@ -4,9 +4,12 @@ the diagonal of a regularized SPD inverse, and a Lanczos spectral norm.
 :func:`gram` forms Z^T Z, the O(n m^2) product behind the leverage
 baseline's scores and the ridge systems of narrow feature arrays; a wide
 ridge system is solved on Z itself by :func:`shifted_solves`, which
-never forms it.  When numpy's BLAS runs one thread, the Gram's column
-tiles are filled on every core by the feature map's participants;
-otherwise it is the one product ``Z.T @ Z``, which a threaded BLAS
+never forms it.  The Gram takes Z whole or as row blocks, whose products
+it adds up in place, so the leverage baseline streams its pool map into
+it without holding the map.  When scipy's BLAS runs one thread, the
+Gram's column tiles are filled on every core by the feature map's
+participants, through the ``cython_blas`` routines below; otherwise an
+array's Gram is the one product ``Z.T @ Z``, which a threaded BLAS
 spreads over the cores itself.
 
 Each kernel asks the BLAS it calls for its live thread count at the time
@@ -93,7 +96,8 @@ _FACTOR_TILE = 256
 # of the one call.
 _TILED_MIN = 1200
 
-# Rows of the factor cleared at a time by _inverse_diagonal_in_place.
+# Rows of the factor cleared at a time by _inverse_diagonal_in_place, and
+# of a diagonal Gram tile mirrored at a time by gram.
 _CLEAR_ROWS = 64
 
 # shifted_solves: the true residual every shift must reach (the bar below
@@ -187,42 +191,117 @@ _dsyrk = _capsule_routine(
     scipy.linalg.cython_blas, "dsyrk",
     _CHAR, _CHAR, _INT, _INT, _REAL, _PTR, _INT, _REAL, _PTR, _INT,
 )
-_ONE, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(-1.0)
+_ZERO, _ONE, _MINUS_ONE = ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_double(-1.0)
 
 
 def gram(Z):
-    """The Gram matrix Z^T Z of an (n, m) array, exactly symmetric.  Not
-    counted: it is a product, not a solve.
+    """The Gram matrix Z^T Z, exactly symmetric, of an (n, m) array or of
+    the row blocks of one.  Not counted: it is a product, not a solve.
 
-    When numpy's BLAS runs one thread (as it does inside
-    ``run_experiment``) and Z spans at least two tiles of
-    ``_GRAM_TILE`` columns, the upper-triangle tiles of G are filled by
-    the calling thread and the feature map's helper threads (see
-    :func:`rffkrr.features.feature_map`).  A diagonal tile is one syrk
-    product of its columns; an off-diagonal tile is a gemm product,
-    mirrored into the lower triangle.  Every tile is written straight
-    into G, so nothing but G is allocated, and each tile is computed whole
+    ``Z`` is an array, taken as one block, or an iterable of (rows, m)
+    arrays whose rows, stacked, are Z.  G = sum_k B_k^T B_k is added up in
+    place, block after block, so a caller can feed it a map that is never
+    held whole: the memory used is G and the block in hand (see
+    :func:`rffkrr.leverage.erls_baseline_grid`).  Blocks that are not
+    C-order float64 are copied.
+
+    When scipy's BLAS runs one thread (as it does inside
+    ``run_experiment``), each block's upper-triangle tiles of
+    ``_GRAM_TILE`` columns are filled by the calling thread and the
+    feature map's helper threads (:mod:`rffkrr._threads`): a diagonal tile
+    by ``dsyrk``, any other by ``dgemm``, called through the
+    ``cython_blas`` capsules: the first block's product is written into
+    G (beta = 0) and each later one added to it (beta = 1).  At the end
+    each tile is mirrored into the lower triangle, again one task per
+    tile.  The tiles depend on the width alone and each is computed whole
     by one thread, so G is bit for bit the same on any number of cores.
-    It differs from the single product only in the last bits of the
-    off-diagonal tiles.  Otherwise G is the single product ``Z.T @ Z``,
-    which a threaded BLAS spreads over the cores itself.
+    A one-tile array is the single product's bits; a wider one differs
+    from it in the last bits of the off-diagonal tiles, and several
+    blocks differ from one block within the dot products' rounding.
+    Otherwise an array's G is the single product ``Z.T @ Z``, which a
+    threaded BLAS spreads over the cores itself, and each block of an
+    iterable is one ``dsyrk`` over all its columns.
     """
-    Z = np.asarray(Z, dtype=float)
-    m = Z.shape[1]
-    tiles = [slice(start, start + _GRAM_TILE) for start in range(0, m, _GRAM_TILE)]
-    if len(tiles) < 2 or _blas_threads("numpy") != 1:
-        return Z.T @ Z
-    G = np.empty((m, m))
+    tiled = _blas_threads("scipy") == 1
+    if isinstance(Z, np.ndarray):
+        if not tiled:
+            Z = np.asarray(Z, dtype=float)
+            return Z.T @ Z
+        Z = (Z,)
+    G = None
+    for block in Z:
+        block = np.ascontiguousarray(block, dtype=float)
+        if G is None:
+            if block.ndim != 2:
+                raise ValueError(f"expected (rows, m) blocks, got shape {block.shape}")
+            m = block.shape[1]
+            G, beta = np.empty((m, m)), _ZERO
+            width = _GRAM_TILE if tiled else max(m, 1)
+            tiles = [(start, min(width, m - start)) for start in range(0, m, width)]
+        elif block.shape[1:] != (m,):
+            raise ValueError(f"block of shape {block.shape} in a Gram of width {m}")
+        _add_gram_block(G, block, tiles, beta)
+        beta = _ONE
+        del block  # before the next block is made
+    if G is None:
+        raise ValueError("a Gram needs at least one block")
+    _run_blocks(_mirror_tile(G, tiles), _tile_pairs(tiles))
+    return G
+
+
+def _tile_pairs(tiles):
+    return [(i, j) for i in range(len(tiles)) for j in range(i, len(tiles))]
+
+
+def _add_gram_block(G, block, tiles, beta):
+    # beta G + B^T B into the upper-triangle tiles of the C-order G, one
+    # BLAS call per tile.  The C-order B and G are the Fortran B^T (ld m)
+    # and G^T, so C-order tile (a, b) of G is Fortran tile (b, a) of
+    # B_b^T (B_a^T)^T, and a diagonal tile's C-order upper triangle is its
+    # Fortran lower one.  These are the calls that numpy's matmul makes
+    # for Z[:, a].T @ Z[:, b].
+    m = G.shape[0]
+    rows, lead = ctypes.c_int(block.shape[0]), ctypes.c_int(m)
+    source, target = block.ctypes.data, G.ctypes.data
+    sizes = [ctypes.c_int(width) for _, width in tiles]
 
     def fill(_work, i, j):
-        a, b = tiles[i], tiles[j]
-        # Z[:, a].T and Z[:, a] share one buffer, so numpy takes syrk.
-        np.matmul(Z[:, a].T, Z[:, b], out=G[a, b])
-        if i != j:
-            G[b, a] = G[a, b].T
+        a0, b0 = tiles[i][0], tiles[j][0]
+        if i == j:
+            _dsyrk(
+                b"L", b"N", sizes[i], rows, _ONE,
+                source + 8 * a0, lead, beta, target + 8 * (a0 * m + a0), lead,
+            )
+        else:
+            _dgemm(
+                b"N", b"T", sizes[j], sizes[i], rows, _ONE, source + 8 * b0, lead,
+                source + 8 * a0, lead, beta, target + 8 * (a0 * m + b0), lead,
+            )
 
-    _run_blocks(fill, [(i, j) for i in range(len(tiles)) for j in range(i, len(tiles))])
-    return G
+    _run_blocks(fill, _tile_pairs(tiles))
+
+
+def _mirror_tile(G, tiles):
+    # A task that copies upper-triangle tile (i, j) of G into the lower
+    # triangle: an off-diagonal tile whole, a diagonal one by strips of
+    # _CLEAR_ROWS rows, each the entries left of its diagonal square and
+    # then the square's own lower triangle.
+    below = np.tri(_CLEAR_ROWS, k=-1, dtype=bool)
+
+    def mirror(_work, i, j):
+        (a0, wa), (b0, wb) = tiles[i], tiles[j]
+        if i != j:
+            G[b0 : b0 + wb, a0 : a0 + wa] = G[a0 : a0 + wa, b0 : b0 + wb].T
+            return
+        D = G[a0 : a0 + wa, a0 : a0 + wa]
+        for start in range(0, wa, _CLEAR_ROWS):
+            stop = start + _CLEAR_ROWS
+            D[start:stop, :start] = D[:start, start:stop].T
+            square = D[start:stop, start:stop]
+            k = square.shape[0]
+            np.copyto(square, square.T.copy(), where=below[:k, :k])
+
+    return mirror
 
 
 def psd_factor(mat, shift=0.0):

@@ -50,7 +50,9 @@ class BoundReport:
     """Feature-count requirements and the constants feeding them.
 
     ``l_sup`` is only available when the caller scored a concrete pool
-    both ways (exact and surrogate); otherwise it is None.  The asymptotic
+    both ways (exact and surrogate); otherwise it is None.  The two
+    ``s_required`` counts are None when 16 d <= 1: log(16 d) is then not
+    positive, and the bound says nothing.  The asymptotic
     fields evaluate the order-of-magnitude expressions for the classified
     decay regime, without constants, and are None when unclassified.
     """
@@ -145,6 +147,8 @@ def required_features(K, y, lam, delta, exact_scores=None, surrogate_scores=None
     the (l,) arrays that ``exact_leverage`` and the full-variant
     ``surrogate_leverage`` return for one pool, l_sup = D * max(exact_i /
     surrogate_i) realizes sup l(w)/q(w) for the surrogate sampling density.
+    Both counts are None when 16 d <= 1 (at a lambda so large that d
+    underflows to 0, for one), where the bound is vacuous.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -167,8 +171,10 @@ def required_features(K, y, lam, delta, exact_scores=None, surrogate_scores=None
         )
 
     bernstein_m = D * eig_top / (eig_top + n * lam)
-    s_surrogate = 5.0 * D * np.log(16.0 * d) / delta
-    s_erls = 5.0 * d * np.log(16.0 * d) / delta
+    s_surrogate = s_erls = None
+    if 16.0 * d > 1.0:
+        s_surrogate = float(5.0 * D * np.log(16.0 * d) / delta)
+        s_erls = float(5.0 * d * np.log(16.0 * d) / delta)
 
     l_sup = None
     if exact_scores is not None and surrogate_scores is not None:
@@ -194,8 +200,8 @@ def required_features(K, y, lam, delta, exact_scores=None, surrogate_scores=None
         surrogate_dof=D,
         bernstein_m=bernstein_m,
         l_sup=l_sup,
-        s_required_surrogate=float(s_surrogate),
-        s_required_erls=float(s_erls),
+        s_required_surrogate=s_surrogate,
+        s_required_erls=s_erls,
         delta=float(delta),
         lam=float(lam),
         decay=regime,
@@ -205,7 +211,8 @@ def required_features(K, y, lam, delta, exact_scores=None, surrogate_scores=None
 
 
 def format_bound_report(report):
-    """Render a BoundReport as aligned key: value text lines."""
+    """Render a BoundReport as aligned key: value text lines; a field
+    that is None reads n/a."""
     regime = report.decay.kind
     if report.decay.t is not None:
         regime += f" (t = {report.decay.t:.3f})"
@@ -218,22 +225,16 @@ def format_bound_report(report):
         ("dof", f"{report.dof:.9g}"),
         ("surrogate_dof", f"{report.surrogate_dof:.9g}"),
         ("bernstein_m", f"{report.bernstein_m:.9g}"),
-        ("l_sup", "n/a" if report.l_sup is None else f"{report.l_sup:.9g}"),
-        ("s_required_surrogate", f"{report.s_required_surrogate:.9g}"),
-        ("s_required_erls", f"{report.s_required_erls:.9g}"),
+        ("l_sup", _number(report.l_sup)),
+        ("s_required_surrogate", _number(report.s_required_surrogate)),
+        ("s_required_erls", _number(report.s_required_erls)),
         ("decay_regime", regime),
-        (
-            "s_asymptotic_surrogate",
-            "n/a"
-            if report.s_asymptotic_surrogate is None
-            else f"{report.s_asymptotic_surrogate:.9g}",
-        ),
-        (
-            "s_asymptotic_erls",
-            "n/a"
-            if report.s_asymptotic_erls is None
-            else f"{report.s_asymptotic_erls:.9g}",
-        ),
+        ("s_asymptotic_surrogate", _number(report.s_asymptotic_surrogate)),
+        ("s_asymptotic_erls", _number(report.s_asymptotic_erls)),
     ]
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
+
+
+def _number(value):
+    return "n/a" if value is None else f"{value:.9g}"

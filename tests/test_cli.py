@@ -357,6 +357,8 @@ _BAD_INPUTS = [
     pytest.param(["krr", "--data", "{small}", "--lambda-grid", "1e308,1e-308",
                   "--trials", "1"],
                  1, "lambda 1e+308 times 20 points overflows", id="krr-n-lambda-overflows"),
+    pytest.param(["cv", "--data", "{small}", "--seed", "-1"],
+                 1, "seed must be non-negative, got -1", id="cv-negative-seed"),
 ]
 
 
@@ -370,6 +372,78 @@ def test_bad_inputs_exit_with_their_code(tmp_path, capsys, argv, code, message):
     assert err.startswith({1: "usage error: ", 2: "data error: "}[code])
     assert message in err
     assert "Traceback" not in err
+
+
+# The CLI's numeric flags and the values swept through each of them.
+_NUMERIC_FLAGS = ("s-mult", "pool-mult", "sigma", "lambda-grid", "folds", "trials",
+                  "seed", "err-subsample", "threads", "delta")
+_EXTREMES = ("0", "-1", "1e-300", "1e-160", "1e160", "1e300", "nan", "inf")
+
+# Report columns that each experiment subcommand fills; the others hold
+# NaN for the stages that its mode does not run.
+_FILLED = {
+    "krr": ("accuracy", "rel_error", "gen_time_s", "solve_time_s", "lambda"),
+    "approx": ("rel_error", "gen_time_s", "lambda"),
+    "bench": ("gen_time_s", "lambda"),
+}
+
+
+def _non_finite_fields(command, stdout):
+    """The printed numbers that are not finite, as (field, text) pairs: in
+    a report, those of the columns and summary fields the mode fills;
+    elsewhere every token that reads as a number."""
+    bad = []
+    if command in _FILLED:
+        rows = _data_rows(stdout)
+        for row in rows:
+            for column, cell in zip(REPORT_HEADER.split(","), row.split(",")):
+                if column in _FILLED[command] and not np.isfinite(float(cell)):
+                    bad.append((column, cell))
+        for name, mean, spread in re.findall(r"(\w+)=([^\s±]+)±(\S+)", stdout):
+            if name in _FILLED[command] and not np.isfinite([float(mean), float(spread)]).all():
+                bad.append((name, f"{mean}±{spread}"))
+        return bad
+    for token in re.split(r"[\s=(),\[\]]+", stdout):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if not np.isfinite(value):
+            bad.append((command, token))
+    return bad
+
+
+@pytest.mark.filterwarnings("ignore:n\\*lambda")
+@pytest.mark.parametrize("command", ["approx", "bench", "krr", "bounds", "cv"])
+def test_extreme_numeric_flags_end_in_a_documented_code(tmp_path, capsys, command):
+    # Every numeric flag at every extreme value, on a tiny file: each run
+    # returns a documented code without raising, and a run that succeeds
+    # prints no NaN or infinite number where its mode fills a field.
+    data = tmp_path / "tiny.csv"
+    data.write_text(_rows(24, 2))
+    base = {"trials": "1", "folds": "3"}
+    for flag in _NUMERIC_FLAGS:
+        for value in _EXTREMES:
+            flags = dict(base, **{flag: value})
+            argv = [command, "--data", str(data)]
+            for name, given in flags.items():
+                argv += ["--" + name, given]
+            code = cli.main(argv)
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2, 3), argv
+            if code == 0:
+                assert _non_finite_fields(command, out) == [], argv
+
+
+@pytest.mark.filterwarnings("ignore:n\\*lambda")
+def test_bounds_report_a_vacuous_bound_as_not_available(blob_csv, capsys):
+    # At these lambdas the degrees of freedom d fall to 16 d <= 1, where
+    # log(16 d) is not positive: the counts read n/a, not -inf, NaN or a
+    # negative count.
+    assert cli.main(["bounds", "--data", blob_csv, "--lambda-grid", "1e160,1e300"]) == 0
+    out = capsys.readouterr().out
+    counts = re.findall(r"s_required_(?:surrogate|erls)\s+(\S+)", out)
+    assert counts == ["n/a"] * 4
 
 
 def test_numerical_failures_exit_3(blob_csv, monkeypatch, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 import rffkrr._threads as _threads
 import rffkrr.experiments as experiments
+import rffkrr.leverage as leverage
 import rffkrr.linalg as linalg
 from rffkrr import (
     Dataset,
@@ -153,21 +154,27 @@ def test_threaded_multi_block_maps_match_sequential_and_inline(monkeypatch):
 
 
 def test_threaded_tiled_grams_match_sequential_and_inline(monkeypatch, blas_threads):
-    # BLAS seen as running one thread and tiles narrowed to 128 columns,
-    # so that the fold Grams (2u <= 512 columns) and LeverageRFF's pool
-    # Gram (2048) are filled by tiles on the helper threads too.
+    # BLAS seen as running one thread, tiles narrowed to 128 columns and
+    # pool maps streamed 256 rows at a time, so that the fold Grams
+    # (2u <= 512 columns) and LeverageRFF's streamed pool Gram (2048, in
+    # several blocks) are filled by tiles on the helper threads too.
     blas_threads(1)
     monkeypatch.setattr(linalg, "_GRAM_TILE", 128)
-    widths = []
+    monkeypatch.setattr(leverage, "_GRAM_ROWS", 256)
+    widths, streamed = [], []
     real_gram = linalg.gram
 
     def recording_gram(Z):
-        widths.append(Z.shape[1])
-        return real_gram(Z)
+        if isinstance(Z, np.ndarray):
+            widths.append(Z.shape[1])
+            return real_gram(Z)
+        shapes = []
+        streamed.append(shapes)
+        return real_gram(shapes.append(block.shape) or block for block in Z)
 
     monkeypatch.setattr(linalg, "gram", recording_gram)
     _assert_threaded_runs_match(monkeypatch)
-    assert 2048 in widths
+    assert any(len(shapes) > 1 and shapes[0] == (256, 2048) for shapes in streamed)
     assert any(256 < m <= 512 for m in widths)
 
 

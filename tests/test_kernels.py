@@ -54,6 +54,22 @@ def test_kernel_spec_requires_positive_bandwidth():
             KernelSpec(bad)
 
 
+@pytest.mark.parametrize("bad", [1e-300, 1e-160, 1e160, 1e300])
+def test_kernel_spec_refuses_bandwidths_whose_scales_overflow(bad):
+    # 1/sigma^2 or 2/sigma^2 is infinite or zero: the kernel and the
+    # spectral density would divide by zero or overflow.
+    with pytest.raises(ValueError, match="1/sigma\\^2 and 2/sigma\\^2 finite"):
+        KernelSpec(bad)
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 1e150])
+def test_kernel_spec_keeps_extreme_bandwidths_whose_scales_are_finite(sigma):
+    spec = KernelSpec(sigma)
+    X = np.array([[0.0, 0.0], [sigma, 0.0]])
+    np.testing.assert_allclose(kernel_matrix(X, spec), [[1.0, np.exp(-1.0)], [np.exp(-1.0), 1.0]])
+    assert spectral_density(spec, 2).variance == pytest.approx(2.0 / sigma**2)
+
+
 def test_matrix_entries_accepts_both_forms():
     K = kernel_matrix(np.eye(3), KernelSpec(1.0))
     assert isinstance(K, np.ndarray)

@@ -41,7 +41,7 @@ from rffkrr import (
 from rffkrr.experiments import METHODS, generate_features
 from rffkrr.features import label_correlations, spawn_seeds
 from rffkrr.leverage import _surrogate_scores, approx_ridge_leverage
-from rffkrr import features, linalg
+from rffkrr import features, leverage, linalg
 
 
 def _instance(seed, n=30, d=2, l=8):
@@ -554,6 +554,44 @@ def test_surrogate_pipeline_peak_is_pool_map_plus_blocks(traced_peak, participan
     assert Z.base is None
     assert Z.flags.owndata and Z.flags.c_contiguous
     assert Z.nbytes == n * 2 * pool.size * 8
+
+
+@pytest.mark.parametrize("rows", [3000, 100])
+def test_streamed_baseline_matches_the_map_scorer(monkeypatch, participants, rows):
+    # One block of the pool map gives the map scorer's Gram, so the same
+    # bits; blocks of 100 rows add up the Gram in another order, within
+    # rounding, and draw the same frequencies.  The factor of the
+    # regularized Gram amplifies that rounding by its condition: the
+    # weights differed by up to 2e-13 relative at lambda = 1e-3.
+    participants(2)
+    monkeypatch.setattr(leverage, "_GRAM_ROWS", rows)
+    s, l, grid = 64, 256, (1e-3, 0.05, 1.0)
+    X = np.random.default_rng(4).uniform(size=(3000, 3))
+    rows_out = erls_baseline_grid(X, KernelSpec(1.0), s, grid, pool_size=l, seed=5)
+    oracle = _drawn_pool_oracle("LeverageRFF", X, None, s, grid, l, 5)
+    for (pool, Z), (want_pool, want_Z) in zip(rows_out, oracle):
+        if rows >= X.shape[0]:
+            _assert_pairs_equal((pool, Z), (want_pool, want_Z))
+            continue
+        np.testing.assert_array_equal(pool.frequencies, want_pool.frequencies)
+        np.testing.assert_allclose(pool.weights, want_pool.weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(Z, want_Z, rtol=1e-12, atol=1e-15)
+
+
+def test_erls_baseline_pipeline_never_holds_its_pool_map(traced_peak, participants):
+    # The pool Gram is streamed from blocks of _GRAM_ROWS rows of the pool
+    # map, so the peak is the Gram and about one block (the block and its
+    # projections), not the (n, 2l) pool map, the largest array here.
+    participants(2)
+    n, l = 6000, 256
+    X = np.random.default_rng(3).uniform(size=(n, 14))
+    peak, (pool, Z) = traced_peak(
+        lambda: erls_baseline_pipeline(X, KernelSpec(1.0), 32, 0.1, pool_size=l, seed=2)
+    )
+    pool_map, gram = n * 2 * l * 8, (2 * l) ** 2 * 8
+    block = leverage._GRAM_ROWS * 2 * l * 8
+    assert max(gram, block, Z.nbytes) < pool_map / 4
+    assert peak <= gram + 2 * block < pool_map / 2
 
 
 @pytest.mark.parametrize("hook", ["settrace", "setprofile"])

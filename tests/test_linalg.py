@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from rffkrr import KernelSpec, NumericalError
+from rffkrr import KernelSpec, NumericalError, feature_map, sample_mc, spectral_density
 from rffkrr import linalg
 from rffkrr.leverage import approx_ridge_leverage, surrogate_pipeline
 
@@ -558,6 +558,78 @@ def test_gram_memory_is_the_gram(participants, traced_peak):
     Z = _feature_like(600, 1792, 3)
     peak, G = traced_peak(lambda: linalg.gram(Z))
     assert peak <= 1.05 * G.nbytes
+
+
+def _row_blocks(Z, rows):
+    return (Z[start : start + rows] for start in range(0, Z.shape[0], rows))
+
+
+@pytest.mark.parametrize("m", [2, _TILED - 1, _TILED + 1, 1102])
+def test_streamed_gram_of_one_block_is_the_array_gram(participants, m):
+    participants(2)
+    X = np.random.default_rng(m).uniform(size=(257, 3))
+    pool = sample_mc(spectral_density(KernelSpec(1.0), 3), m // 2, m)
+    Z = feature_map(X, pool).entries
+    np.testing.assert_array_equal(linalg.gram(_row_blocks(Z, 257)), linalg.gram(Z))
+
+
+@pytest.mark.parametrize("rows", [1, 100, 256])
+@pytest.mark.parametrize("m", [7, _TILED + 1, 1102])
+def test_streamed_gram_matches_single_product(participants, m, rows):
+    # The bound of test_gram_matches_single_product: several blocks add
+    # their products in another order, within the dot products' rounding.
+    participants(2)
+    n = 257
+    Z = _feature_like(n, m, m)
+    G = linalg.gram(_row_blocks(Z, rows))
+    np.testing.assert_array_equal(G, G.T)
+    bound = n * np.finfo(float).eps * (np.abs(Z).T @ np.abs(Z))
+    assert np.all(np.abs(G - Z.T @ Z) <= bound)
+
+
+@pytest.mark.parametrize("m", [_TILED, 1102])
+def test_streamed_gram_is_the_same_on_any_participant_count(participants, m):
+    Z = _feature_like(300, m, 3 * m)
+    grams = []
+    for count in (1, 2, 4):
+        participants(count)
+        grams.append(linalg.gram(_row_blocks(Z, 128)))
+    np.testing.assert_array_equal(grams[1], grams[0])
+    np.testing.assert_array_equal(grams[2], grams[0])
+
+
+def test_streamed_gram_under_threaded_blas_is_one_call_per_block(blas_threads, monkeypatch):
+    blas_threads(2)
+    Z = _feature_like(300, 1102, 5)
+    tasks = []
+    run_blocks = linalg._run_blocks
+
+    def counting(fill, blocks, *args):
+        tasks.append(len(blocks))
+        return run_blocks(fill, blocks, *args)
+
+    monkeypatch.setattr(linalg, "_run_blocks", counting)
+    G = linalg.gram(_row_blocks(Z, 128))
+    # Three blocks of one task each, then the mirror's one task.
+    assert tasks == [1, 1, 1, 1]
+    bound = 300 * np.finfo(float).eps * (np.abs(Z).T @ np.abs(Z))
+    assert np.all(np.abs(G - Z.T @ Z) <= bound)
+
+
+def test_streamed_gram_blocks_are_checked(participants):
+    participants(2)
+    Z = _feature_like(40, 6, 1)
+    # An empty block adds nothing; a map of no rows has a zero Gram.
+    np.testing.assert_array_equal(linalg.gram([Z[:0], Z, Z[:0]]), linalg.gram(Z))
+    np.testing.assert_array_equal(linalg.gram([Z[:0]]), np.zeros((6, 6)))
+    # A block in another order or dtype is copied.
+    np.testing.assert_array_equal(
+        linalg.gram([np.asfortranarray(Z[:20]), Z[20:].astype(np.float32)]),
+        linalg.gram([Z[:20], Z[20:].astype(np.float32).astype(float)]),
+    )
+    for bad in ([], [Z, Z[:, :4]], [Z[0]]):
+        with pytest.raises(ValueError):
+            linalg.gram(bad)
 
 
 def test_exact_mode_cap_boundary():

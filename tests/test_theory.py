@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,22 @@ def test_required_features_closed_form_instance():
     assert report.decay.kind == DECAY_UNCLASSIFIED
     assert report.s_asymptotic_surrogate is None
     assert report.s_asymptotic_erls is None
+
+
+@pytest.mark.filterwarnings("ignore:n\\*lambda")
+def test_vacuous_bound_counts_are_not_available():
+    # dof = 2 / (1 + 2 lam) on the trivial instance: 16 d = 32 / 31 > 1
+    # at lam = 15 gives a positive count; from 15.5 on 16 d <= 1, and at a
+    # huge lam d underflows to 0 and log(16 d) to -inf.
+    near = required_features(**dict(TRIVIAL, lam=15.0))
+    assert near.s_required_erls == pytest.approx(5 * (2 / 31) * np.log(32 / 31) / 0.5)
+    assert near.s_required_surrogate > 0
+    for lam in (16.0, 20.0, 1e160, 1e300):
+        report = required_features(**dict(TRIVIAL, lam=lam))
+        assert report.s_required_surrogate is None and report.s_required_erls is None
+        text = format_bound_report(report)
+        assert re.search(r"s_required_surrogate\s+n/a", text)
+        assert re.search(r"s_required_erls\s+n/a", text)
 
 
 def test_bound_scales_inversely_with_delta():
