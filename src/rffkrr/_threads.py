@@ -1,6 +1,7 @@
 """Threads in rffkrr: the block runner behind the feature map, the tiled
-Gram, the tiled factors and products Z^T (Z p), and the thread counts of
-the OpenBLAS libraries that numpy and scipy load.
+Gram, the tiled factors, products Z^T (Z p) and a leverage grid's
+factors, and the thread counts of the OpenBLAS libraries that numpy and
+scipy load.
 
 :func:`_run_blocks` hands a call's tasks to the calling thread and a
 shared pool of helper threads, one participant per CPU in the process's
@@ -84,8 +85,10 @@ def _run_blocks(fill, tasks, scratch=0):
     row blocks of a feature map, the tiles of one block of
     :func:`rffkrr.linalg.gram` or of its mirror, the panel and
     trailing tiles of one step of a tiled factor, the column blocks of its
-    inverse diagonal, or the row blocks of a product Z^T (Z p).  No task
-    calls it again: helper threads never submit work.
+    inverse diagonal, the row blocks of a product Z^T (Z p), or the
+    lambda values of a leverage grid, each an untiled factor and inverse
+    of a copy of the pool Gram.  No task calls it again: helper threads
+    never submit work.
 
     The tasks run on the caller and up to ``cpus - 1`` helper threads, no
     more than one per task.  Each participant claims the next unclaimed

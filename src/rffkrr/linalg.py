@@ -8,9 +8,10 @@ never forms it.  The Gram takes Z whole or as row blocks, whose products
 it adds up in place, so the leverage baseline streams its pool map into
 it without holding the map.  When scipy's BLAS runs one thread, the
 Gram's column tiles are filled on every core by the feature map's
-participants, through the ``cython_blas`` routines below; otherwise an
-array's Gram is the one product ``Z.T @ Z``, which a threaded BLAS
-spreads over the cores itself.
+participants, through the ``cython_blas`` routines below; an array of
+one tile, and any array under a threaded BLAS, has the one product
+``Z.T @ Z`` for its Gram, which a threaded BLAS spreads over the cores
+itself.
 
 Each kernel asks the BLAS it calls for its live thread count at the time
 of the call (:mod:`rffkrr._threads`).  ``run_experiment`` sets BLAS to
@@ -33,11 +34,12 @@ Each factor works in place on a shifted C-order buffer that holds a
 symmetric matrix, of which only the upper triangle is read.  It calls
 scipy's own LAPACK ``dpotrf``, the routine behind
 ``scipy.linalg.lapack.dpotrf``, through the function pointer that
-``scipy.linalg.cython_lapack`` exports, by ``ctypes``; the BLAS routines
-``dtrsm``, ``dgemm`` and ``dsyrk`` come the same way from
-``scipy.linalg.cython_blas``.  A ``ctypes`` call releases the
-interpreter lock for its duration, where the ``scipy.linalg.lapack``
-wrapper holds it, so the tiles below run on several cores at once.
+``scipy.linalg.cython_lapack`` exports, by ``ctypes``, and inverts a
+factor by that module's ``dtrtri`` the same way; the BLAS routines
+``dtrsm``, ``dgemm`` and ``dsyrk`` come from ``scipy.linalg.cython_blas``.
+A ``ctypes`` call releases the interpreter lock for its duration, where
+the ``scipy.linalg.lapack`` wrapper holds it, so the tiles below, and
+the factors of a leverage grid, run on several cores at once.
 
 A factor (:func:`psd_factor` and :func:`psd_inverse_diagonal`) of order
 at least ``_TILED_MIN`` is tiled instead when scipy's BLAS, the one
@@ -45,9 +47,11 @@ behind those capsules, runs one thread: a right-looking tiled Cholesky
 (Buttari, Langou, Kurzak and Dongarra, "A class of parallel tiled linear algebra algorithms for
 multicore architectures", Parallel Computing, 2009), whose panel solves
 and trailing updates run on the participants, one tile of
-``_FACTOR_TILE`` columns per BLAS call.  Factors are made on the
-calling thread only; a helper runs tiles, never a factor.  The
-inverse diagonal then solves one block of columns of L^{-1} per task.
+``_FACTOR_TILE`` columns per BLAS call.  A tiled factor is made on the
+calling thread, its tiles on the helpers; the only whole factors a
+helper makes are the untiled ones of a leverage grid, one per lambda
+(:func:`rffkrr.leverage.approx_ridge_leverage`).  The tiled inverse
+diagonal then solves one block of columns of L^{-1} per task.
 The tiles depend on the order alone and each is computed whole by one
 thread, so these results are the same bit for bit on any number of
 cores; they differ from one ``potrf`` and ``trtri`` in their last bits.
@@ -176,6 +180,10 @@ _INT, _REAL = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
 _dpotrf = _capsule_routine(
     scipy.linalg.cython_lapack, "dpotrf", _CHAR, _INT, _PTR, _INT, _INT
 )
+# uplo, diag, n, a, lda, info
+_dtrtri = _capsule_routine(
+    scipy.linalg.cython_lapack, "dtrtri", _CHAR, _CHAR, _INT, _PTR, _INT, _INT
+)
 # side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
 _dtrsm = _capsule_routine(
     scipy.linalg.cython_blas, "dtrsm",
@@ -215,16 +223,19 @@ def gram(Z):
     each tile is mirrored into the lower triangle, again one task per
     tile.  The tiles depend on the width alone and each is computed whole
     by one thread, so G is bit for bit the same on any number of cores.
-    A one-tile array is the single product's bits; a wider one differs
+    A one-tile block gives the single product's bits; a wider one differs
     from it in the last bits of the off-diagonal tiles, and several
     blocks differ from one block within the dot products' rounding.
-    Otherwise an array's G is the single product ``Z.T @ Z``, which a
-    threaded BLAS spreads over the cores itself, and each block of an
-    iterable is one ``dsyrk`` over all its columns.
+    An array of 2 to ``_GRAM_TILE`` columns, and any array under a
+    threaded BLAS, is the single product ``Z.T @ Z``, with no mirror
+    pass; a threaded BLAS spreads it over the cores itself, and there
+    each block of an iterable is one ``dsyrk`` over all its columns.
+    (numpy takes the product of one column as a dot product, whose bits
+    differ from ``dsyrk``'s.)
     """
     tiled = _blas_threads("scipy") == 1
     if isinstance(Z, np.ndarray):
-        if not tiled:
+        if not tiled or (Z.ndim == 2 and 1 < Z.shape[1] <= _GRAM_TILE):
             Z = np.asarray(Z, dtype=float)
             return Z.T @ Z
         Z = (Z,)
@@ -503,8 +514,9 @@ def psd_inverse_diagonal(mat, shift=0.0):
     ``mat`` is shifted and factored in place, about m^3 / 3 flops, and
     L^{-1} takes about m^3 / 3 more.  Below ``_TILED_MIN``, or when
     scipy's BLAS runs more than one thread or was not found, one
-    ``potrf`` factors the copy and ``trtri`` inverts the factor in it,
-    and no other m x m float array is made.  Otherwise
+    ``potrf`` factors the copy and one ``trtri`` inverts the factor in
+    it, both through the ``cython_lapack`` capsules, and no other m x m
+    float array is made.  Otherwise
     the factor is tiled over the cores, and each participant solves
     blocks of ``_FACTOR_TILE`` columns of L^{-1} against the identity
     (``trsm``) in an m x ``_FACTOR_TILE`` scratch row of its own.  Only
@@ -629,9 +641,10 @@ def _tiled_inverse_diagonal(a):
 
 def _inverse_diagonal_in_place(a, shift):
     # The core of psd_inverse_diagonal, for a caller that owns the float
-    # matrix ``a`` and has no further use for it.
+    # matrix ``a`` and has no further use for it.  Below _TILED_MIN it
+    # runs on the calling thread alone, so a helper may call it.
     tiled = _tiled(a.shape[0])
-    factor = _factor_in_place(a, shift, tiled=tiled)
+    _factor_in_place(a, shift, tiled=tiled)
     _bump()
     if tiled:
         return _tiled_inverse_diagonal(a)
@@ -644,12 +657,12 @@ def _inverse_diagonal_in_place(a, shift):
         k = rows.shape[0]
         rows[:, :start] = 0.0
         np.copyto(rows[:, start : start + k], 0.0, where=below[:k, :k])
-    inverse, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NumericalError(f"triangular inverse failed (trtri info {info})")
-    # Row j of the C-order array is column j of L^{-1}.
-    rows = inverse.T
-    return np.einsum("ij,ij->i", rows, rows)
+    order, info = ctypes.c_int(a.shape[0]), ctypes.c_int(0)
+    _dtrtri(b"L", b"N", order, a.ctypes.data, order, info)
+    if info.value != 0:
+        raise NumericalError(f"triangular inverse failed (trtri info {info.value})")
+    # Row j of the C-order ``a`` is column j of L^{-1}.
+    return np.einsum("ij,ij->i", a, a)
 
 
 def spectral_norm_sym(mat):

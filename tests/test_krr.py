@@ -543,6 +543,23 @@ def test_cv_is_the_same_on_any_participant_count(
             assert count == solves
 
 
+def test_leverage_cv_on_a_pool_of_four_is_the_same_on_one_and_two_participants(
+    participants,
+):
+    # LeverageRFF's sampler scores its pool for the whole grid at once, one
+    # value per task on the participants (krr-pool4's shape, made small).
+    X, y = _blob(n_pos=60, n_neg=40, spread=0.2, seed=8)
+    sampler = make_sampler("LeverageRFF", KernelSpec(1.0), 20, 80)
+    reports = []
+    for count in (1, 2):
+        participants(count)
+        reports.append(cross_validate(X, y, sampler, (0.001, 0.01, 0.1, 1.0), folds=4, seed=3))
+    first, second = reports
+    assert len(set(first.fold_accuracy.ravel())) > 1
+    np.testing.assert_array_equal(second.fold_accuracy, first.fold_accuracy)
+    assert second.chosen_lambda == first.chosen_lambda
+
+
 @pytest.mark.parametrize("method", ["RFF", "LeverageRFF"])
 @pytest.mark.parametrize("decline", ["step cap", "curvature"])
 def test_cv_declined_krylov_solves_take_the_factor_path(monkeypatch, method, decline):

@@ -8,6 +8,7 @@ functions multiply their quadratic forms by the pool size to undo it.
 """
 
 import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -41,7 +42,7 @@ from rffkrr import (
 from rffkrr.experiments import METHODS, generate_features
 from rffkrr.features import label_correlations, spawn_seeds
 from rffkrr.leverage import _surrogate_scores, approx_ridge_leverage
-from rffkrr import features, leverage, linalg
+from rffkrr import _threads, features, leverage, linalg
 
 
 def _instance(seed, n=30, d=2, l=8):
@@ -472,9 +473,9 @@ def _pool_map_and_buffer(l, n=3000):
 
 
 def test_approx_ridge_leverage_peak_memory(traced_peak):
-    # The Gram plus one private copy of G + n lam I for every value but the
-    # last, each factored and inverted in place: under 3.5 buffers of
-    # (2l)^2 doubles.
+    # The Gram plus one (2l)^2 scratch for each participant, at most one per
+    # value, in which G + n lam I is copied, factored and inverted: under
+    # 3.5 buffers of (2l)^2 doubles for two values.
     Z, buffer = _pool_map_and_buffer(512)
     peak, _ = traced_peak(lambda: approx_ridge_leverage(Z, (0.01, 0.1)))
     assert peak <= 3.5 * buffer
@@ -490,6 +491,96 @@ def test_approx_ridge_leverage_one_value_factors_its_gram_in_place(traced_peak):
     # Row 0 of a grid call is scored on a copy of G.
     np.testing.assert_array_equal(scores, approx_ridge_leverage(Z, (0.01, 0.1))[0])
     np.testing.assert_array_equal(Z, before)
+
+
+_GRID = (1e-3, 0.01, 0.05, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("l", [8, 448])
+def test_approx_ridge_leverage_grid_is_the_same_on_any_participant_count(participants, l):
+    # Below _TILED_MIN a grid runs one task per value, which factors and
+    # inverts a copy of G in its participant's scratch.  Each row is the
+    # one-value call's, which factors G itself, on 1, 2 and 4 participants,
+    # for grids of 2, 4 and 5 values, and each value counts two solves.
+    assert 2 * l < linalg._TILED_MIN
+    X, y, pool, Z = _instance(14, n=1000, d=3, l=l)
+    participants(1)
+    one_value = [approx_ridge_leverage(Z, lam) for lam in _GRID]
+    for count in (1, 2, 4):
+        participants(count)
+        for size in (2, 4, 5):
+            linalg.reset_solve_count()
+            rows = approx_ridge_leverage(Z, _GRID[:size])
+            assert linalg.solve_count() == 2 * size
+            assert rows.shape == (size, l)
+            for row, want in zip(rows, one_value):
+                np.testing.assert_array_equal(row, want)
+
+
+@pytest.mark.parametrize("case", ["tiled", "threaded BLAS"])
+def test_approx_ridge_leverage_grid_runs_in_turn_when_each_factor_uses_every_core(
+    participants, blas_threads, monkeypatch, case
+):
+    # From _TILED_MIN up each factor is tiled over the cores, and a threaded
+    # BLAS spreads each over the cores itself: the values run one after
+    # another, not as tasks with a copy of G each.
+    participants(2)
+    if case == "tiled":
+        monkeypatch.setattr(linalg, "_TILED_MIN", 2)
+        monkeypatch.setattr(linalg, "_FACTOR_TILE", 16)
+    else:
+        blas_threads(2)
+
+    def no_tasks(*args):
+        raise AssertionError("a grid ran as one task per value")
+
+    tiled = []
+    inverse = linalg._tiled_inverse_diagonal
+    monkeypatch.setattr(leverage, "_run_blocks", no_tasks)
+    monkeypatch.setattr(
+        linalg, "_tiled_inverse_diagonal", lambda a: tiled.append(a.shape) or inverse(a)
+    )
+    X, y, pool, Z = _instance(15, n=200, d=3, l=24)
+    grid = (0.01, 0.1, 1.0)
+    rows = approx_ridge_leverage(Z, grid)
+    assert tiled == ([(48, 48)] * 3 if case == "tiled" else [])
+    G = Z.T @ Z
+    for row, lam in zip(rows, grid):
+        diagonal = 1.0 - 200 * lam * linalg.psd_inverse_diagonal(G, 200 * lam)
+        np.testing.assert_array_equal(row, np.clip(diagonal[0::2] + diagonal[1::2], 0.0, None))
+
+
+def test_approx_ridge_leverage_grid_error_in_a_helper_reaches_the_caller(participants, monkeypatch):
+    # A helper's copy of G holding NaN raises NumericalError in the caller,
+    # and the next call runs on the same helpers.
+    participants(2)
+    X, y, pool, Z = _instance(16, n=300, d=3, l=32)
+    grid = np.array([0.01, 0.1])
+    G = linalg.gram(Z)
+    bad = G.copy()
+    bad[3, 40] = bad[40, 3] = np.nan
+    with pytest.raises(NumericalError, match="NaN"):
+        leverage._gram_leverage(bad, 300, grid)
+
+    helper_ran = threading.Event()
+    inverse = linalg._inverse_diagonal_in_place
+
+    def nan_on_helpers(a, shift):
+        # The caller waits until a helper has claimed the other value.
+        if threading.current_thread().name.startswith("rffkrr-helper"):
+            helper_ran.set()
+            a[3, 40] = np.nan
+        else:
+            assert helper_ran.wait(30)
+        return inverse(a, shift)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_inverse_diagonal_in_place", nan_on_helpers)
+        with pytest.raises(NumericalError, match="NaN"):
+            leverage._gram_leverage(G, 300, grid)
+    helpers = _threads._helpers
+    np.testing.assert_array_equal(leverage._gram_leverage(G, 300, grid), approx_ridge_leverage(Z, grid))
+    assert _threads._helpers is helpers is not None
 
 
 def _drawn_pool_oracle(method, X, y, s, lam, pool_size, seed):

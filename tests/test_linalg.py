@@ -394,8 +394,10 @@ def test_every_factorization_goes_through_linalg():
         if path.name != "linalg.py":
             text = path.read_text()
             assert [name for name in _FACTOR_CALLS if name in text] == [], path.name
-    # One call of the LAPACK routine, scipy's wrapper or the ctypes handle.
-    assert len(re.findall(r"\b_?dpotrf\(", (package / "linalg.py").read_text())) == 1
+    # One call of each LAPACK routine, scipy's wrapper or the ctypes handle.
+    text = (package / "linalg.py").read_text()
+    assert len(re.findall(r"\b_?dpotrf\(", text)) == 1
+    assert len(re.findall(r"\b_?dtrtri\(", text)) == 1
 
 
 def test_psd_factor_rejects_indefinite_matrix():
@@ -630,6 +632,20 @@ def test_streamed_gram_blocks_are_checked(participants):
     for bad in ([], [Z, Z[:, :4]], [Z[0]]):
         with pytest.raises(ValueError):
             linalg.gram(bad)
+
+
+def test_one_tile_gram_is_the_one_block_gram(participants):
+    # An array of 2 to _GRAM_TILE columns is the single product Z^T Z, with
+    # no tile tasks and no mirror pass (one column, which numpy multiplies
+    # as a dot product, takes the tile path); as one block of an iterable
+    # it is one capsule dsyrk and its mirror.  Both give the same bits.
+    Z = _feature_like(40, _TILED - 1, 9)
+    widths = range(1, _TILED)
+    blocks = [np.ascontiguousarray(Z[:, :m]) for m in widths]
+    for count in (1, 2, 4):
+        participants(count)
+        for block in blocks:
+            np.testing.assert_array_equal(linalg.gram(block), linalg.gram([block]))
 
 
 def test_exact_mode_cap_boundary():
