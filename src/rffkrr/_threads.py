@@ -86,8 +86,8 @@ def _run_blocks(fill, tasks, scratch=0):
     :func:`rffkrr.linalg.gram` or of its mirror, the panel and
     trailing tiles of one step of a tiled factor, the column blocks of its
     inverse diagonal, the row blocks of a product Z^T (Z p), or the
-    lambda values of a leverage grid, each an untiled factor and inverse
-    of a copy of the pool Gram.  No task calls it again: helper threads
+    shifts of :func:`rffkrr.linalg.inverse_diagonals`, each an untiled
+    factor and inverse of a copy of a Gram.  No task calls it again: helper threads
     never submit work.
 
     The tasks run on the caller and up to ``cpus - 1`` helper threads, no

@@ -5,11 +5,11 @@ feature matrix Z, so the cost scales with the feature count rather than
 n.  A resampled pool has u <= s distinct frequencies and Z has 2u
 columns; its Z Z^T, and so every prediction, equals that of the s draws
 kept apart.  ``fit`` and cross-validation solve every ridge system the
-same way, all of one Z's lambda values in one shifted Krylov space: on Z
-itself, with products Z^T (Z p) and no Gram, when Z has at least
-``_GRAM_FREE_MIN`` columns, and on its Gram Z^T Z otherwise.  A solve
-that conjugate gradients do not bring to the factor path's residual bar
-forms the Gram and factors it per lambda, with one refinement step.
+same way, by one of two routes.  A Z of at least ``_GRAM_FREE_MIN``
+columns has all its lambda values solved in one shifted Krylov space on
+Z itself, with products Z^T (Z p) and no Gram.  A narrower Z, and a wide
+one whose Krylov solve is declined, forms its Gram Z^T Z once and
+factors it per lambda, with at most one refinement step.
 ``fit_exact`` provides the kernel-space reference
 alpha = (K + n lam I)^{-1} y used by tests at small n.
 """
@@ -26,11 +26,11 @@ from .leverage import regularized_factor
 _RESIDUAL_TOL = 1e-8
 
 # Ridge systems at least this wide are solved on Z itself, without their
-# Gram (see linalg.shifted_solves).  At n = 5992 on two cores, with BLAS
-# pinned, the Gram and the grid's solve on it took 30.5 ms at m = 400 and
-# 48-52 ms at 512, against 31.7 and 34-35 ms for the solve on Z; from 950
-# up the Gram route took 1.5 to 2.5 times as long.  Both sides scale with
-# n, so the width alone decides.
+# Gram (see linalg.shifted_solves); narrower ones form the Gram and factor
+# it per lambda.  At n = 5992 on two cores, BLAS pinned, one lambda took
+# 8.4 ms on the Gram against 14.9 ms on Z at m = 256, 19.4 against 19.6 at
+# 384 and 29.9 against 19.5 at 510 (medians of 31, scripts/ridge_routes.py).
+# Both sides scale with n, so the width alone decides.
 _GRAM_FREE_MIN = 512
 
 # Rows of Z per block of fit's finite check, so that its mask is a block's
@@ -64,12 +64,12 @@ class CvReport:
 
 def _ridge_coefficients(gram, rhs, ridge):
     """Solve (gram + ridge I) beta = rhs by one :func:`linalg.psd_factor`
-    and one refinement step."""
+    and, above the Krylov solve's residual bar, one refinement step."""
     factor = linalg.psd_factor(gram, ridge)
     beta = linalg.factor_solve(factor, rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     residual = rhs - (gram @ beta + ridge * beta)
-    if np.linalg.norm(residual) > 1e-10 * rhs_norm:
+    if np.linalg.norm(residual) > linalg._KRYLOV_RESIDUAL * rhs_norm:
         beta = beta + linalg.factor_solve(factor, residual)
         residual = rhs - (gram @ beta + ridge * beta)
     if np.linalg.norm(residual) > _RESIDUAL_TOL * rhs_norm:
@@ -80,21 +80,16 @@ def _ridge_coefficients(gram, rhs, ridge):
 
 
 def _ridge_solutions(Z, rhs, shifts):
-    # Row j solves (Z^T Z + shifts[j] I) beta = rhs.  All shifts share one
-    # Krylov space (linalg.shifted_solves, one count each): on Z itself
-    # when it is wide, so no m x m array is made, and on its Gram
-    # otherwise.  A declined solve forms the Gram, if it has not yet, and
-    # factors it for one shift after another on the calling thread.
-    gram = None
+    # Row j solves (Z^T Z + shifts[j] I) beta = rhs.  A wide Z shares one
+    # Krylov space for all shifts (linalg.shifted_solves, one count each),
+    # so no m x m array is made.  A narrow Z, or a declined solve, forms
+    # the Gram and factors it for one shift after another on the calling
+    # thread (two or three counts each).
     if Z.shape[1] >= _GRAM_FREE_MIN:
-        solutions = linalg.shifted_solves(Z, rhs, shifts, normal=True)
-    else:
-        gram = linalg.gram(Z)
-        solutions = linalg.shifted_solves(gram, rhs, shifts)
-    if solutions is not None:
-        return solutions
-    if gram is None:
-        gram = linalg.gram(Z)
+        solutions = linalg.shifted_solves(Z, rhs, shifts)
+        if solutions is not None:
+            return solutions
+    gram = linalg.gram(Z)
     return np.array([_ridge_coefficients(gram, rhs, shift) for shift in shifts])
 
 
@@ -111,12 +106,13 @@ def fit(Z, y, lam, pool=None):
     ``Z`` is the plain (n, m) feature array; ``pool`` travels on the model
     so that :func:`predict` can map new points.
 
-    The one ridge system is solved as a cross-validation fold's grid is,
-    by :func:`rffkrr.linalg.shifted_solves` (one count): on Z itself from
-    ``_GRAM_FREE_MIN`` columns up, so the peak beyond Z is a few vectors
-    of length m and the row blocks' partial products, and on the Gram
-    below, which adds one m x m array.  A declined solve forms the Gram
-    and factors it, with one refinement step (two or three counts more).
+    The one ridge system is solved as a cross-validation fold's grid is.
+    From ``_GRAM_FREE_MIN`` columns up it is solved on Z itself by
+    :func:`rffkrr.linalg.shifted_solves` (one count), so the peak beyond
+    Z is a few vectors of length m and the row blocks' partial products.
+    Below, or when that solve is declined, the Gram is formed and
+    factored, with at most one refinement step (two or three counts),
+    which adds the Gram and its factor, two m x m arrays.
     """
     Zm = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -217,12 +213,12 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
 
     A fold takes its distinct pairs one at a time, on the calling thread:
     it maps the validation rows, forms Z^T y, solves the pair's lambda
-    values as :func:`fit` solves its one value, all in one shifted Krylov
-    space (one count per value), and scores the validation rows.  A pair
-    of at least ``_GRAM_FREE_MIN`` features is solved on its training
-    features Z_tr, with no Gram; a narrower one forms its Gram and solves
-    on that.  A declined solve forms the Gram, if it has not yet, and
-    factors it per lambda, one lambda after another.  The report and the
+    values as :func:`fit` solves its one value, and scores the validation
+    rows.  A pair of at least ``_GRAM_FREE_MIN`` features is solved on
+    its training features Z_tr, all its values in one shifted Krylov
+    space with no Gram (one count per value).  A narrower one, or a
+    declined solve, forms its Gram and factors it per lambda, one lambda
+    after another (two or three counts per value).  The report and the
     solve count are the same on any number of cores; under another BLAS
     thread count the solutions may differ in their last bits.
 
@@ -234,10 +230,10 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     set.  It starts from the sampler's pairs.  A pair is let go, with its
     validation map Z_val and any Gram, once its values are solved and
     scored, before the next pair is solved.  A wide pair holds Z_tr and
-    Z_val and no m x m array; a narrow or declined one adds one Gram, and
-    a declined one one factor of it at a time.  So for a sampler whose
-    pairs differ per lambda (LeverageRFF), a fold peaks at the pairs plus
-    one pair's validation map and at most one Gram and its factor.
+    Z_val and no m x m array; a narrow or declined one adds its Gram plus
+    one factor of it at a time.  So for a sampler whose pairs differ per
+    lambda (LeverageRFF), a fold peaks at the pairs plus one pair's
+    validation map and at most one Gram and its factor.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

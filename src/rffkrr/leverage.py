@@ -40,7 +40,6 @@ the full surrogate uses in place of a pass over Z.
 import numpy as np
 
 from . import linalg
-from ._threads import _blas_threads, _run_blocks
 from .errors import NumericalError
 from .features import (
     FrequencyPool,
@@ -154,18 +153,18 @@ def approx_ridge_leverage(Z, lam):
     plus per value one Cholesky factor of G + n lam I and the columns of
     its triangular inverse (:func:`rffkrr.linalg.psd_inverse_diagonal`,
     about (16/3) l^3 flops): cheaper than exact leverage for l << n, but
-    still a factorization the surrogate avoids.  A one-value call shifts
+    still a factorization the surrogate avoids.  Every value's diagonal
+    comes from one :func:`rffkrr.linalg.inverse_diagonals` call on G,
+    which decides how the values use the cores.  A one-value call shifts
     and factors G itself, so it holds one (2l, 2l) buffer beyond Z, not
     two.  When scipy's BLAS runs one thread, a grid of several values on
-    a G narrower than ``linalg._TILED_MIN`` is scored one value per
-    task on every core: each task copies G into a (2l, 2l) scratch of its
-    core's own (one per core, at most one per value) and factors and
-    inverts the copy there.  A wide G (2l at least ``linalg._TILED_MIN``)
-    is then factored by tiles on every core, one value after another,
-    and its inverse is solved a block of columns at a time in a (2l, 256)
-    scratch per core in place of ``trtri``.  Otherwise the values go one
-    after another, each but the last on a copy of G.  The scores are the
-    same bit for bit on any number of cores.
+    a G of order below 1200 is scored one value per task on every core,
+    each task in a (2l, 2l) copy of G of its core's own (one per core, at
+    most one per value).  A wider G is factored by tiles on every core,
+    one value after another, and its inverse is solved a block of
+    columns at a time in a (2l, 256) scratch per core.  Otherwise the
+    values go one after another, each but the last on a copy of G.  The
+    scores are the same bit for bit on any number of cores.
 
     This is the scorer of a map in hand, G formed as one block.  The
     baseline's pipelines score the same way from a Gram streamed out of
@@ -187,35 +186,10 @@ def _checked_lambdas(lam):
 
 def _gram_leverage(gram, n, lams):
     # The (k, l) scores of approx_ridge_leverage from the pool's Gram on n
-    # points.  When scipy's BLAS runs one thread, a grid of untiled
-    # factors runs one task per value on the participants, each copying G
-    # into its own scratch and factoring and inverting the copy whole;
-    # every call in a task releases the interpreter lock or is short, and
-    # none is traced.  One value, tiled factors (which use every core
-    # already) and factors on a threaded BLAS go one after another, the
-    # last (or only) value shifting and factoring G in place.  Below
-    # _TILED_MIN each value is one potrf and one trtri of the same matrix
-    # on either path, so the path does not change the scores.
-    m = gram.shape[0]
-    scores = np.empty((lams.size, m // 2))
-
-    def score(buffer, k):
-        shift = n * lams[k]
-        diagonal = 1.0 - shift * linalg._inverse_diagonal_in_place(buffer, shift)
-        scores[k] = np.clip(_pair_sums(diagonal), 0.0, None)
-
-    if lams.size > 1 and m < linalg._TILED_MIN and _blas_threads("scipy") == 1:
-
-        def copy_and_score(work, k):
-            buffer = work.reshape(m, m)
-            np.copyto(buffer, gram)
-            score(buffer, k)
-
-        _run_blocks(copy_and_score, [(k,) for k in range(lams.size)], m * m)
-    else:
-        for k in range(lams.size):
-            score(gram if k == lams.size - 1 else gram.copy(), k)
-    return scores
+    # points, which linalg.inverse_diagonals overwrites.
+    shifts = n * lams
+    diagonals = 1.0 - shifts[:, None] * linalg.inverse_diagonals(gram, shifts)
+    return np.clip(_pair_sums(diagonals).reshape(lams.size, -1), 0.0, None)
 
 
 def degrees_of_freedom(K, lam):
@@ -359,9 +333,9 @@ def erls_baseline_grid(X, spec, s, lambda_grid, pool_size=None, seed=0):
     the Gram (:func:`rffkrr.linalg.gram`) and let go, so the (n, 2l) pool
     map is never held.  Per value it factors the regularized Gram and
     scores as :func:`approx_ridge_leverage` does (under one BLAS thread
-    the values of a grid below ``linalg._TILED_MIN`` on every core, each
-    in a copy of the Gram of its core's own), draws from the same draw
-    seed, and maps the draws.  Returns one (pool, Z) pair per grid value,
+    the values of a grid below order 1200 on every core, each in a copy
+    of the Gram of its core's own), draws from the same draw seed, and
+    maps the draws.  Returns one (pool, Z) pair per grid value,
     each equal bit for bit to :func:`erls_baseline_pipeline` at that
     value.  This is the cross-validation sampler of the baseline.
     """

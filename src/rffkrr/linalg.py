@@ -49,9 +49,9 @@ multicore architectures", Parallel Computing, 2009), whose panel solves
 and trailing updates run on the participants, one tile of
 ``_FACTOR_TILE`` columns per BLAS call.  A tiled factor is made on the
 calling thread, its tiles on the helpers; the only whole factors a
-helper makes are the untiled ones of a leverage grid, one per lambda
-(:func:`rffkrr.leverage.approx_ridge_leverage`).  The tiled inverse
-diagonal then solves one block of columns of L^{-1} per task.
+helper makes are the untiled ones of a shift grid, one per shift
+(:func:`inverse_diagonals`).  The tiled inverse diagonal then solves one
+block of columns of L^{-1} per task.
 The tiles depend on the order alone and each is computed whole by one
 thread, so these results are the same bit for bit on any number of
 cores; they differ from one ``potrf`` and ``trtri`` in their last bits.
@@ -104,15 +104,12 @@ _TILED_MIN = 1200
 # of a diagonal Gram tile mirrored at a time by gram.
 _CLEAR_ROWS = 64
 
-# shifted_solves: the true residual every shift must reach (the bar below
-# which krr's ridge solve skips refinement), the recursive residual CG
-# stops at, and its step cap.  Cross-validation folds of 5992 rows took
-# 13-16 steps to 1e-13 for the default grid at m = 712 to 1792, and 7-16
-# for one lambda at m = 186 to 210.  On a Gram the grid's four factors
-# took as long as 22 steps at m = 200, 71 at 950 and 118 at 1792, so a
-# capped run costs less than the factors from m = 730 (59 steps) up.  On
-# Z a step costs a pass over Z instead, and a capped run that is declined
-# is paid before the Gram and its factors (see shifted_solves).
+# shifted_solves: the true residual every shift must reach (also the bar
+# below which krr's factored ridge solve skips refinement), the recursive
+# residual CG stops at, and its step cap.  Cross-validation folds of 5992
+# rows took 13-16 steps to 1e-13 for the default grid at m = 712 to 1792.
+# Each step is two passes over Z, and a capped run that is declined is
+# paid before the Gram and its factors (see shifted_solves).
 _KRYLOV_RESIDUAL = 1e-10
 _KRYLOV_TOL = 1e-13
 _KRYLOV_STEPS = 32
@@ -332,53 +329,48 @@ def psd_factor(mat, shift=0.0):
     return _factor_in_place(a, shift, _tiled(a.shape[0])), True
 
 
-def shifted_solves(matrix, rhs, shifts, normal=False):
-    """Solve (A + shifts[j] I) x_j = rhs for every j in one Krylov space,
-    or return None.  Counted once per shift when it returns.
+def shifted_solves(Z, rhs, shifts):
+    """Solve (Z^T Z + shifts[j] I) x_j = rhs for every j in one Krylov
+    space, or return None.  Counted once per shift when it returns.
 
-    A is the symmetric positive semidefinite ``matrix``, a Gram; with
-    ``normal``, ``matrix`` is an (n, m) feature array Z and A = Z^T Z,
-    which is never formed.
+    ``Z`` is an (n, m) feature array; its Gram Z^T Z is never formed.
 
     Multi-shift conjugate gradients (Hestenes and Stiefel 1952;
     Jegerlehner, "Krylov space solvers for shifted linear systems",
     hep-lat/9612014, 1996): CG runs on the smallest shift, and every other
     shift's residual stays collinear with its residual, so each step costs
-    one product A p for all shifts plus O(len(shifts) m) updates, and a
+    one product Z^T (Z p) for all shifts plus O(len(shifts) m) updates, and a
     shift stops updating once its residual has converged.  No factor is
     made.  Returns a (len(shifts), m) array whose row j is x_j, accepted
     only if the smallest shift converges within ``_KRYLOV_STEPS`` steps,
-    the curvature p^T (A + shift I) p of every step is positive, and every
+    the curvature p^T (Z^T Z + shift I) p of every step is positive, and every
     x_j's true residual is at most ``_KRYLOV_RESIDUAL`` ||rhs||.
     Otherwise, and for non-finite shifts or ``rhs``, it returns None
     having counted nothing, so that the caller can factor the shifts
-    instead.  A zero ``rhs`` gives zeros.  Raises NumericalError before
-    any step if a Gram holds NaN or Inf.
+    instead.  A zero ``rhs`` gives zeros.
 
-    On Z, each product is Z^T (Z p), two passes over Z's n m entries
-    where ``gram @ p`` passes once over m^2: this is CGLS, CG on the normal
-    equations (Bjorck, "Numerical Methods for Least Squares Problems",
-    1996).  It spares the O(n m^2) Gram, which costs more than the dozen or
-    so steps of a ridge grid from m of about 500 up.  The grid's solve
-    at n = 5992 on two cores, BLAS at one thread, medians of 15 (steps to
-    1e-13):
+    Each product is two passes over Z's n m entries: this is CGLS, CG on
+    the normal equations (Bjorck, "Numerical Methods for Least Squares
+    Problems", 1996).  It spares the O(n m^2) Gram and its factors, which
+    cost more than the dozen or so steps of a ridge grid from m of about
+    500 up.  A grid of four shifts at n = 5992 on two cores, BLAS at one
+    thread, medians of 31 (``scripts/ridge_routes.py``):
 
-    ====  ==================  ========  =====
-    m     Gram + solve on it  on Z      steps
-    ====  ==================  ========  =====
-    400   30.5 ms             31.7 ms   14
-    512   48-52 ms            34-35 ms  15
-    730   53 ms               50 ms     15
-    950   101 ms              69 ms     14
-    1130  144 ms              83 ms     14
-    1792  316 ms              124 ms    14
-    ====  ==================  ========  =====
+    ====  ===============  =======
+    m     Gram + factors   on Z
+    ====  ===============  =======
+    256   9.5 ms           16.5 ms
+    384   20.5 ms          20.3 ms
+    510   43.4 ms          24.3 ms
+    730   64.5 ms          30.6 ms
+    950   132 ms           43.9 ms
+    1792  370 ms           87.2 ms
+    ====  ===============  =======
 
-    Under two BLAS threads it was 36 against 25 ms at m = 512 and 252
-    against 104 ms at 1792.  Both sides scale with n, so the break-even
-    width does not depend on it.  A solve on Z that is declined costs up
-    to ``_KRYLOV_STEPS`` products, about 0.25 s at m = 1792, before the
-    caller forms the Gram and factors it.  Z is not scanned for NaN or
+    Both sides scale with n, so the break-even width does not depend on
+    it.  A solve on Z that is declined costs up to ``_KRYLOV_STEPS``
+    products, about 0.25 s at m = 1792, before the caller forms the Gram
+    and factors it.  Z is not scanned for NaN or
     Inf: a non-finite entry makes the first product non-finite, so the
     solve is declined at its first step, and the caller's Gram path
     raises.
@@ -389,16 +381,12 @@ def shifted_solves(matrix, rhs, shifts, normal=False):
     blocks' products are added in block order; the blocks depend on the
     shape alone, so the result is the same bit for bit on any number of
     cores.  Under a threaded BLAS it is one product over all the rows, as
-    :func:`gram` is.  Either way, the solutions are not always the same
-    bit for bit under another BLAS thread count: ``gram @ p`` under one
-    and two OpenBLAS threads differed in its last bits at m = 950, 1130
-    and 1793 (not at 77 or 1792), as potrf's factors do, and on Z the
-    blocks' sum and the one product round differently.  ``run_experiment``
+    :func:`gram` is, so the solutions are not always the same bit for bit
+    under another BLAS thread count: the blocks' sum and the one product
+    round differently, as potrf's factors do.  ``run_experiment``
     holds BLAS at one thread, so its records do not depend on the count
     the environment sets.
     """
-    if not normal:
-        _require_finite(matrix)
     shifts = np.asarray(shifts, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if not (np.isfinite(shifts).all() and np.isfinite(rhs).all()):
@@ -406,9 +394,9 @@ def shifted_solves(matrix, rhs, shifts, normal=False):
     x = np.zeros((shifts.size, rhs.size))
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm > 0.0:
-        if not _shifted_cg(matrix, rhs, shifts, x, rhs_norm, normal):
+        if not _shifted_cg(Z, rhs, shifts, x, rhs_norm):
             return None
-        product = _normal_product(matrix, x.T).T if normal else x @ matrix
+        product = _normal_product(Z, x.T).T
         residual = np.linalg.norm(rhs - product - shifts[:, None] * x, axis=1)
         if not residual.max() <= _KRYLOV_RESIDUAL * rhs_norm:
             return None
@@ -440,13 +428,12 @@ def _normal_product(Z, V):
     return total.T
 
 
-def _shifted_cg(matrix, rhs, shifts, x, rhs_norm, normal=False):
+def _shifted_cg(Z, rhs, shifts, x, rhs_norm):
     # Multi-shift CG into the rows of ``x``, seeded on the smallest shift;
     # False when a step's curvature is not positive or the seed has not
     # converged within _KRYLOV_STEPS steps.  Shift j's residual is
     # zeta[j] times the seed's r and its direction is directions[j]; the
     # seed's zeta stays exactly 1, so its direction is the seed's own.
-    # ``normal`` takes ``matrix`` as Z and each product as Z^T (Z p).
     shifts = shifts.tolist()
     seed = shifts.index(min(shifts))
     delta = [shift - shifts[seed] for shift in shifts]
@@ -459,7 +446,7 @@ def _shifted_cg(matrix, rhs, shifts, x, rhs_norm, normal=False):
     active = range(len(shifts))
     for _ in range(_KRYLOV_STEPS):
         p = directions[seed]
-        q = _normal_product(matrix, p) if normal else matrix @ p
+        q = _normal_product(Z, p)
         q += shifts[seed] * p
         curvature = float(p @ q)
         if not 0.0 < curvature < np.inf:
@@ -516,14 +503,54 @@ def psd_inverse_diagonal(mat, shift=0.0):
     scipy's BLAS runs more than one thread or was not found, one
     ``potrf`` factors the copy and one ``trtri`` inverts the factor in
     it, both through the ``cython_lapack`` capsules, and no other m x m
-    float array is made.  Otherwise
-    the factor is tiled over the cores, and each participant solves
-    blocks of ``_FACTOR_TILE`` columns of L^{-1} against the identity
-    (``trsm``) in an m x ``_FACTOR_TILE`` scratch row of its own.  Only
-    the upper triangle of ``mat`` is read.  Raises NumericalError if the
-    shifted matrix holds NaN or Inf or is not positive definite.
+    float array is made.  Otherwise the factor is tiled over the cores,
+    and each participant solves blocks of ``_FACTOR_TILE`` columns of
+    L^{-1} against the identity (``trsm``) in an m x ``_FACTOR_TILE``
+    scratch row of its own.  Only the upper triangle of ``mat`` is read.
+    Raises NumericalError if the shifted matrix holds NaN or Inf or is
+    not positive definite.  It is :func:`inverse_diagonals` of the copy.
     """
-    return _inverse_diagonal_in_place(np.array(mat, dtype=float, order="C"), shift)
+    return inverse_diagonals(np.array(mat, dtype=float, order="C"), [shift])[0]
+
+
+def inverse_diagonals(gram, shifts):
+    """The (k, m) diagonals of (gram + shifts[j] I)^{-1}, one row per
+    shift, as :func:`psd_inverse_diagonal` computes each, for a C-order
+    float64 ``gram``, which is overwritten.  Counted twice per shift.
+
+    When scipy's BLAS runs one thread, several shifts on a Gram of order
+    below ``_TILED_MIN`` run one task per shift on the feature map's
+    participants, each on a copy of ``gram`` in an m x m scratch row of
+    its own, whose every call releases the interpreter lock or is short.
+    Otherwise (one shift, tiled factors, which use every core already,
+    or a threaded BLAS) the shifts go one after another, each on a copy
+    of ``gram`` but the last.  Below ``_TILED_MIN`` a shift is one potrf
+    and one trtri of the same matrix either way, so the diagonals are
+    the same bit for bit on any number of cores.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    if shifts.size > 1 and gram.shape[0] < _TILED_MIN and _blas_threads("scipy") == 1:
+        return _inverse_diagonals_in_tasks(gram, shifts)
+    diagonals = np.empty((shifts.size, gram.shape[0]))
+    for k, shift in enumerate(shifts):
+        a = gram if k == shifts.size - 1 else gram.copy()
+        diagonals[k] = _inverse_diagonal_in_place(a, shift)
+    return diagonals
+
+
+def _inverse_diagonals_in_tasks(gram, shifts):
+    # One _run_blocks task per shift, on a copy of gram in its
+    # participant's scratch.
+    m = gram.shape[0]
+    diagonals = np.empty((shifts.size, m))
+
+    def copy_and_invert(work, k):
+        buffer = work.reshape(m, m)
+        np.copyto(buffer, gram)
+        diagonals[k] = _inverse_diagonal_in_place(buffer, shifts[k])
+
+    _run_blocks(copy_and_invert, [(k,) for k in range(shifts.size)], m * m)
+    return diagonals
 
 
 def _tiled(m):
@@ -640,9 +667,9 @@ def _tiled_inverse_diagonal(a):
 
 
 def _inverse_diagonal_in_place(a, shift):
-    # The core of psd_inverse_diagonal, for a caller that owns the float
-    # matrix ``a`` and has no further use for it.  Below _TILED_MIN it
-    # runs on the calling thread alone, so a helper may call it.
+    # One shift of inverse_diagonals, overwriting the C-order float matrix
+    # ``a``.  Below _TILED_MIN it runs on the calling thread alone, so a
+    # helper may call it.
     tiled = _tiled(a.shape[0])
     _factor_in_place(a, shift, tiled=tiled)
     _bump()

@@ -481,9 +481,11 @@ def test_approx_ridge_leverage_peak_memory(traced_peak):
     assert peak <= 3.5 * buffer
 
 
-def test_approx_ridge_leverage_one_value_factors_its_gram_in_place(traced_peak):
+def test_approx_ridge_leverage_one_value_factors_its_gram_in_place(participants, traced_peak):
     # One value shifts, factors and inverts G itself: about one buffer of
-    # (2l)^2 doubles, where a private copy of G would make two.
+    # (2l)^2 doubles, where a private copy of G would make two.  Under one
+    # BLAS thread, as in a run, it is not a task on a copy of G either.
+    participants(2)
     Z, buffer = _pool_map_and_buffer(512)
     before = Z.copy()
     peak, scores = traced_peak(lambda: approx_ridge_leverage(Z, 0.01))
@@ -536,7 +538,7 @@ def test_approx_ridge_leverage_grid_runs_in_turn_when_each_factor_uses_every_cor
 
     tiled = []
     inverse = linalg._tiled_inverse_diagonal
-    monkeypatch.setattr(leverage, "_run_blocks", no_tasks)
+    monkeypatch.setattr(linalg, "_inverse_diagonals_in_tasks", no_tasks)
     monkeypatch.setattr(
         linalg, "_tiled_inverse_diagonal", lambda a: tiled.append(a.shape) or inverse(a)
     )

@@ -121,16 +121,12 @@ def _ridge_features(n, m, seed):
     return Z, y, [n * lam for lam in (0.05, 0.1, 0.5, 1.0)]
 
 
-def _ridge_system(n, m, seed):
-    # The Gram and Z^T y of _ridge_features, with its shifts.
-    Z, y, shifts = _ridge_features(n, m, seed)
-    return Z.T @ Z, Z.T @ y, shifts
-
-
 @pytest.mark.parametrize("m", [64, 300])
-def test_shifted_solves_equal_factor_solves(m):
-    gram, rhs, shifts = _ridge_system(900, m, m)
-    solved = linalg.shifted_solves(gram, rhs, shifts)
+def test_shifted_solves_equal_factor_solves(small_row_blocks, m):
+    small_row_blocks(2)
+    Z, y, shifts = _ridge_features(900, m, m)
+    gram, rhs = Z.T @ Z, Z.T @ y
+    solved = linalg.shifted_solves(Z, rhs, shifts)
     assert solved.shape == (len(shifts), m)
     assert linalg.solve_count() == len(shifts)
     for beta, shift in zip(solved, shifts):
@@ -141,9 +137,10 @@ def test_shifted_solves_equal_factor_solves(m):
 
 
 def test_shifted_solves_seed_on_the_smallest_shift_in_any_order():
-    gram, rhs, shifts = _ridge_system(400, 64, 1)
+    Z, y, shifts = _ridge_features(400, 64, 1)
+    gram, rhs = Z.T @ Z, Z.T @ y
     shuffled = [shifts[2], shifts[0], shifts[3], shifts[0], shifts[1]]
-    solved = linalg.shifted_solves(gram, rhs, shuffled)
+    solved = linalg.shifted_solves(Z, rhs, shuffled)
     np.testing.assert_array_equal(solved[1], solved[3])
     for beta, shift in zip(solved, shuffled):
         expected = scipy.linalg.solve(gram + shift * np.eye(64), rhs, assume_a="pos")
@@ -151,48 +148,37 @@ def test_shifted_solves_seed_on_the_smallest_shift_in_any_order():
 
 
 def test_shifted_solves_of_a_zero_rhs_are_zeros():
-    gram, _, shifts = _ridge_system(200, 64, 2)
+    Z, _, shifts = _ridge_features(200, 64, 2)
     with np.errstate(all="raise"):
-        solved = linalg.shifted_solves(gram, np.zeros(64), shifts)
+        solved = linalg.shifted_solves(Z, np.zeros(64), shifts)
     np.testing.assert_array_equal(solved, np.zeros((len(shifts), 64)))
     assert linalg.solve_count() == len(shifts)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_shifted_solves_refuse_a_non_finite_gram_before_any_step(monkeypatch, bad):
-    gram, rhs, shifts = _ridge_system(200, 64, 3)
-    gram[5, 7] = bad
-    steps = []
-    monkeypatch.setattr(linalg, "_shifted_cg", lambda *args: steps.append(args))
-    with pytest.raises(NumericalError):
-        linalg.shifted_solves(gram, rhs, shifts)
-    assert steps == []
-    assert linalg.solve_count() == 0
-
-
 def test_shifted_solves_decline_without_counting(monkeypatch):
-    gram, rhs, shifts = _ridge_system(400, 64, 4)
-    # Non-finite shifts or rhs, and curvature that is not positive: CG
-    # would solve -I x = rhs in one step, but that matrix is not definite.
-    assert linalg.shifted_solves(gram, rhs, shifts + [np.inf]) is None
-    assert linalg.shifted_solves(gram, np.where(rhs > 0, np.nan, rhs), shifts) is None
-    assert linalg.shifted_solves(-np.eye(64), rhs, [0.0]) is None
+    Z, y, shifts = _ridge_features(400, 64, 4)
+    rhs = Z.T @ y
+    # Non-finite shifts or rhs, and curvature that is not positive: a zero
+    # Z at shift 0 has p^T (Z^T Z) p = 0 at CG's first step.
+    assert linalg.shifted_solves(Z, rhs, shifts + [np.inf]) is None
+    assert linalg.shifted_solves(Z, np.where(rhs > 0, np.nan, rhs), shifts) is None
+    assert linalg.shifted_solves(np.zeros_like(Z), rhs, [0.0]) is None
     # CG that has not converged within the step cap.
     monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 2)
-    assert linalg.shifted_solves(gram, rhs, shifts) is None
+    assert linalg.shifted_solves(Z, rhs, shifts) is None
     # Converged recursive residuals whose true residual is not small enough.
     monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 32)
     monkeypatch.setattr(linalg, "_KRYLOV_TOL", 1e-3)
-    assert linalg.shifted_solves(gram, rhs, shifts) is None
+    assert linalg.shifted_solves(Z, rhs, shifts) is None
     assert linalg.solve_count() == 0
 
 
-def test_shifted_solves_are_the_same_on_any_participant_count(participants):
-    gram, rhs, shifts = _ridge_system(900, 300, 5)
+def test_shifted_solves_are_the_same_on_any_participant_count(small_row_blocks):
+    Z, y, shifts = _ridge_features(900, 300, 5)
     solved = []
     for count in (1, 2, 4):
-        participants(count)
-        solved.append(linalg.shifted_solves(gram, rhs, shifts))
+        small_row_blocks(count)
+        solved.append(linalg.shifted_solves(Z, Z.T @ y, shifts))
     np.testing.assert_array_equal(solved[1], solved[0])
     np.testing.assert_array_equal(solved[2], solved[0])
 
@@ -241,20 +227,6 @@ def test_normal_product_under_threaded_blas_is_one_product(
     assert calls == []
 
 
-def test_shifted_solves_on_z_equal_the_gram_route_and_factor_solves(small_row_blocks):
-    small_row_blocks(2)
-    Z, y, shifts = _ridge_features(900, 300, 13)
-    gram, rhs = Z.T @ Z, Z.T @ y
-    on_z = linalg.shifted_solves(Z, rhs, shifts, normal=True)
-    assert on_z.shape == (len(shifts), 300)
-    assert linalg.solve_count() == len(shifts)
-    on_gram = linalg.shifted_solves(gram, rhs, shifts)
-    for beta, beta_gram, shift in zip(on_z, on_gram, shifts):
-        expected = linalg.factor_solve(linalg.psd_factor(gram, shift), rhs)
-        assert np.linalg.norm(beta - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert np.linalg.norm(beta - beta_gram) <= 1e-12 * np.linalg.norm(beta_gram)
-
-
 @pytest.mark.parametrize("positive", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_shifted_solves_on_a_non_finite_z_decline_at_the_first_step(
@@ -276,7 +248,7 @@ def test_shifted_solves_on_a_non_finite_z_decline_at_the_first_step(
         linalg, "_normal_product", lambda *args: products.append(1) or product(*args)
     )
     with np.errstate(invalid="ignore"):
-        assert linalg.shifted_solves(Z, rhs, shifts, normal=True) is None
+        assert linalg.shifted_solves(Z, rhs, shifts) is None
     assert products == [1]
     assert linalg.solve_count() == 0
 
@@ -284,14 +256,14 @@ def test_shifted_solves_on_a_non_finite_z_decline_at_the_first_step(
 def test_shifted_solves_decline_a_nan_solution(monkeypatch):
     # A NaN true residual fails the residual bar rather than slipping past
     # a comparison that NaN makes false.
-    gram, rhs, shifts = _ridge_system(200, 64, 16)
+    Z, y, shifts = _ridge_features(200, 64, 16)
 
-    def nan_cg(matrix, rhs, shifts, x, rhs_norm, normal=False):
+    def nan_cg(Z, rhs, shifts, x, rhs_norm):
         x.fill(np.nan)
         return True
 
     monkeypatch.setattr(linalg, "_shifted_cg", nan_cg)
-    assert linalg.shifted_solves(gram, rhs, shifts) is None
+    assert linalg.shifted_solves(Z, Z.T @ y, shifts) is None
     assert linalg.solve_count() == 0
 
 
