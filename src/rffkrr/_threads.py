@@ -8,22 +8,21 @@ shared pool of helper threads, one participant per CPU in the process's
 affinity mask.  Its callers split their work by shape alone, so their
 results are the same bit for bit on any number of cores.
 
-Those tasks are small BLAS products, and each one is meant to run on one
-core: under a threaded BLAS a tiled Gram or a blocked product runs every
-task on every core at once and is slower than one product.  So each
-kernel asks the library it calls for its live thread count
-(:func:`_blas_threads`) and splits its work only at one thread.  The
+Those tasks are small BLAS products, each meant to run on one core, and
+a BLAS product's bits can depend on how many threads it runs.  So every
+kernel that splits its work holds BLAS at one thread for the length of
+its call (:func:`_one_blas_thread`), as ``run_experiment`` does for a
+whole run: no kernel reads a thread count or picks a path by one.  The
 counts are read and set through ``ctypes``, by the functions that the
 scipy-openblas builds in numpy's and scipy's wheels export, looked up
 through the extension module that calls each library the first time
 they are needed, never at import.  A build without those functions (MKL,
-Accelerate, a system OpenBLAS) is not found: the kernels then take their
-single-product paths, and :func:`_one_blas_thread` does nothing.
+Accelerate, a system OpenBLAS) is not found: there :func:`_one_blas_thread`
+does nothing, and the kernels split their work as they do anywhere else,
+on whatever thread count that BLAS runs.
 
-:func:`_one_blas_thread` sets every library found to one thread for the
-length of a block, as ``run_experiment`` does for a whole run.  The count
-is process-wide: while it is held, any other thread of the process that
-calls BLAS gets one thread too.
+The count is process-wide: while a kernel or a run holds it, any other
+thread of the process that calls BLAS gets one thread too.
 """
 
 import ctypes
@@ -43,7 +42,7 @@ _helpers = None
 _helpers_lock = threading.Lock()
 
 # Entries of _one_blas_thread now running, and the counts that the first
-# of them saved, as (set function, count) pairs.
+# of them saved, as (set function, count) pairs, empty when none runs.
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved = []
@@ -52,11 +51,16 @@ _pin_saved = []
 def _forget_helpers():
     # A forked child has none of the parent's threads: a pool inherited
     # from the parent would accept work that no thread ever runs, and a
-    # lock held by one of them would never be released.
-    global _helpers, _helpers_lock, _pin_lock
+    # lock held by one of them would never be released.  Nor does it run
+    # the parent's entries of _one_blas_thread, so it puts back the counts
+    # they saved: otherwise no entry of its own would ever restore them.
+    global _helpers, _helpers_lock, _pin_lock, _pin_depth, _pin_saved
     _helpers = None
     _helpers_lock = threading.Lock()
     _pin_lock = threading.Lock()
+    for set_, count in _pin_saved:
+        set_(count)
+    _pin_depth, _pin_saved = 0, []
 
 
 if hasattr(os, "register_at_fork"):
@@ -186,22 +190,18 @@ def _openblas():
     return _libraries
 
 
-def _blas_threads(owner):
-    """The live thread count of ``owner``'s OpenBLAS ("numpy" or
-    "scipy"), or None if that library was not found."""
-    functions = _openblas().get(owner)
-    return None if functions is None else functions[0]()
-
-
 @contextmanager
 def _one_blas_thread():
     """Set every OpenBLAS found to one thread for the body, and put back
-    the counts they had on exit, whether the body returns or raises.
+    the counts they had on exit, whether the body returns or raises.  As
+    a decorator, ``@_one_blas_thread()``, it holds them for each call.
 
     Entries may overlap, on one thread or several: the first saves the
-    counts and the last restores them.
+    counts and the last restores them.  An entry made before a fork ends
+    in the parent only: the child got its counts back when it was forked.
     """
     global _pin_depth, _pin_saved
+    pid = os.getpid()
     with _pin_lock:
         if _pin_depth == 0:
             _pin_saved = [(set_, get()) for get, set_ in _openblas().values()]
@@ -211,8 +211,10 @@ def _one_blas_thread():
     try:
         yield
     finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                for set_, count in _pin_saved:
-                    set_(count)
+        if os.getpid() == pid:
+            with _pin_lock:
+                _pin_depth -= 1
+                if _pin_depth == 0:
+                    for set_, count in _pin_saved:
+                        set_(count)
+                    _pin_saved = []

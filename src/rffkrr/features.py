@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import _run_blocks
+from ._threads import _one_blas_thread, _run_blocks
 
 # First 64 primes, the Halton bases for up to 64 input dimensions.
 _PRIMES = (
@@ -200,6 +200,7 @@ def sample_qmc(density, count):
     return FrequencyPool(freq, np.ones(count))
 
 
+@_one_blas_thread()
 def feature_map(X, pool):
     """Map data rows through the pool's paired cos/sin features.
 
@@ -216,10 +217,10 @@ def feature_map(X, pool):
     by one participant, and the blocks are of one size but the last
     whatever the core count, so Z is bit for bit the same on one core or
     many; there is no option to set.  A one-block map, or any map on a
-    one-CPU mask, runs in the caller and starts no thread.  Each block's
-    projection runs on as many BLAS threads as BLAS has at the time:
-    ``run_experiment`` sets it to one for its run, and a direct caller
-    keeps its own setting.
+    one-CPU mask, runs in the caller and starts no thread.  BLAS is held
+    at one thread, process-wide, for the call
+    (:func:`rffkrr._threads._one_blas_thread`), so each block's projection
+    runs on its participant's core alone.
     """
     X, half, scale = _map_operands(X, pool)
     s = pool.size
@@ -240,6 +241,7 @@ def feature_map(X, pool):
     return FeatureMatrix(Z)
 
 
+@_one_blas_thread()
 def label_correlations(X, pool, y):
     """y^T Z for Z = ``feature_map(X, pool).entries``, as a (2s,) array,
     without holding Z.  Equal to ``y @ Z`` up to rounding.
@@ -251,7 +253,8 @@ def label_correlations(X, pool, y):
     pairs) times the block's labels.  The blocks run on the map's
     participants, each forming f in scratch of its own.  The per-block
     products are added in block order, so the result is the same bit for
-    bit on any number of cores.  Zero rows give zeros, as ``y @ Z`` does.
+    bit on any number of cores.  BLAS is held at one thread for the call,
+    as in :func:`feature_map`.  Zero rows give zeros, as ``y @ Z`` does.
     """
     X, half, scale = _map_operands(X, pool)
     y = np.asarray(y, dtype=float).ravel()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from ._threads import _one_blas_thread
 from .errors import NumericalError
 from .features import feature_map, make_rng, spawn_seeds
 from .leverage import regularized_factor
@@ -100,6 +101,7 @@ def _all_finite(Z):
     return all(np.isfinite(Z[start : start + _FINITE_ROWS]).all() for start in rows)
 
 
+@_one_blas_thread()
 def fit(Z, y, lam, pool=None):
     """Fit ridge coefficients on a feature matrix.
 
@@ -112,7 +114,9 @@ def fit(Z, y, lam, pool=None):
     Z is a few vectors of length m and the row blocks' partial products.
     Below, or when that solve is declined, the Gram is formed and
     factored, with at most one refinement step (two or three counts),
-    which adds the Gram and its factor, two m x m arrays.
+    which adds the Gram and its factor, two m x m arrays.  BLAS is held at
+    one thread, process-wide, for the call, Z^T y included, so the
+    coefficients do not depend on the thread count the environment sets.
     """
     Zm = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -199,6 +203,7 @@ def _fold_accuracy(X, y, block, sampler, grid, seed):
     return accuracy
 
 
+@_one_blas_thread()
 def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     """K-fold grid search for lambda, scored by classification accuracy.
 
@@ -218,9 +223,10 @@ def cross_validate(X, y, sampler, lambda_grid, folds=5, seed=0):
     its training features Z_tr, all its values in one shifted Krylov
     space with no Gram (one count per value).  A narrower one, or a
     declined solve, forms its Gram and factors it per lambda, one lambda
-    after another (two or three counts per value).  The report and the
-    solve count are the same on any number of cores; under another BLAS
-    thread count the solutions may differ in their last bits.
+    after another (two or three counts per value).  BLAS is held at one
+    thread, process-wide, for the call, so the report and the solve count
+    are the same on any number of cores and under any BLAS thread count
+    the environment sets.
 
     Folds are contiguous blocks of a seeded permutation, so the report is
     a pure function of the inputs.  Ties resolve toward the larger lambda.

@@ -157,14 +157,14 @@ def approx_ridge_leverage(Z, lam):
     comes from one :func:`rffkrr.linalg.inverse_diagonals` call on G,
     which decides how the values use the cores.  A one-value call shifts
     and factors G itself, so it holds one (2l, 2l) buffer beyond Z, not
-    two.  When scipy's BLAS runs one thread, a grid of several values on
-    a G of order below 1200 is scored one value per task on every core,
-    each task in a (2l, 2l) copy of G of its core's own (one per core, at
-    most one per value).  A wider G is factored by tiles on every core,
-    one value after another, and its inverse is solved a block of
-    columns at a time in a (2l, 256) scratch per core.  Otherwise the
-    values go one after another, each but the last on a copy of G.  The
-    scores are the same bit for bit on any number of cores.
+    two.  A grid of several values on a G of order below 1200 is scored
+    one value per task on every core, each task in a (2l, 2l) copy of G
+    of its core's own (one per core, at most one per value).  A wider G
+    is factored by tiles on every core, one value after another, each but
+    the last on a copy of G, and its inverse is solved a block of columns
+    at a time in a (2l, 256) scratch per core.  The Gram and the factors
+    hold BLAS at one thread, so the scores are the same bit for bit on
+    any number of cores and under any BLAS thread count.
 
     This is the scorer of a map in hand, G formed as one block.  The
     baseline's pipelines score the same way from a Gram streamed out of
@@ -332,9 +332,9 @@ def erls_baseline_grid(X, spec, s, lambda_grid, pool_size=None, seed=0):
     mapped ``_GRAM_ROWS`` rows at a time, and each block is added into
     the Gram (:func:`rffkrr.linalg.gram`) and let go, so the (n, 2l) pool
     map is never held.  Per value it factors the regularized Gram and
-    scores as :func:`approx_ridge_leverage` does (under one BLAS thread
-    the values of a grid below order 1200 on every core, each in a copy
-    of the Gram of its core's own), draws from the same draw seed, and
+    scores as :func:`approx_ridge_leverage` does (the values of a grid
+    below order 1200 on every core, each in a copy of the Gram of its
+    core's own), draws from the same draw seed, and
     maps the draws.  Returns one (pool, Z) pair per grid value,
     each equal bit for bit to :func:`erls_baseline_pipeline` at that
     value.  This is the cross-validation sampler of the baseline.

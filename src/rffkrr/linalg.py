@@ -6,18 +6,18 @@ baseline's scores and the ridge systems of narrow feature arrays; a wide
 ridge system is solved on Z itself by :func:`shifted_solves`, which
 never forms it.  The Gram takes Z whole or as row blocks, whose products
 it adds up in place, so the leverage baseline streams its pool map into
-it without holding the map.  When scipy's BLAS runs one thread, the
-Gram's column tiles are filled on every core by the feature map's
-participants, through the ``cython_blas`` routines below; an array of
-one tile, and any array under a threaded BLAS, has the one product
-``Z.T @ Z`` for its Gram, which a threaded BLAS spreads over the cores
-itself.
+it without holding the map.  The Gram's column tiles are filled on every
+core by the feature map's participants, through the ``cython_blas``
+routines below; an array of one tile has the one product ``Z.T @ Z`` for
+its Gram.
 
-Each kernel asks the BLAS it calls for its live thread count at the time
-of the call (:mod:`rffkrr._threads`).  ``run_experiment`` sets BLAS to
-one thread for its whole run, so every run takes the split paths below
-whatever the environment says; a direct caller of these functions gets
-the paths that its own BLAS setting selects.
+Each kernel that splits its work picks its path by the shapes alone, and
+holds BLAS at one thread, process-wide, for the length of its call
+(:func:`rffkrr._threads._one_blas_thread`), so its results are the same
+bit for bit whatever thread count the environment sets.  Where BLAS is
+not a scipy-openblas build (MKL, Accelerate, a system OpenBLAS), that
+hold does nothing and the same split paths run as they are, on that
+BLAS's own threads.
 
 Every Cholesky factorization, triangular solve and triangular inverse in
 the package goes through this module so that tests can count how many
@@ -42,8 +42,7 @@ the ``scipy.linalg.lapack`` wrapper holds it, so the tiles below, and
 the factors of a leverage grid, run on several cores at once.
 
 A factor (:func:`psd_factor` and :func:`psd_inverse_diagonal`) of order
-at least ``_TILED_MIN`` is tiled instead when scipy's BLAS, the one
-behind those capsules, runs one thread: a right-looking tiled Cholesky
+at least ``_TILED_MIN`` is tiled instead: a right-looking tiled Cholesky
 (Buttari, Langou, Kurzak and Dongarra, "A class of parallel tiled linear algebra algorithms for
 multicore architectures", Parallel Computing, 2009), whose panel solves
 and trailing updates run on the participants, one tile of
@@ -68,7 +67,7 @@ import scipy.linalg.cython_blas
 import scipy.linalg.cython_lapack
 import scipy.sparse.linalg
 
-from ._threads import _blas_threads, _run_blocks
+from ._threads import _one_blas_thread, _run_blocks
 from .errors import NumericalError
 
 _solve_count = 0
@@ -93,11 +92,10 @@ _GRAM_TILE = 512
 # 0.58 s with 256, against 0.62-0.66 s with 128, 192, 384 and 512.
 _FACTOR_TILE = 256
 
-# Lone factors of at least this order are tiled when scipy's BLAS runs one
-# thread.  At 1200 on two cores the tiled factor and inverse diagonal
-# took 0.027 and 0.044 s against 0.034 and 0.065 s for one LAPACK call;
-# below it the saving is a few milliseconds, and a factor keeps the bits
-# of the one call.
+# Lone factors of at least this order are tiled.  At 1200 on two cores
+# the tiled factor and inverse diagonal took 0.027 and 0.044 s against
+# 0.034 and 0.065 s for one LAPACK call; below it the saving is a few
+# milliseconds, and a factor keeps the bits of the one call.
 _TILED_MIN = 1200
 
 # Rows of the factor cleared at a time by _inverse_diagonal_in_place, and
@@ -199,6 +197,7 @@ _dsyrk = _capsule_routine(
 _ZERO, _ONE, _MINUS_ONE = ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_double(-1.0)
 
 
+@_one_blas_thread()
 def gram(Z):
     """The Gram matrix Z^T Z, exactly symmetric, of an (n, m) array or of
     the row blocks of one.  Not counted: it is a product, not a solve.
@@ -210,10 +209,9 @@ def gram(Z):
     :func:`rffkrr.leverage.erls_baseline_grid`).  Blocks that are not
     C-order float64 are copied.
 
-    When scipy's BLAS runs one thread (as it does inside
-    ``run_experiment``), each block's upper-triangle tiles of
-    ``_GRAM_TILE`` columns are filled by the calling thread and the
-    feature map's helper threads (:mod:`rffkrr._threads`): a diagonal tile
+    Each block's upper-triangle tiles of ``_GRAM_TILE`` columns are
+    filled by the calling thread and the feature map's helper threads
+    (:mod:`rffkrr._threads`), BLAS held at one thread: a diagonal tile
     by ``dsyrk``, any other by ``dgemm``, called through the
     ``cython_blas`` capsules: the first block's product is written into
     G (beta = 0) and each later one added to it (beta = 1).  At the end
@@ -223,16 +221,12 @@ def gram(Z):
     A one-tile block gives the single product's bits; a wider one differs
     from it in the last bits of the off-diagonal tiles, and several
     blocks differ from one block within the dot products' rounding.
-    An array of 2 to ``_GRAM_TILE`` columns, and any array under a
-    threaded BLAS, is the single product ``Z.T @ Z``, with no mirror
-    pass; a threaded BLAS spreads it over the cores itself, and there
-    each block of an iterable is one ``dsyrk`` over all its columns.
-    (numpy takes the product of one column as a dot product, whose bits
-    differ from ``dsyrk``'s.)
+    An array of 2 to ``_GRAM_TILE`` columns is the single product
+    ``Z.T @ Z``, with no mirror pass.  (numpy takes the product of one
+    column as a dot product, whose bits differ from ``dsyrk``'s.)
     """
-    tiled = _blas_threads("scipy") == 1
     if isinstance(Z, np.ndarray):
-        if not tiled or (Z.ndim == 2 and 1 < Z.shape[1] <= _GRAM_TILE):
+        if Z.ndim == 2 and 1 < Z.shape[1] <= _GRAM_TILE:
             Z = np.asarray(Z, dtype=float)
             return Z.T @ Z
         Z = (Z,)
@@ -244,8 +238,7 @@ def gram(Z):
                 raise ValueError(f"expected (rows, m) blocks, got shape {block.shape}")
             m = block.shape[1]
             G, beta = np.empty((m, m)), _ZERO
-            width = _GRAM_TILE if tiled else max(m, 1)
-            tiles = [(start, min(width, m - start)) for start in range(0, m, width)]
+            tiles = [(start, min(_GRAM_TILE, m - start)) for start in range(0, m, _GRAM_TILE)]
         elif block.shape[1:] != (m,):
             raise ValueError(f"block of shape {block.shape} in a Gram of width {m}")
         _add_gram_block(G, block, tiles, beta)
@@ -312,6 +305,7 @@ def _mirror_tile(G, tiles):
     return mirror
 
 
+@_one_blas_thread()
 def psd_factor(mat, shift=0.0):
     """Cholesky-factor the symmetric positive definite mat + shift I.
     Counted.
@@ -321,14 +315,14 @@ def psd_factor(mat, shift=0.0):
     accepted by :func:`factor_solve`.  Raises NumericalError if the
     shifted matrix holds NaN or Inf or is not positive definite.  A copy
     of order at least ``_TILED_MIN`` is factored by tiles on every core
-    when scipy's BLAS runs one thread, as it does inside
-    ``run_experiment`` (see the module docstring); otherwise by one
-    ``potrf``.
+    (see the module docstring), a smaller one by one ``potrf``, BLAS held
+    at one thread either way.
     """
     a = np.array(mat, dtype=float, order="C")
-    return _factor_in_place(a, shift, _tiled(a.shape[0])), True
+    return _factor_in_place(a, shift, a.shape[0] >= _TILED_MIN), True
 
 
+@_one_blas_thread()
 def shifted_solves(Z, rhs, shifts):
     """Solve (Z^T Z + shifts[j] I) x_j = rhs for every j in one Krylov
     space, or return None.  Counted once per shift when it returns.
@@ -375,17 +369,12 @@ def shifted_solves(Z, rhs, shifts):
     solve is declined at its first step, and the caller's Gram path
     raises.
 
-    Everything but Z^T (Z p) runs on the calling thread.  When numpy's
-    BLAS runs one thread, Z^T (Z V) is taken in blocks of
-    ``_NORMAL_ROWS`` rows on the feature map's participants, and the
-    blocks' products are added in block order; the blocks depend on the
-    shape alone, so the result is the same bit for bit on any number of
-    cores.  Under a threaded BLAS it is one product over all the rows, as
-    :func:`gram` is, so the solutions are not always the same bit for bit
-    under another BLAS thread count: the blocks' sum and the one product
-    round differently, as potrf's factors do.  ``run_experiment``
-    holds BLAS at one thread, so its records do not depend on the count
-    the environment sets.
+    Everything but Z^T (Z p) runs on the calling thread.  Z^T (Z V) is
+    taken in blocks of ``_NORMAL_ROWS`` rows on the feature map's
+    participants, BLAS held at one thread, and the blocks' products are
+    added in block order; the blocks depend on the shape alone, so the
+    solutions are the same bit for bit on any number of cores and under
+    any BLAS thread count.
     """
     shifts = np.asarray(shifts, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -407,13 +396,12 @@ def shifted_solves(Z, rhs, shifts):
 
 def _normal_product(Z, V):
     # Z^T (Z V) for V of shape (m,) or (m, k), with no m x m array, taken
-    # as ((V^T Z^T) Z)^T, whose products read C-order operands.  When
-    # numpy's BLAS runs one thread, the row blocks' products go in the rows
-    # of one array and are added in block order; otherwise, or for one
-    # block, it is one product.
+    # as ((V^T Z^T) Z)^T, whose products read C-order operands.  The row
+    # blocks' products go in the rows of one array and are added in block
+    # order; one block is one product.
     vectors = V.T
     blocks = range(0, Z.shape[0], _NORMAL_ROWS)
-    if len(blocks) < 2 or _blas_threads("numpy") != 1:
+    if len(blocks) < 2:
         return ((vectors @ Z.T) @ Z).T
     partials = np.empty((len(blocks),) + vectors.shape)
 
@@ -499,37 +487,38 @@ def psd_inverse_diagonal(mat, shift=0.0):
     With mat + shift I = L L^T, the inverse is L^{-T} L^{-1}, so its
     diagonal is the squared column norms of L^{-1}.  One private copy of
     ``mat`` is shifted and factored in place, about m^3 / 3 flops, and
-    L^{-1} takes about m^3 / 3 more.  Below ``_TILED_MIN``, or when
-    scipy's BLAS runs more than one thread or was not found, one
-    ``potrf`` factors the copy and one ``trtri`` inverts the factor in
-    it, both through the ``cython_lapack`` capsules, and no other m x m
-    float array is made.  Otherwise the factor is tiled over the cores,
-    and each participant solves blocks of ``_FACTOR_TILE`` columns of
-    L^{-1} against the identity (``trsm``) in an m x ``_FACTOR_TILE``
+    L^{-1} takes about m^3 / 3 more.  Below ``_TILED_MIN`` one ``potrf``
+    factors the copy and one ``trtri`` inverts the factor in it, both
+    through the ``cython_lapack`` capsules, and no other m x m float
+    array is made.  From ``_TILED_MIN`` up the factor is tiled over the
+    cores, and each participant solves blocks of ``_FACTOR_TILE`` columns
+    of L^{-1} against the identity (``trsm``) in an m x ``_FACTOR_TILE``
     scratch row of its own.  Only the upper triangle of ``mat`` is read.
     Raises NumericalError if the shifted matrix holds NaN or Inf or is
-    not positive definite.  It is :func:`inverse_diagonals` of the copy.
+    not positive definite.  It is :func:`inverse_diagonals` of the copy,
+    so BLAS is held at one thread for the call.
     """
     return inverse_diagonals(np.array(mat, dtype=float, order="C"), [shift])[0]
 
 
+@_one_blas_thread()
 def inverse_diagonals(gram, shifts):
     """The (k, m) diagonals of (gram + shifts[j] I)^{-1}, one row per
     shift, as :func:`psd_inverse_diagonal` computes each, for a C-order
     float64 ``gram``, which is overwritten.  Counted twice per shift.
 
-    When scipy's BLAS runs one thread, several shifts on a Gram of order
-    below ``_TILED_MIN`` run one task per shift on the feature map's
+    BLAS is held at one thread for the call.  Several shifts on a Gram of
+    order below ``_TILED_MIN`` run one task per shift on the feature map's
     participants, each on a copy of ``gram`` in an m x m scratch row of
     its own, whose every call releases the interpreter lock or is short.
-    Otherwise (one shift, tiled factors, which use every core already,
-    or a threaded BLAS) the shifts go one after another, each on a copy
-    of ``gram`` but the last.  Below ``_TILED_MIN`` a shift is one potrf
-    and one trtri of the same matrix either way, so the diagonals are
-    the same bit for bit on any number of cores.
+    Otherwise (one shift, or tiled factors, which use every core already)
+    the shifts go one after another, each on a copy of ``gram`` but the
+    last.  Below ``_TILED_MIN`` a shift is one potrf and one trtri of the
+    same matrix either way, so the diagonals are the same bit for bit on
+    any number of cores.
     """
     shifts = np.asarray(shifts, dtype=float)
-    if shifts.size > 1 and gram.shape[0] < _TILED_MIN and _blas_threads("scipy") == 1:
+    if shifts.size > 1 and gram.shape[0] < _TILED_MIN:
         return _inverse_diagonals_in_tasks(gram, shifts)
     diagonals = np.empty((shifts.size, gram.shape[0]))
     for k, shift in enumerate(shifts):
@@ -551,12 +540,6 @@ def _inverse_diagonals_in_tasks(gram, shifts):
 
     _run_blocks(copy_and_invert, [(k,) for k in range(shifts.size)], m * m)
     return diagonals
-
-
-def _tiled(m):
-    # Whether a lone factor of order m is tiled over the cores: its tiles
-    # call scipy's BLAS.
-    return m >= _TILED_MIN and _blas_threads("scipy") == 1
 
 
 def _factor_in_place(a, shift, tiled=False):
@@ -670,7 +653,7 @@ def _inverse_diagonal_in_place(a, shift):
     # One shift of inverse_diagonals, overwriting the C-order float matrix
     # ``a``.  Below _TILED_MIN it runs on the calling thread alone, so a
     # helper may call it.
-    tiled = _tiled(a.shape[0])
+    tiled = a.shape[0] >= _TILED_MIN
     _factor_in_place(a, shift, tiled=tiled)
     _bump()
     if tiled:

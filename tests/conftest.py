@@ -1,7 +1,6 @@
 """Shared fixtures: the acceptance-line recorder, benchmark dataset
 discovery, the traced-peak helper for memory bounds, the helper-pool
-participants of feature maps, Grams and cross-validation folds, and the
-BLAS thread count the kernels see.
+participants of feature maps, Grams and cross-validation folds.
 
 The acceptance tests in test_acceptance.py print one PASS/FAIL line per
 criterion; those lines are also replayed in the terminal summary so they
@@ -70,30 +69,13 @@ def traced_peak():
 
 
 @pytest.fixture
-def blas_threads(monkeypatch):
-    """``blas_threads(count)`` makes every kernel see ``count`` threads in
-    both numpy's and scipy's BLAS, whatever BLAS itself runs, by standing
-    in for the libraries that ``_threads`` finds.  Setting a count through
-    them does nothing."""
-
-    def use(count):
-        fake = dict.fromkeys(_threads._OPENBLAS, (lambda: count, lambda _count: None))
-        monkeypatch.setattr(_threads, "_libraries", fake)
-
-    return use
-
-
-@pytest.fixture
-def participants(monkeypatch, blas_threads):
+def participants(monkeypatch):
     """``participants(count)`` makes block and tile tasks run on the
-    caller and ``count - 1`` helpers of a fresh pool, with BLAS seen as
-    running one thread, so that wide Grams and products Z^T (Z p) are
-    split into tasks whatever the environment.  A short switch interval
-    makes a task claimed twice or not at all show.
+    caller and ``count - 1`` helpers of a fresh pool.  A short switch
+    interval makes a task claimed twice or not at all show.
 
     Only pools made under the fixture are shut down: the process-wide
     pool live before it is put back as it was, still running."""
-    blas_threads(1)
     monkeypatch.setattr(_threads, "_helpers", None)
 
     def use(count):

@@ -153,12 +153,11 @@ def test_threaded_multi_block_maps_match_sequential_and_inline(monkeypatch):
     _assert_threaded_runs_match(monkeypatch)
 
 
-def test_threaded_tiled_grams_match_sequential_and_inline(monkeypatch, blas_threads):
-    # BLAS seen as running one thread, tiles narrowed to 128 columns and
-    # pool maps streamed 256 rows at a time, so that the fold Grams
-    # (2u <= 512 columns) and LeverageRFF's streamed pool Gram (2048, in
-    # several blocks) are filled by tiles on the helper threads too.
-    blas_threads(1)
+def test_threaded_tiled_grams_match_sequential_and_inline(monkeypatch):
+    # Tiles narrowed to 128 columns and pool maps streamed 256 rows at a
+    # time, so that the fold Grams (2u <= 512 columns) and LeverageRFF's
+    # streamed pool Gram (2048, in several blocks) are filled by tiles on
+    # the helper threads too.
     monkeypatch.setattr(linalg, "_GRAM_TILE", 128)
     monkeypatch.setattr(leverage, "_GRAM_ROWS", 256)
     widths, streamed = [], []

@@ -519,19 +519,14 @@ def test_approx_ridge_leverage_grid_is_the_same_on_any_participant_count(partici
                 np.testing.assert_array_equal(row, want)
 
 
-@pytest.mark.parametrize("case", ["tiled", "threaded BLAS"])
 def test_approx_ridge_leverage_grid_runs_in_turn_when_each_factor_uses_every_core(
-    participants, blas_threads, monkeypatch, case
+    participants, monkeypatch
 ):
-    # From _TILED_MIN up each factor is tiled over the cores, and a threaded
-    # BLAS spreads each over the cores itself: the values run one after
-    # another, not as tasks with a copy of G each.
+    # From _TILED_MIN up each factor is tiled over the cores: the values
+    # run one after another, not as tasks with a copy of G each.
     participants(2)
-    if case == "tiled":
-        monkeypatch.setattr(linalg, "_TILED_MIN", 2)
-        monkeypatch.setattr(linalg, "_FACTOR_TILE", 16)
-    else:
-        blas_threads(2)
+    monkeypatch.setattr(linalg, "_TILED_MIN", 2)
+    monkeypatch.setattr(linalg, "_FACTOR_TILE", 16)
 
     def no_tasks(*args):
         raise AssertionError("a grid ran as one task per value")
@@ -545,7 +540,7 @@ def test_approx_ridge_leverage_grid_runs_in_turn_when_each_factor_uses_every_cor
     X, y, pool, Z = _instance(15, n=200, d=3, l=24)
     grid = (0.01, 0.1, 1.0)
     rows = approx_ridge_leverage(Z, grid)
-    assert tiled == ([(48, 48)] * 3 if case == "tiled" else [])
+    assert tiled == [(48, 48)] * 3
     G = Z.T @ Z
     for row, lam in zip(rows, grid):
         diagonal = 1.0 - 200 * lam * linalg.psd_inverse_diagonal(G, 200 * lam)

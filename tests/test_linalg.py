@@ -12,6 +12,7 @@ import scipy.sparse.linalg
 
 from rffkrr import KernelSpec, NumericalError, feature_map, sample_mc, spectral_density
 from rffkrr import linalg
+from rffkrr._threads import _one_blas_thread
 from rffkrr.leverage import approx_ridge_leverage, surrogate_pipeline
 
 
@@ -49,15 +50,18 @@ def test_solve_counter_counts_factor_and_solve():
 def test_psd_factor_shift_matches_scipy_on_the_shifted_matrix(m):
     # An exactly symmetric G: both triangles hold the same numbers, so the
     # factor of its upper triangle is scipy's factor of the lower one.
+    # psd_factor holds BLAS at one thread, and so does the reference.
     A = np.random.default_rng(m).standard_normal((m, m + 3))
     G = A @ A.T
     np.testing.assert_array_equal(G, G.T)
     before = G.copy()
     rhs = np.random.default_rng(m + 1).standard_normal((m, 2))
-    x = linalg.factor_solve(linalg.psd_factor(G, 0.37), rhs)
+    with _one_blas_thread():
+        x = linalg.factor_solve(linalg.psd_factor(G, 0.37), rhs)
+        shifted = scipy.linalg.cho_factor(G + 0.37 * np.eye(m), lower=True)
+        expected = scipy.linalg.cho_solve(shifted, rhs)
     np.testing.assert_array_equal(G, before)
-    shifted = scipy.linalg.cho_factor(G + 0.37 * np.eye(m), lower=True)
-    assert np.array_equal(x, scipy.linalg.cho_solve(shifted, rhs))
+    assert np.array_equal(x, expected)
 
 
 @pytest.mark.parametrize("m", [1, 7, 513, 1792])
@@ -214,19 +218,6 @@ def test_normal_product_is_the_same_on_any_participant_count(small_row_blocks, c
     np.testing.assert_array_equal(products[2], products[0])
 
 
-def test_normal_product_under_threaded_blas_is_one_product(
-    small_row_blocks, blas_threads, monkeypatch
-):
-    small_row_blocks(2)
-    blas_threads(2)
-    calls = []
-    monkeypatch.setattr(linalg, "_run_blocks", lambda *args: calls.append(args))
-    Z = _feature_like(300, 96, 11)
-    V = np.random.default_rng(12).standard_normal((96, 3))
-    np.testing.assert_array_equal(linalg._normal_product(Z, V), ((V.T @ Z.T) @ Z).T)
-    assert calls == []
-
-
 @pytest.mark.parametrize("positive", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_shifted_solves_on_a_non_finite_z_decline_at_the_first_step(
@@ -302,10 +293,12 @@ def test_factor_solve_rejects_non_finite_rhs():
             linalg.factor_solve(factor, rhs)
 
 
+@_one_blas_thread()
 def _wrapper_inverse_diagonal(mat, shift):
     # The diagonal of (mat + shift I)^{-1} as it was computed through
     # scipy.linalg.lapack's dpotrf wrapper, which zeroes the unused
-    # triangle itself (clean=1).
+    # triangle itself (clean=1), at the one BLAS thread that the kernels
+    # hold.
     a = np.array(mat, dtype=float, order="C")
     a[np.diag_indices_from(a)] += shift
     factor, info = scipy.linalg.lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
@@ -330,7 +323,8 @@ def test_psd_inverse_diagonal_equals_the_wrapper_path(m):
 def test_approx_ridge_leverage_equals_the_wrapper_path():
     Z = np.random.default_rng(4).uniform(-1.0, 1.0, size=(300, 2 * 70)) / np.sqrt(70)
     grid = (0.001, 0.01, 0.1)
-    G = Z.T @ Z
+    with _one_blas_thread():
+        G = Z.T @ Z
     n = Z.shape[0]
     for lam, row in zip(grid, approx_ridge_leverage(Z, grid)):
         diagonal = 1.0 - n * lam * _wrapper_inverse_diagonal(G, n * lam)
@@ -509,13 +503,6 @@ def test_gram_matches_single_product(participants, m):
     assert linalg.solve_count() == 0
 
 
-@pytest.mark.parametrize("m", _GRAM_WIDTHS)
-def test_gram_without_pinned_blas_is_single_product(blas_threads, m):
-    blas_threads(2)
-    Z = _feature_like(131, m, m)
-    np.testing.assert_array_equal(linalg.gram(Z), Z.T @ Z)
-
-
 @pytest.mark.parametrize("m", [_TILED, 1101, 1792])
 def test_gram_is_the_same_on_any_participant_count(participants, m):
     Z = _feature_like(300, m, 2 * m)
@@ -572,24 +559,6 @@ def test_streamed_gram_is_the_same_on_any_participant_count(participants, m):
     np.testing.assert_array_equal(grams[2], grams[0])
 
 
-def test_streamed_gram_under_threaded_blas_is_one_call_per_block(blas_threads, monkeypatch):
-    blas_threads(2)
-    Z = _feature_like(300, 1102, 5)
-    tasks = []
-    run_blocks = linalg._run_blocks
-
-    def counting(fill, blocks, *args):
-        tasks.append(len(blocks))
-        return run_blocks(fill, blocks, *args)
-
-    monkeypatch.setattr(linalg, "_run_blocks", counting)
-    G = linalg.gram(_row_blocks(Z, 128))
-    # Three blocks of one task each, then the mirror's one task.
-    assert tasks == [1, 1, 1, 1]
-    bound = 300 * np.finfo(float).eps * (np.abs(Z).T @ np.abs(Z))
-    assert np.all(np.abs(G - Z.T @ Z) <= bound)
-
-
 def test_streamed_gram_blocks_are_checked(participants):
     participants(2)
     Z = _feature_like(40, 6, 1)
@@ -606,18 +575,16 @@ def test_streamed_gram_blocks_are_checked(participants):
             linalg.gram(bad)
 
 
-def test_one_tile_gram_is_the_one_block_gram(participants):
+def test_one_tile_gram_is_the_one_block_gram():
     # An array of 2 to _GRAM_TILE columns is the single product Z^T Z, with
     # no tile tasks and no mirror pass (one column, which numpy multiplies
     # as a dot product, takes the tile path); as one block of an iterable
-    # it is one capsule dsyrk and its mirror.  Both give the same bits.
+    # it is one capsule dsyrk and its mirror, each a lone task that runs
+    # on the caller on any number of cores.  Both give the same bits.
     Z = _feature_like(40, _TILED - 1, 9)
-    widths = range(1, _TILED)
-    blocks = [np.ascontiguousarray(Z[:, :m]) for m in widths]
-    for count in (1, 2, 4):
-        participants(count)
-        for block in blocks:
-            np.testing.assert_array_equal(linalg.gram(block), linalg.gram([block]))
+    for m in range(1, _TILED):
+        block = np.ascontiguousarray(Z[:, :m])
+        np.testing.assert_array_equal(linalg.gram(block), linalg.gram([block]))
 
 
 def test_exact_mode_cap_boundary():
@@ -681,18 +648,14 @@ def test_tiled_results_are_the_same_on_any_participant_count(small_tiles):
         np.testing.assert_array_equal(diagonal, diagonals[0])
 
 
-def test_lone_factors_below_the_minimum_or_on_threaded_blas_are_one_potrf(
-    small_tiles, blas_threads, monkeypatch
-):
+def test_lone_factors_below_the_minimum_are_one_potrf(small_tiles, monkeypatch):
     m = 3 * _TILE
     G = _dense_spd(m, 22)
-    one_call = _lower((linalg._factor_in_place(G.copy(), 0.4), True))
+    with _one_blas_thread():
+        one_call = _lower((linalg._factor_in_place(G.copy(), 0.4), True))
     tiled = _lower(linalg.psd_factor(G, 0.4))
     assert not np.array_equal(tiled, one_call)
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_TILED_MIN", m + 1)
-        np.testing.assert_array_equal(_lower(linalg.psd_factor(G, 0.4)), one_call)
-    blas_threads(2)
+    monkeypatch.setattr(linalg, "_TILED_MIN", m + 1)
     np.testing.assert_array_equal(_lower(linalg.psd_factor(G, 0.4)), one_call)
 
 
